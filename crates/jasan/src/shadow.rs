@@ -28,9 +28,10 @@ pub fn shadow_addr(a: u64) -> u64 {
     SHADOW_BASE + (a >> 3)
 }
 
-/// Maps the shadow regions for the standard process layout. Each mapped
-/// application area gets its own shadow region so backing storage grows
-/// with use instead of being allocated up front.
+/// Maps the shadow regions for the standard process layout, one per
+/// application area. Guest memory backs a region page by page on first
+/// write, so a shadow region costs only the pages whose granules were
+/// ever poisoned or unpoisoned; reading untouched shadow allocates nothing.
 pub fn map_shadow(mem: &mut Memory) -> Result<(), String> {
     use janitizer_vm::{HEAP_BASE, HEAP_MAX, MMAP_BASE, STACK_BASE, STACK_SIZE};
     let ranges: [(u64, u64, &str); 4] = [
@@ -54,11 +55,7 @@ pub fn shadow_mapped(mem: &Memory) -> bool {
 /// Poisons `[addr, addr+len)` with `value` (rounding outward to granule
 /// boundaries for the interior, as ASan does for redzones).
 pub fn poison_range(proc: &mut Process, addr: u64, len: u64, value: u8) {
-    let first = addr >> 3;
-    let last = (addr + len + 7) >> 3;
-    for g in first..last {
-        let _ = proc.mem.write_int(SHADOW_BASE + g, 1, value as u64);
-    }
+    fill_granules(&mut proc.mem, addr >> 3, (addr + len + 7) >> 3, value);
 }
 
 /// Unpoisons `[addr, addr+len)`; a trailing partial granule gets the
@@ -67,12 +64,34 @@ pub fn unpoison_range(proc: &mut Process, addr: u64, len: u64) {
     debug_assert_eq!(addr & 7, 0, "allocations are 8-aligned");
     let full = len / 8;
     let first = addr >> 3;
-    for g in 0..full {
-        let _ = proc.mem.write_int(SHADOW_BASE + first + g, 1, 0);
-    }
+    fill_granules(&mut proc.mem, first, first + full, 0);
     let rem = len % 8;
     if rem != 0 {
         let _ = proc.mem.write_int(SHADOW_BASE + first + full, 1, rem);
+    }
+}
+
+/// Sets the shadow bytes of granules `first..last` to `value`, one
+/// `write_bytes` per run of up to `RUN` granules (copied from a stack
+/// buffer, so the one-granule canary probes allocate nothing). A run that
+/// is not wholly inside one writable region (it crosses an unmapped gap)
+/// is rewritten granule by granule, so every mapped granule is still set
+/// and the unmapped ones are skipped, as with per-granule writes.
+fn fill_granules(mem: &mut Memory, first: u64, last: u64, value: u8) {
+    const RUN: u64 = 256;
+    let run = [value; RUN as usize];
+    let mut g = first;
+    while g < last {
+        let n = (last - g).min(RUN);
+        if mem
+            .write_bytes(SHADOW_BASE + g, &run[..n as usize])
+            .is_err()
+        {
+            for h in g..g + n {
+                let _ = mem.write_int(SHADOW_BASE + h, 1, value as u64);
+            }
+        }
+        g += n;
     }
 }
 
@@ -248,5 +267,64 @@ mod tests {
         // The shadow of the shadow is not mapped; checks inside the shadow
         // region must pass, not fault.
         assert_eq!(check_access(&mut p, SHADOW_BASE + 0x100, 8), None);
+    }
+
+    /// Reads the shadow byte of every granule of `[lo, hi)`; unmapped
+    /// shadow reads as `None`.
+    fn shadow_bytes(p: &mut Process, lo: u64, hi: u64) -> Vec<Option<u8>> {
+        (lo >> 3..hi >> 3)
+            .map(|g| p.mem.read_int(SHADOW_BASE + g, 1).ok().map(|v| v as u8))
+            .collect()
+    }
+
+    #[test]
+    fn run_writes_match_per_granule_writes_across_gaps() {
+        // One shadow write per granule, ignoring faults: the reference.
+        fn poison_per_granule(p: &mut Process, addr: u64, len: u64, value: u8) {
+            for g in addr >> 3..(addr + len + 7) >> 3 {
+                let _ = p.mem.write_int(SHADOW_BASE + g, 1, value as u64);
+            }
+        }
+        fn unpoison_per_granule(p: &mut Process, addr: u64, len: u64) {
+            let (first, full, rem) = (addr >> 3, len / 8, len % 8);
+            for g in 0..full {
+                let _ = p.mem.write_int(SHADOW_BASE + first + g, 1, 0);
+            }
+            if rem != 0 {
+                let _ = p.mem.write_int(SHADOW_BASE + first + full, 1, rem);
+            }
+        }
+        use janitizer_vm::HEAP_BASE;
+        // Application ranges whose shadow runs off the end of `shadow:low`
+        // into the unmapped shadow-of-shadow, out of that gap into
+        // `shadow:heap`, and a range spanning several write runs.
+        let cases = [
+            (SHADOW_BASE - 0x40, 0x80, true),
+            (SHADOW_BASE - 0x1000, 0x3008, true),
+            (HEAP_BASE - 0x48, 0x95, true),
+            (HEAP_BASE - 0x2000, 0x400d, true),
+            (0x20_0008, 0x1805, false),
+        ];
+        for (addr, len, crosses_gap) in cases {
+            let (lo, hi) = (addr - 0x40, addr + len + 0x40);
+            let mut reference = blank_process();
+            let mut runs = blank_process();
+            poison_per_granule(&mut reference, addr - 8, len + 16, POISON_HEAP_REDZONE);
+            poison_range(&mut runs, addr - 8, len + 16, POISON_HEAP_REDZONE);
+            assert_eq!(
+                shadow_bytes(&mut runs, lo, hi),
+                shadow_bytes(&mut reference, lo, hi)
+            );
+            unpoison_per_granule(&mut reference, addr, len);
+            unpoison_range(&mut runs, addr, len);
+            let bytes = shadow_bytes(&mut runs, lo, hi);
+            assert_eq!(
+                bytes,
+                shadow_bytes(&mut reference, lo, hi),
+                "{addr:#x}+{len:#x}"
+            );
+            assert!(bytes.contains(&Some(0)) && bytes.contains(&Some(POISON_HEAP_REDZONE)));
+            assert_eq!(bytes.contains(&None), crosses_gap, "{addr:#x}+{len:#x}");
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Guest address space: disjoint permissioned regions with lazily-grown
-//! backing buffers.
+//! Guest address space: disjoint permissioned regions backed by
+//! zero-on-demand pages.
 
 use std::fmt;
 
@@ -93,19 +93,86 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// Size of one backing page. Pages are counted from each region's start.
+const PAGE: usize = 4096;
+
+type Page = Box<[u8; PAGE]>;
+
 struct Region {
     start: u64,
     size: u64,
     perm: Perm,
     label: String,
-    /// Backing store, grown on demand up to `size`.
-    data: Vec<u8>,
+    /// One slot per `PAGE` bytes of the region, up to the highest page
+    /// ever written, so mapping or growing a region allocates nothing. A
+    /// page is `None` until first written; reads of a `None` page, or of
+    /// one past the table's end, see zeros.
+    pages: Vec<Option<Page>>,
 }
 
 impl Region {
     fn end(&self) -> u64 {
         self.start + self.size
     }
+
+    /// Copies the bytes at region offset `off` into `buf`; pages never
+    /// written read as zeros and stay unbacked.
+    #[inline]
+    fn load(&self, off: usize, buf: &mut [u8]) {
+        let at = off % PAGE;
+        if at + buf.len() > PAGE {
+            return self.load_straddling(off, buf);
+        }
+        match self.pages.get(off / PAGE) {
+            Some(Some(page)) => buf.copy_from_slice(&page[at..at + buf.len()]),
+            _ => buf.fill(0),
+        }
+    }
+
+    /// Copies `bytes` to region offset `off`, backing only the pages they
+    /// touch (and extending the table to reach them).
+    #[inline]
+    fn store(&mut self, off: usize, bytes: &[u8]) {
+        let at = off % PAGE;
+        if at + bytes.len() > PAGE {
+            return self.store_straddling(off, bytes);
+        }
+        let idx = off / PAGE;
+        if idx >= self.pages.len() {
+            self.pages.resize_with(idx + 1, || None);
+        }
+        let page = self.pages[idx].get_or_insert_with(zeroed_page);
+        page[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// The slow path of [`Region::load`]: one in-page load per page.
+    #[cold]
+    fn load_straddling(&self, off: usize, buf: &mut [u8]) {
+        let mut done = 0;
+        while done < buf.len() {
+            let n = (PAGE - (off + done) % PAGE).min(buf.len() - done);
+            self.load(off + done, &mut buf[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// The slow path of [`Region::store`]: one in-page store per page.
+    #[cold]
+    fn store_straddling(&mut self, off: usize, bytes: &[u8]) {
+        let mut done = 0;
+        while done < bytes.len() {
+            let n = (PAGE - (off + done) % PAGE).min(bytes.len() - done);
+            self.store(off + done, &bytes[done..done + n]);
+            done += n;
+        }
+    }
+}
+
+fn zeroed_page() -> Page {
+    vec![0u8; PAGE]
+        .into_boxed_slice()
+        .try_into()
+        .expect("PAGE-sized buffer")
 }
 
 /// Sparse guest memory.
@@ -170,7 +237,7 @@ impl Memory {
                 size,
                 perm,
                 label: label.into(),
-                data: Vec::new(),
+                pages: Vec::new(),
             },
         );
         Ok(())
@@ -268,10 +335,6 @@ impl Memory {
         }
         let r = &mut self.regions[idx];
         let off = (addr - r.start) as usize;
-        let need = off + len as usize;
-        if r.data.len() < need {
-            r.data.resize(need, 0);
-        }
         Ok((r, off))
     }
 
@@ -284,7 +347,7 @@ impl Memory {
         debug_assert!(len <= 8);
         let (r, off) = self.access(addr, len, Access::Read)?;
         let mut buf = [0u8; 8];
-        buf[..len as usize].copy_from_slice(&r.data[off..off + len as usize]);
+        r.load(off, &mut buf[..len as usize]);
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -296,7 +359,7 @@ impl Memory {
     pub fn write_int(&mut self, addr: u64, len: u64, value: u64) -> Result<(), MemFault> {
         debug_assert!(len <= 8);
         let (r, off) = self.access(addr, len, Access::Write)?;
-        r.data[off..off + len as usize].copy_from_slice(&value.to_le_bytes()[..len as usize]);
+        r.store(off, &value.to_le_bytes()[..len as usize]);
         Ok(())
     }
 
@@ -307,7 +370,9 @@ impl Memory {
     /// Returns a [`MemFault`] if any byte is unmapped or unreadable.
     pub fn read_bytes(&mut self, addr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
         let (r, off) = self.access(addr, len, Access::Read)?;
-        Ok(r.data[off..off + len as usize].to_vec())
+        let mut buf = vec![0; len as usize];
+        r.load(off, &mut buf);
+        Ok(buf)
     }
 
     /// Copies bytes into guest memory.
@@ -317,7 +382,7 @@ impl Memory {
     /// Returns a [`MemFault`] if any byte is unmapped or unwritable.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
         let (r, off) = self.access(addr, bytes.len() as u64, Access::Write)?;
-        r.data[off..off + bytes.len()].copy_from_slice(bytes);
+        r.store(off, bytes);
         Ok(())
     }
 
@@ -339,12 +404,7 @@ impl Memory {
             self.code_generation += 1;
         }
         let r = &mut self.regions[idx];
-        let off = (addr - r.start) as usize;
-        let need = off + bytes.len();
-        if r.data.len() < need {
-            r.data.resize(need, 0);
-        }
-        r.data[off..off + bytes.len()].copy_from_slice(bytes);
+        r.store((addr - r.start) as usize, bytes);
         Ok(())
     }
 
@@ -371,13 +431,21 @@ impl Memory {
         }
         let avail = self.regions[idx].end() - addr;
         let take = avail.min(len);
-        let r = &mut self.regions[idx];
-        let off = (addr - r.start) as usize;
-        let need = off + take as usize;
-        if r.data.len() < need {
-            r.data.resize(need, 0);
-        }
-        Ok(r.data[off..off + take as usize].to_vec())
+        let r = &self.regions[idx];
+        let mut buf = vec![0; take as usize];
+        r.load((addr - r.start) as usize, &mut buf);
+        Ok(buf)
+    }
+
+    /// Bytes of backing actually allocated: one `PAGE` per page ever
+    /// written. Reads never add to it.
+    pub fn backed_bytes(&self) -> u64 {
+        let pages: usize = self
+            .regions
+            .iter()
+            .map(|r| r.pages.iter().filter(|p| p.is_some()).count())
+            .sum();
+        (pages * PAGE) as u64
     }
 
     /// Lists mapped regions as `(start, size, perm, label)`.
@@ -471,5 +539,66 @@ mod tests {
         m.map(0x1000, 0x100, Perm::RW, "stack").unwrap();
         assert_eq!(m.region_label(0x1050), Some("stack"));
         assert_eq!(m.region_label(0x5000), None);
+    }
+
+    const BIG: u64 = 192 << 20;
+
+    #[test]
+    fn reads_never_back_pages() {
+        let mut m = Memory::new();
+        m.map(0x1000_0000, BIG, Perm::RWX, "big").unwrap();
+        for off in [0, 0x123, BIG / 2, BIG - PAGE as u64 - 4, BIG - 8] {
+            assert_eq!(m.read_int(0x1000_0000 + off, 8).unwrap(), 0);
+        }
+        assert_eq!(
+            m.read_bytes(0x1000_0000 + BIG / 3, 3 * PAGE as u64)
+                .unwrap(),
+            vec![0; 3 * PAGE]
+        );
+        assert_eq!(
+            m.fetch_bytes(0x1000_0000 + BIG - 2, 16).unwrap(),
+            vec![0, 0]
+        );
+        assert_eq!(m.backed_bytes(), 0);
+    }
+
+    #[test]
+    fn far_write_backs_one_page() {
+        let mut m = Memory::new();
+        m.map(0x1000_0000, BIG, Perm::RW, "big").unwrap();
+        m.write_int(0x1000_0000 + BIG - 8, 8, 0x0102_0304_0506_0708)
+            .unwrap();
+        assert_eq!(m.backed_bytes(), PAGE as u64);
+        assert_eq!(
+            m.read_int(0x1000_0000 + BIG - 8, 8).unwrap(),
+            0x0102_0304_0506_0708
+        );
+        assert_eq!(m.read_int(0x1000_0000 + BIG - 16, 8).unwrap(), 0);
+    }
+
+    #[test]
+    fn straddling_write_backs_two_pages() {
+        let mut m = Memory::new();
+        m.map(0x1000_0000, BIG, Perm::RW, "big").unwrap();
+        let addr = 0x1000_0000 + 5 * PAGE as u64 - 3;
+        m.write_int(addr, 8, 0x1122_3344_5566_7788).unwrap();
+        assert_eq!(m.backed_bytes(), 2 * PAGE as u64);
+        assert_eq!(m.read_int(addr, 8).unwrap(), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_int(addr + 3, 4).unwrap(), 0x2233_4455);
+        assert_eq!(m.read_bytes(addr - 1, 3).unwrap(), vec![0, 0x88, 0x77]);
+    }
+
+    #[test]
+    fn grown_tail_reads_zero_until_written() {
+        let mut m = Memory::new();
+        m.map(0x1000, 0x10, Perm::RW, "heap").unwrap();
+        m.write_int(0x1008, 8, 7).unwrap();
+        m.grow(0x1000, 3 * PAGE as u64).unwrap();
+        let last = 0x1000 + 0x10 + 3 * PAGE as u64 - 8;
+        assert_eq!(m.read_int(last, 8).unwrap(), 0);
+        m.write_int(last, 8, 9).unwrap();
+        assert_eq!(m.read_int(0x1008, 8).unwrap(), 7);
+        assert_eq!(m.read_int(last, 8).unwrap(), 9);
+        assert_eq!(m.backed_bytes(), 2 * PAGE as u64);
     }
 }
