@@ -11,7 +11,7 @@ use janitizer_jasan::Jasan;
 use janitizer_link::{link, LinkOptions};
 use janitizer_minic::{compile, CompileOptions};
 use janitizer_rules::{RuleFile, RuleTable};
-use janitizer_vm::{load_process, LoadOptions, ModuleStore};
+use janitizer_vm::{load_process, LoadOptions, ModuleStore, HEAP_BASE, STACK_BASE, STACK_SIZE};
 
 fn test_image() -> janitizer_obj::Image {
     let src = r#"
@@ -182,6 +182,20 @@ fn bench_shadow(c: &mut Criterion) {
     });
     g.bench_function("check_poisoned", |b| {
         b.iter(|| janitizer_jasan::check_access(&mut p, 0x40_0000, 8))
+    });
+    // Module, heap and stack addresses in turn: each check reads a
+    // different shadow region than the last, so region lookup is timed.
+    let mixed = [
+        0x41_0000,
+        HEAP_BASE + 0x100,
+        STACK_BASE + STACK_SIZE - 0x100,
+    ];
+    let mut next = 0;
+    g.bench_function("check_mixed_regions", |b| {
+        b.iter(|| {
+            next = (next + 1) % mixed.len();
+            janitizer_jasan::check_access(&mut p, mixed[next], 8)
+        })
     });
     g.finish();
 }

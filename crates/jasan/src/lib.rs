@@ -420,10 +420,8 @@ impl Jasan {
                     }
                 }
             }
-            let shadow_byte = p
-                .mem
-                .read_int(shadow::shadow_addr(addr), 1)
-                .unwrap_or(0);
+            let first = p.mem.read_int(shadow::shadow_addr(addr), 1).ok();
+            let shadow_byte = first.unwrap_or(0);
             // The inline sequence leaves its intermediates in the scratch
             // registers and its comparison result in the flags.
             if let Some(&s0) = scratch.first() {
@@ -449,7 +447,7 @@ impl Jasan {
             } else {
                 0
             };
-            if let Some(kind) = shadow::check_access(p, addr, size) {
+            if let Some(kind) = shadow::check_access_from(p, addr, size, first.map(|v| v as u8)) {
                 janitizer_telemetry::counter_add("jasan.violations", 1);
                 // Record the faulting-access context for forensics —
                 // observation only, bounded the same way the engine

@@ -100,13 +100,27 @@ fn fill_granules(mem: &mut Memory, first: u64, last: u64, value: u8) {
 /// shadow (e.g. shadow-of-shadow) reads as unpoisoned, like ASan's
 /// zero page.
 pub fn check_access(proc: &mut Process, addr: u64, size: u64) -> Option<ViolationKind> {
+    let first = read_granule(proc, addr >> 3);
+    check_access_from(proc, addr, size, first)
+}
+
+/// [`check_access`] given the shadow byte of `addr`'s granule, already
+/// read by the caller (`None` when that shadow is unmapped), so the
+/// granule is not read twice.
+pub(crate) fn check_access_from(
+    proc: &mut Process,
+    addr: u64,
+    size: u64,
+    first: Option<u8>,
+) -> Option<ViolationKind> {
     let end = addr + size;
-    let mut g = addr >> 3;
-    while g << 3 < end {
-        let s = match proc.mem.read_int(SHADOW_BASE + g, 1) {
-            Ok(v) => v as u8,
-            Err(_) => return None,
-        };
+    let first_g = addr >> 3;
+    for g in first_g..end.div_ceil(8) {
+        let s = if g == first_g {
+            first
+        } else {
+            read_granule(proc, g)
+        }?;
         if s != 0 {
             if s >= 0x80 {
                 return Some(classify_poison(s));
@@ -118,9 +132,13 @@ pub fn check_access(proc: &mut Process, addr: u64, size: u64) -> Option<Violatio
                 return Some(ViolationKind::HeapBufferOverflow);
             }
         }
-        g += 1;
     }
     None
+}
+
+/// The shadow byte of granule `g`, or `None` when its shadow is unmapped.
+fn read_granule(proc: &mut Process, g: u64) -> Option<u8> {
+    proc.mem.read_int(SHADOW_BASE + g, 1).ok().map(|v| v as u8)
 }
 
 /// Classifies a poison marker byte into its violation kind.

@@ -175,17 +175,35 @@ fn zeroed_page() -> Page {
         .expect("PAGE-sized buffer")
 }
 
+/// Number of slots in the region-hint table; a guest page hints slot
+/// `page % HINT_SLOTS`.
+const HINT_SLOTS: usize = 64;
+
 /// Sparse guest memory.
 ///
 /// Regions are mapped explicitly with [`Memory::map`]; any access outside a
 /// region faults, which is how wild pointers in the guest surface as
 /// [`MemFault`]s instead of silent corruption.
-#[derive(Default)]
 pub struct Memory {
     regions: Vec<Region>,
+    /// The region index last found for each guest page (direct-mapped by
+    /// page number). A hint is trusted only if that region still contains
+    /// the address; regions are disjoint, so such a region is the right
+    /// one even after `map`, `grow` or `protect` left the index stale.
+    hints: [u32; HINT_SLOTS],
     /// Bumped whenever executable bytes are written, so instruction-decode
     /// caches can invalidate (needed for JIT-generated code).
     code_generation: u64,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            regions: Vec::new(),
+            hints: [0; HINT_SLOTS],
+            code_generation: 0,
+        }
+    }
 }
 
 impl fmt::Debug for Memory {
@@ -306,6 +324,23 @@ impl Memory {
         (addr < r.end()).then_some(idx - 1)
     }
 
+    /// [`Memory::find`] through the page's hint: the hinted region if it
+    /// contains `addr`, else a binary search whose hit re-hints the page.
+    #[inline]
+    fn find_hinted(&mut self, addr: u64) -> Option<usize> {
+        let slot = (addr / PAGE as u64) as usize % HINT_SLOTS;
+        let hint = self.hints[slot] as usize;
+        if let Some(r) = self.regions.get(hint) {
+            if r.start <= addr && addr < r.end() {
+                return Some(hint);
+            }
+        }
+        let idx = self.find(addr)?;
+        // A truncated index would only be a hint that fails the check above.
+        self.hints[slot] = idx as u32;
+        Some(idx)
+    }
+
     fn access(
         &mut self,
         addr: u64,
@@ -317,7 +352,7 @@ impl Memory {
             access,
             mapped,
         };
-        let idx = self.find(addr).ok_or(fault(false))?;
+        let idx = self.find_hinted(addr).ok_or(fault(false))?;
         let r = &self.regions[idx];
         if addr + len > r.end() {
             return Err(fault(false));
@@ -396,7 +431,7 @@ impl Memory {
             access: Access::Write,
             mapped: false,
         };
-        let idx = self.find(addr).ok_or(fault)?;
+        let idx = self.find_hinted(addr).ok_or(fault)?;
         if addr + len > self.regions[idx].end() {
             return Err(fault);
         }
@@ -421,7 +456,7 @@ impl Memory {
             access: Access::Fetch,
             mapped: false,
         };
-        let idx = self.find(addr).ok_or(fault)?;
+        let idx = self.find_hinted(addr).ok_or(fault)?;
         if !self.regions[idx].perm.x {
             return Err(MemFault {
                 addr,
@@ -539,6 +574,27 @@ mod tests {
         m.map(0x1000, 0x100, Perm::RW, "stack").unwrap();
         assert_eq!(m.region_label(0x1050), Some("stack"));
         assert_eq!(m.region_label(0x5000), None);
+    }
+
+    #[test]
+    fn map_below_hinted_regions_shifts_their_indices() {
+        let mut m = Memory::new();
+        m.map(0x1000_0040, 0x640, Perm::RX, "text").unwrap();
+        m.map(0x1000_0680, 0x100, Perm::RW, "got").unwrap();
+        assert_eq!(m.fetch_bytes(0x1000_0040, 1).unwrap(), vec![0]);
+        m.write_int(0x1000_0680, 8, 0x77).unwrap();
+        // Both regions share one page, so its hint now names `got` (index
+        // 1). Mapping `plt` below them moves `text` to index 1, and `got`
+        // to 2.
+        m.map(0x1000_0000, 0x40, Perm::RX, "plt").unwrap();
+        assert_eq!(m.read_int(0x1000_0680, 8).unwrap(), 0x77);
+        let f = m.write_int(0x1000_0040, 8, 1).unwrap_err();
+        assert!(f.mapped, "text is not writable");
+        m.poke_bytes(0x1000_0000, &[0xc3]).unwrap();
+        assert_eq!(m.fetch_bytes(0x1000_0000, 1).unwrap(), vec![0xc3]);
+        assert_eq!(m.region_label(0x1000_0000), Some("plt"));
+        assert!(m.fetch_bytes(0x1000_0680, 1).unwrap_err().mapped);
+        assert!(!m.read_int(0x1000_0780, 1).unwrap_err().mapped);
     }
 
     const BIG: u64 = 192 << 20;

@@ -1,7 +1,7 @@
 //! Model-based property tests for guest memory: random operations checked
 //! against a simple `HashMap<u64, u8>` reference model.
 
-use janitizer_vm::{Memory, Perm};
+use janitizer_vm::{Access, MemFault, Memory, Perm};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -119,8 +119,255 @@ impl SparseModel {
     }
 }
 
+/// The multi-region layout: a loader-style `.plt`/`.text`/`.got` trio
+/// sharing one 4 KiB page, a small heap that grows into unmapped pages
+/// up to an mmap region, and a region 64 pages above the trio, whose page
+/// shares the trio's slot in `Memory`'s 64-entry page-hint table.
+const PLT: u64 = 0x1000_0000;
+const TEXT: u64 = 0x1000_0040;
+const GOT: u64 = 0x1000_0680;
+const HEAP: u64 = 0x1000_2000;
+const MMAP: u64 = 0x1000_6000;
+const ALIAS: u64 = PLT + 64 * PAGE;
+
+/// Regions mapped at the start, as `(start, size, perm)`.
+const INITIAL: [(u64, u64, Perm); 6] = [
+    (PLT, 0x40, Perm::RX),
+    (TEXT, 0x640, Perm::RX),
+    (GOT, 0x100, Perm::RW),
+    (HEAP, 0x10, Perm::RW),
+    (MMAP, PAGE, Perm::RW),
+    (ALIAS, 0x800, Perm::RW),
+];
+
+/// Regions `MultiOp::Map` may add later: one below every other region
+/// (shifting all their indices), one in the heap's growth path, one
+/// aliasing the heap's hint slot, and one that always overlaps.
+const LATE: [(u64, u64, Perm); 4] = [
+    (PLT - PAGE, PAGE, Perm::RW),
+    (HEAP + 2 * PAGE, PAGE, Perm::RW),
+    (HEAP + 64 * PAGE, PAGE, Perm::RWX),
+    (TEXT + 0x600, 0x100, Perm::RW),
+];
+
+#[derive(Clone, Debug)]
+enum MultiOp {
+    Write { addr: u64, len: u8, value: u64 },
+    Read { addr: u64, len: u8 },
+    WriteBytes { addr: u64, data: Vec<u8> },
+    ReadBytes { addr: u64, len: u16 },
+    Poke { addr: u64, data: Vec<u8> },
+    Fetch { addr: u64, len: u16 },
+    Map { which: usize },
+    Grow { delta: u64 },
+    Protect { start: u64, perm: Perm },
+}
+
+/// An address a few bytes around a region edge or page boundary of the
+/// multi-region layout, or anywhere in the window that spans it.
+fn arb_multi_addr() -> impl Strategy<Value = u64> {
+    let mut anchors = vec![GOT + 0x100, HEAP + 0x10, ALIAS + 0x800];
+    for &(start, size, _) in INITIAL.iter().chain(&LATE) {
+        anchors.extend([start, start + size]);
+    }
+    anchors.extend((1..5).map(|p| HEAP + p * PAGE));
+    prop_oneof![
+        (prop::sample::select(anchors), -16i64..40).prop_map(|(a, d)| a.wrapping_add(d as u64)),
+        PLT - PAGE..HEAP + 65 * PAGE,
+    ]
+}
+
+fn arb_multi_op() -> impl Strategy<Value = MultiOp> {
+    let bytes = || prop::collection::vec(any::<u8>(), 0..24);
+    let starts: Vec<u64> = INITIAL.iter().chain(&LATE).map(|r| r.0).collect();
+    let perm = prop::sample::select(vec![Perm::R, Perm::RW, Perm::RX, Perm::RWX]);
+    prop_oneof![
+        (arb_multi_addr(), arb_len(), any::<u64>()).prop_map(|(addr, len, value)| MultiOp::Write {
+            addr,
+            len,
+            value
+        }),
+        (arb_multi_addr(), arb_len()).prop_map(|(addr, len)| MultiOp::Read { addr, len }),
+        (arb_multi_addr(), bytes()).prop_map(|(addr, data)| MultiOp::WriteBytes { addr, data }),
+        (arb_multi_addr(), 0u16..100).prop_map(|(addr, len)| MultiOp::ReadBytes { addr, len }),
+        (arb_multi_addr(), bytes()).prop_map(|(addr, data)| MultiOp::Poke { addr, data }),
+        (arb_multi_addr(), 1u16..64).prop_map(|(addr, len)| MultiOp::Fetch { addr, len }),
+        (0..LATE.len()).prop_map(|which| MultiOp::Map { which }),
+        prop::sample::select(vec![8, 0x100, PAGE, 2 * PAGE + 8])
+            .prop_map(|delta| MultiOp::Grow { delta }),
+        (prop::sample::select(starts), perm)
+            .prop_map(|(start, perm)| MultiOp::Protect { start, perm }),
+    ]
+}
+
+/// Reference model of the multi-region layout: a flat region list searched
+/// linearly, written bytes, and the expected code generation.
+struct MultiModel {
+    regions: Vec<(u64, u64, Perm)>,
+    bytes: HashMap<u64, u8>,
+    code_generation: u64,
+}
+
+impl MultiModel {
+    fn region(&self, addr: u64) -> Option<usize> {
+        self.regions
+            .iter()
+            .position(|&(start, size, _)| start <= addr && addr < start + size)
+    }
+
+    /// The index of the region holding all of `[addr, addr+len)`, or the
+    /// unmapped fault `Memory` reports for an `access` there.
+    fn bounds(&self, addr: u64, len: u64, access: Access) -> Result<usize, MemFault> {
+        let fault = MemFault {
+            addr,
+            access,
+            mapped: false,
+        };
+        let i = self.region(addr).ok_or(fault)?;
+        let (start, size, _) = self.regions[i];
+        if addr + len > start + size {
+            return Err(fault);
+        }
+        Ok(i)
+    }
+
+    /// [`MultiModel::bounds`] plus the permission `access` needs.
+    fn check(&self, addr: u64, len: u64, access: Access) -> Result<usize, MemFault> {
+        let i = self.bounds(addr, len, access)?;
+        let perm = self.regions[i].2;
+        let ok = match access {
+            Access::Read => perm.r,
+            Access::Write => perm.w,
+            Access::Fetch => perm.x,
+        };
+        if ok {
+            Ok(i)
+        } else {
+            Err(MemFault {
+                addr,
+                access,
+                mapped: true,
+            })
+        }
+    }
+
+    fn read(&self, addr: u64, len: u64) -> Vec<u8> {
+        (addr..addr + len)
+            .map(|a| *self.bytes.get(&a).unwrap_or(&0))
+            .collect()
+    }
+
+    /// Applies a guest write; it bumps the generation on executable bytes.
+    fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
+        let i = self.check(addr, data.len() as u64, Access::Write)?;
+        self.store(i, addr, data);
+        Ok(())
+    }
+
+    fn store(&mut self, i: usize, addr: u64, data: &[u8]) {
+        if self.regions[i].2.x {
+            self.code_generation += 1;
+        }
+        for (k, b) in data.iter().enumerate() {
+            self.bytes.insert(addr + k as u64, *b);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Guest accesses across several small regions, some sharing a page
+    /// and some aliasing one page-hint slot, interleaved with `map` below
+    /// and between them, `grow` into unmapped pages and `protect`. Every
+    /// value, fault, region list and code generation matches the model, so
+    /// a stale page hint can never serve the wrong region.
+    #[test]
+    fn multi_region_memory_matches_reference_model(ops in prop::collection::vec(arb_multi_op(), 1..160)) {
+        let mut mem = Memory::new();
+        for (i, &(start, size, perm)) in INITIAL.iter().enumerate() {
+            mem.map(start, size, perm, format!("r{i}")).unwrap();
+        }
+        let mut model = MultiModel {
+            regions: INITIAL.to_vec(),
+            bytes: HashMap::new(),
+            code_generation: 0,
+        };
+
+        for op in ops {
+            match op {
+                MultiOp::Write { addr, len, value } => {
+                    let data = &value.to_le_bytes()[..len as usize];
+                    prop_assert_eq!(mem.write_int(addr, len as u64, value), model.write(addr, data), "write_int {:#x}+{}", addr, len);
+                }
+                MultiOp::Read { addr, len } => {
+                    let expect = model.check(addr, len as u64, Access::Read).map(|_| {
+                        let mut buf = [0u8; 8];
+                        buf[..len as usize].copy_from_slice(&model.read(addr, len as u64));
+                        u64::from_le_bytes(buf)
+                    });
+                    prop_assert_eq!(mem.read_int(addr, len as u64), expect, "read_int {:#x}+{}", addr, len);
+                }
+                MultiOp::WriteBytes { addr, data } => {
+                    prop_assert_eq!(mem.write_bytes(addr, &data), model.write(addr, &data), "write_bytes {:#x}+{}", addr, data.len());
+                }
+                MultiOp::ReadBytes { addr, len } => {
+                    let expect = model
+                        .check(addr, len as u64, Access::Read)
+                        .map(|_| model.read(addr, len as u64));
+                    prop_assert_eq!(mem.read_bytes(addr, len as u64), expect, "read_bytes {:#x}+{}", addr, len);
+                }
+                MultiOp::Poke { addr, data } => {
+                    // The loader's write: only the bounds are checked.
+                    let expect = model
+                        .bounds(addr, data.len() as u64, Access::Write)
+                        .map(|i| model.store(i, addr, &data));
+                    prop_assert_eq!(mem.poke_bytes(addr, &data), expect, "poke_bytes {:#x}+{}", addr, data.len());
+                }
+                MultiOp::Fetch { addr, len } => {
+                    // A fetch needs only its first byte mapped and is
+                    // clipped at the region's end.
+                    let expect = model.check(addr, 1, Access::Fetch).map(|i| {
+                        let (start, size, _) = model.regions[i];
+                        model.read(addr, (len as u64).min(start + size - addr))
+                    });
+                    prop_assert_eq!(mem.fetch_bytes(addr, len as u64), expect, "fetch_bytes {:#x}+{}", addr, len);
+                }
+                MultiOp::Map { which } => {
+                    let (start, size, perm) = LATE[which];
+                    let free = model.regions.iter().all(|&(s, n, _)| start + size <= s || s + n <= start);
+                    prop_assert_eq!(mem.map(start, size, perm, "late").is_ok(), free, "map {:#x}", start);
+                    if free {
+                        model.regions.push((start, size, perm));
+                    }
+                }
+                MultiOp::Grow { delta } => {
+                    let i = model.region(HEAP).unwrap();
+                    let new_end = HEAP + model.regions[i].1 + delta;
+                    let fits = model.regions.iter().all(|&(s, _, _)| s <= HEAP || new_end <= s);
+                    prop_assert_eq!(mem.grow(HEAP, delta).is_ok(), fits, "grow by {:#x}", delta);
+                    if fits {
+                        model.regions[i].1 += delta;
+                    }
+                }
+                MultiOp::Protect { start, perm } => {
+                    let i = model.regions.iter().position(|r| r.0 == start);
+                    prop_assert_eq!(mem.protect(start, perm).is_ok(), i.is_some(), "protect {:#x}", start);
+                    if let Some(i) = i {
+                        if model.regions[i].2.x || perm.x {
+                            model.code_generation += 1;
+                        }
+                        model.regions[i].2 = perm;
+                    }
+                }
+            }
+            prop_assert_eq!(mem.code_generation(), model.code_generation);
+            let mut regions = model.regions.clone();
+            regions.sort_by_key(|r| r.0);
+            let mapped: Vec<_> = mem.regions().into_iter().map(|(s, n, p, _)| (s, n, p)).collect();
+            prop_assert_eq!(mapped, regions);
+        }
+    }
 
     /// Every successful int/byte write is later read back identically;
     /// out-of-region accesses fail in both the model and the real memory.
