@@ -22,7 +22,7 @@
 //!   the soundness failure of paper §6.2.2.
 
 use janitizer_core::{
-    Probe, ProbeResult, Report, SecurityPlugin, StaticContext,
+    Probe, ProbeResult, ProbeRun, Report, SecurityPlugin, StaticContext,
 };
 use janitizer_dbt::{
     CostModel, DecodedBlock, ProbeClass, ProbeSite, SiteOrigin, TbItem, ViolationKind,
@@ -159,7 +159,7 @@ impl SecurityPlugin for Memcheck {
                             origin: SiteOrigin::Dynamic,
                         }),
                         cost: MEMCHECK_CHECK_COST,
-                        run: Box::new(move |p: &mut Process| {
+                        run: ProbeRun::custom(move |p: &mut Process| {
                             let mut addr =
                                 p.cpu.reg(m.base).wrapping_add(m.disp as i64 as u64);
                             if let Some(idx) = m.idx {
@@ -189,7 +189,7 @@ impl SecurityPlugin for Memcheck {
                     // V-bit propagation through ALU state.
                     items.push(TbItem::Probe(Probe {
                         cost: MEMCHECK_PROPAGATE_COST,
-                        run: Box::new(|_| ProbeResult::Ok),
+                        run: ProbeRun::custom(|_| ProbeResult::Ok),
                         site: Some(ProbeSite {
                             tool: "memcheck",
                             kind: "vbit-propagate",
@@ -465,7 +465,7 @@ impl CfiBaseline {
                 CfiPolicy::BinCfi => 18,
                 _ => 11,
             },
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let target = p.cpu.reg(reg);
                 let caller_mid = p.module_containing(pc).map(|m| m.id);
                 let target_mid = p.module_containing(target).map(|m| m.id);
@@ -575,7 +575,7 @@ impl CfiBaseline {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost: 9,
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let target = p.cpu.reg(reg);
                 let mut st = state.borrow_mut();
                 let info = p
@@ -625,7 +625,7 @@ impl CfiBaseline {
                 CfiPolicy::BinCfi => 30,
                 _ => 5,
             },
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let target = match p.mem.read_int(p.cpu.reg(janitizer_isa::Reg::R15), 8) {
                     Ok(t) => t,
                     Err(_) => return ProbeResult::Ok,
@@ -691,7 +691,7 @@ impl CfiBaseline {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost: 4,
-            run: Box::new(move |_p| {
+            run: ProbeRun::custom(move |_p| {
                 state.borrow_mut().shadow.push(ret_addr);
                 ProbeResult::Ok
             }),

@@ -5,13 +5,17 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use janitizer_asm::{assemble, AsmOptions};
-use janitizer_core::{analyze_statically, run_hybrid, HybridOptions};
+use janitizer_core::{analyze_statically, run_hybrid, HybridOptions, SecurityPlugin, TbItem};
+use janitizer_dbt::{DecodedBlock, Engine, EngineOptions, NullTool, Tool};
 use janitizer_isa::{decode, Instr, Reg};
 use janitizer_jasan::Jasan;
 use janitizer_link::{link, LinkOptions};
 use janitizer_minic::{compile, CompileOptions};
 use janitizer_rules::{RuleFile, RuleTable};
-use janitizer_vm::{load_process, LoadOptions, ModuleStore, HEAP_BASE, STACK_BASE, STACK_SIZE};
+use janitizer_vm::{
+    load_process, LoadOptions, ModuleStore, Process, HEAP_BASE, STACK_BASE, STACK_SIZE,
+};
+use std::time::Instant;
 
 fn test_image() -> janitizer_obj::Image {
     let src = r#"
@@ -200,6 +204,73 @@ fn bench_shadow(c: &mut Criterion) {
     g.finish();
 }
 
+/// A tool placing JASan's dynamic-fallback check (a typed Plain check)
+/// before every memory access.
+struct FallbackChecks(Jasan);
+
+impl Tool for FallbackChecks {
+    fn name(&self) -> &str {
+        "jasan-fallback"
+    }
+    fn on_start(&mut self, proc: &mut Process) {
+        self.0.on_start(proc);
+    }
+    fn instrument_block(&mut self, proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+        self.0.instrument_dynamic(proc, block)
+    }
+}
+
+/// Host cost of one executed shadow check: a loop whose block holds
+/// `CHECKS` loads over clean shadow, run under the null client and with
+/// a check before every load. Prints ns per check (the null run
+/// subtracted, best of several alternating runs each) next to the two
+/// timed runs.
+fn bench_jasan_check(c: &mut Criterion) {
+    const CHECKS: u64 = 32;
+    const LAPS: u64 = 20_000;
+    let loads: String = (0..CHECKS)
+        .map(|k| format!(" ld8 r3, [r8+{}]\n", k * 8))
+        .collect();
+    let src = format!(
+        ".section text\n.global _start\n_start:\n la r8, buf\n mov r2, 0\n\
+         loop:\n{loads} add r2, 1\n cmp r2, {LAPS}\n jne loop\n mov r0, 0\n ret\n\
+         .section data\nbuf: .space {}\n",
+        CHECKS * 8
+    );
+    let obj = assemble("checks.s", &src, &AsmOptions::default()).unwrap();
+    let mut store = ModuleStore::new();
+    store.add(link(&[obj], &LinkOptions::executable("checks")).unwrap());
+    let run = |tool: &mut dyn Tool| {
+        let mut p = load_process(&store, "checks", &LoadOptions::default()).unwrap();
+        let out = Engine::new(EngineOptions::default()).run(&mut p, tool, u64::MAX);
+        assert_eq!(out.code(), Some(0), "{out:?}");
+    };
+    let null = || run(&mut NullTool);
+    let checked = || run(&mut FallbackChecks(Jasan::hybrid()));
+    let time = |f: &dyn Fn()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    // Alternate the two runs so host noise hits both alike.
+    let (mut best_null, mut best_checked) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..9 {
+        best_null = best_null.min(time(&null));
+        best_checked = best_checked.min(time(&checked));
+    }
+    let checks = CHECKS * LAPS;
+    let ns = (best_checked - best_null) * 1e9 / checks as f64;
+    println!(
+        "shadow/jasan_check: {ns:.1} ns per check ({checks} typed Plain checks, clean shadow)"
+    );
+    let mut g = c.benchmark_group("shadow");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(checks));
+    g.bench_function("jasan_check", |b| b.iter(checked));
+    g.bench_function("jasan_check_null_client", |b| b.iter(null));
+    g.finish();
+}
+
 criterion_group!(
     components,
     bench_decode,
@@ -207,6 +278,7 @@ criterion_group!(
     bench_static_analysis,
     bench_rule_tables,
     bench_execution,
-    bench_shadow
+    bench_shadow,
+    bench_jasan_check
 );
 criterion_main!(components);

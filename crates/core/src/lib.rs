@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use janitizer_dbt::{
-    CostModel, JasanContext, JcfiContext, Probe, ProbeResult, Report, ShadowRow,
+    CostModel, JasanContext, JcfiContext, Probe, ProbeResult, ProbeRun, Report, ShadowRow,
     Stats as EngineStats, ToolContext, ViolationContext, ViolationKind,
 };
 pub use janitizer_diag::{Frame, Symbolizer, ViolationReport};

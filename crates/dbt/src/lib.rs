@@ -22,6 +22,10 @@
 //! to spill), so unsound scratch selection — the `ipa-ra` hazard of paper
 //! §4.1.2 — breaks guest programs here exactly as it would on hardware.
 
+pub mod shadow;
+
+pub use shadow::{CheckMode, ShadowCheck, ShadowReporter, ShadowViolation};
+
 use janitizer_isa::{Instr, Reg};
 use janitizer_vm::{execute, Fault, PcMap, Process, ProcessEvent, Step};
 use std::collections::BTreeMap;
@@ -278,10 +282,6 @@ pub enum ProbeResult {
     Ok,
     /// Slow path: charge additional cycles.
     Extra(u64),
-    /// Fast path of a *fused lead* check: like [`ProbeResult::Ok`], but
-    /// the probe additionally pre-served `n` follower checks in the same
-    /// block (counted in [`Stats::checks_fused`]). Never changes charges.
-    Fused(u32),
     /// A *hoisted* loop-invariant check whose cached verdict is still
     /// valid: the modeled check lives in the loop preheader, so this
     /// execution runs no check code at all — no cycles, no register or
@@ -352,12 +352,27 @@ pub struct ProbeSite {
     pub origin: SiteOrigin,
 }
 
-/// A host-side instrumentation callback operating on guest state.
+/// What a probe runs.
+pub enum ProbeRun {
+    /// A JASan shadow check, run inline by the engine.
+    ShadowCheck(Box<ShadowCheck>),
+    /// Any other host-side callback (canaries, JCFI, JTaint, baselines).
+    Custom(Box<dyn FnMut(&mut Process) -> ProbeResult>),
+}
+
+impl ProbeRun {
+    /// A [`ProbeRun::Custom`] callback.
+    pub fn custom(f: impl FnMut(&mut Process) -> ProbeResult + 'static) -> ProbeRun {
+        ProbeRun::Custom(Box::new(f))
+    }
+}
+
+/// Host-side instrumentation operating on guest state.
 pub struct Probe {
     /// Cycles charged on every execution (the inline fast-path cost).
     pub cost: u64,
-    /// The callback.
-    pub run: Box<dyn FnMut(&mut Process) -> ProbeResult>,
+    /// What runs.
+    pub run: ProbeRun,
     /// Site identity for profiling attribution. `None` (anonymous
     /// probes: tests, experiments) is attributed as an inline probe
     /// without a per-site row.
@@ -367,7 +382,11 @@ pub struct Probe {
 impl Probe {
     /// An anonymous probe (no site attribution).
     pub fn new(cost: u64, run: Box<dyn FnMut(&mut Process) -> ProbeResult>) -> Probe {
-        Probe { cost, run, site: None }
+        Probe {
+            cost,
+            run: ProbeRun::Custom(run),
+            site: None,
+        }
     }
 }
 
@@ -515,8 +534,8 @@ pub struct Stats {
     /// (a side exit: a conditional went the other way, or a stale segment
     /// tore the trace down). Planned completions are not exits.
     pub trace_exits: u64,
-    /// Follower checks served by a fused lead check's precomputation
-    /// ([`ProbeResult::Fused`]), cumulative over executions.
+    /// Retired with probe fusion: always 0. Kept because the
+    /// `profile/v2` schema and the benchmark still read it.
     pub checks_fused: u64,
     /// Hoisted loop-invariant check executions elided at run time
     /// ([`ProbeResult::Hoisted`]).
@@ -1396,20 +1415,27 @@ impl Engine {
                     }
                 }
                 TbItem::Probe(p) => {
-                    // Flush the instruction counters before the probe
-                    // runs: probe closures receive the full process and
-                    // must see exact state.
-                    proc.insns += insns_local;
-                    self.stats.guest_insns += insns_local;
-                    insns_local = 0;
                     let probe_before = if profiling { proc.cycles } else { 0 };
                     proc.cycles += p.cost;
                     self.stats.probe_cycles += p.cost;
+                    let result = match &mut p.run {
+                        // A typed check never observes the instruction
+                        // counters, so they stay local.
+                        ProbeRun::ShadowCheck(c) => c.run(proc),
+                        ProbeRun::Custom(f) => {
+                            // Flush the instruction counters first: a
+                            // callback receives the full process and must
+                            // see exact state.
+                            proc.insns += insns_local;
+                            self.stats.guest_insns += insns_local;
+                            insns_local = 0;
+                            f(proc)
+                        }
+                    };
                     let mut violated = false;
                     let mut hoisted = false;
-                    match (p.run)(proc) {
+                    match result {
                         ProbeResult::Ok => {}
-                        ProbeResult::Fused(n) => self.stats.checks_fused += u64::from(n),
                         ProbeResult::Hoisted => {
                             debug_assert_eq!(p.cost, 0, "Hoisted probes must be cost-free");
                             hoisted = true;
@@ -2202,7 +2228,7 @@ mod tests {
                 let mut items = vec![
                     TbItem::Probe(Probe {
                         cost: 7,
-                        run: Box::new(|_| ProbeResult::Ok),
+                        run: ProbeRun::custom(|_| ProbeResult::Ok),
                         site: Some(ProbeSite {
                             tool: "tagger",
                             kind: "block-entry",
@@ -2436,17 +2462,16 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_hoisted_probe_accounting() {
-        // Fused(n) counts follower checks served by a lead; Hoisted is
-        // a dynamically elided check — no cycles, no probe run.
-        struct FuseTool;
-        impl Tool for FuseTool {
+    fn hoisted_probe_accounting() {
+        // Hoisted is a dynamically elided check — no cycles, no probe run.
+        struct HoistTool;
+        impl Tool for HoistTool {
             fn name(&self) -> &str {
-                "fuse"
+                "hoist"
             }
             fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
                 let mut items = vec![
-                    TbItem::Probe(Probe::new(5, Box::new(|_| ProbeResult::Fused(2)))),
+                    TbItem::Probe(Probe::new(5, Box::new(|_| ProbeResult::Ok))),
                     TbItem::Probe(Probe::new(0, Box::new(|_| ProbeResult::Hoisted))),
                 ];
                 items.extend(block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)));
@@ -2455,12 +2480,19 @@ mod tests {
         }
         let mut p = proc_from(LOOP_SUM);
         let mut engine = Engine::new(EngineOptions::default());
-        let out = engine.run(&mut p, &mut FuseTool, 1_000_000);
+        let out = engine.run(&mut p, &mut HoistTool, 1_000_000);
         assert_eq!(out.code(), Some(55));
         let s = &engine.stats;
-        assert!(s.checks_fused > 0 && s.checks_hoisted > 0);
-        assert_eq!(s.checks_fused, 2 * s.checks_hoisted, "two followers per fused lead");
+        assert!(s.checks_hoisted > 0);
+        assert_eq!(s.checks_fused, 0, "fusion is retired");
         assert_eq!(s.probe_runs, s.checks_hoisted, "hoisted hits are not probe runs");
         assert_eq!(s.probe_cycles, 5 * s.probe_runs, "hoisted probes charge nothing");
+    }
+
+    #[test]
+    fn typed_checks_keep_tb_items_small() {
+        // A shadow check is boxed, so it costs a translated block no more
+        // than a callback probe does.
+        assert!(std::mem::size_of::<TbItem>() <= 72);
     }
 }

@@ -402,7 +402,7 @@ pub fn profiling() -> bool {
 }
 
 /// Whether figure runs use the host-side trace machinery (direct-branch
-/// chaining, superblock formation, probe-fusion precompute). On by
+/// chaining, superblock formation). On by
 /// default; `--no-traces` clears it. Host-only: figure results are
 /// byte-identical either way (test-enforced), only wall time moves.
 static TRACES: AtomicBool = AtomicBool::new(true);
@@ -588,9 +588,7 @@ pub fn run_config(ew: &EvalWorld, idx: usize, cfg: ToolConfig) -> Option<RunSumm
                 dynamic_only: true,
                 ..base_opts(ew, jasan_load)
             };
-            let mut plugin = Jasan::hybrid();
-            plugin.opts.fuse_checks = traces();
-            let run = run_hybrid(store, w.name, plugin, &opts).ok()?;
+            let run = run_hybrid(store, w.name, Jasan::hybrid(), &opts).ok()?;
             summarize(run, None, None)
         }
         ToolConfig::Retrowrite => {
@@ -609,15 +607,18 @@ pub fn run_config(ew: &EvalWorld, idx: usize, cfg: ToolConfig) -> Option<RunSumm
             summarize(run, None, None)
         }
         ToolConfig::JasanHybridBase => {
-            let mut plugin = Jasan::hybrid_base();
-            plugin.opts.fuse_checks = traces();
-            let run = run_hybrid(store, w.name, plugin, &base_opts(ew, jasan_load)).ok()?;
+            let run = run_hybrid(
+                store,
+                w.name,
+                Jasan::hybrid_base(),
+                &base_opts(ew, jasan_load),
+            )
+            .ok()?;
             summarize(run, None, None)
         }
         ToolConfig::JasanHybrid => {
-            let mut plugin = Jasan::hybrid();
-            plugin.opts.fuse_checks = traces();
-            let run = run_hybrid(store, w.name, plugin, &base_opts(ew, jasan_load)).ok()?;
+            let run =
+                run_hybrid(store, w.name, Jasan::hybrid(), &base_opts(ew, jasan_load)).ok()?;
             summarize(run, None, None)
         }
         ToolConfig::LockdownStrong | ToolConfig::LockdownWeak => {

@@ -37,11 +37,11 @@
 //! rename), so an interrupted run never leaves torn CSV/JSON output.
 //!
 //! `--no-traces` disables the DBT engine's host-side trace machinery
-//! (direct-branch chaining, superblock formation, probe-fusion
-//! precompute) and `--trace-threshold N` overrides the superblock
-//! hotness threshold. Both are host-only knobs: figure results are
-//! byte-identical with traces on or off (test-enforced); only host wall
-//! time moves. Use them for A/B measurement and bisection.
+//! (direct-branch chaining, superblock formation) and
+//! `--trace-threshold N` overrides the superblock hotness threshold.
+//! Both are host-only knobs: figure results are byte-identical with
+//! traces on or off (test-enforced); only host wall time moves. Use them
+//! for A/B measurement and bisection.
 //!
 //! `--threads N` caps the evaluation's worker threads (default: one per
 //! core; `--threads 1` is the fully serial reference). Figure output is
@@ -397,7 +397,7 @@ flags:
   --top N                  rows per ranked table (profile/explain/diff; default 10)
   --trace FILE             collect telemetry for the whole run, write FILE on exit
   --profile                arm the deterministic cycle profiler for figure runs
-  --no-traces              disable DBT trace layer (chaining/superblocks/fusion)
+  --no-traces              disable DBT trace layer (chaining/superblocks)
   --trace-threshold N      superblock hotness threshold override
   --reports DIR            fig10: write one forensics report pair per violation
   --juliet-limit N         fig10: truncate the Juliet suite (CI smoke)

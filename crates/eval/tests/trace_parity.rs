@@ -1,7 +1,7 @@
 //! Trace machinery is observation-free: every figure's result bytes are
 //! identical with the DBT trace layer (direct-branch chaining, superblock
-//! formation, probe-fusion precompute) on or off, at any thread count —
-//! traces only change host wall time. Plus a direct engine-equivalence
+//! formation) on or off, at any thread count — traces only change host
+//! wall time. Plus a direct engine-equivalence
 //! check: a hot-loop workload executed through superblocks reports the
 //! same outcome, modeled cycles, and violations as block-at-a-time
 //! execution. The trace and thread-count switches are process-wide, so

@@ -1,32 +1,16 @@
-//! ASan-style shadow memory: layout and host-side helpers.
+//! ASan-style shadow memory: mapping, poisoning and forensic reads.
 //!
-//! One shadow byte guards eight application bytes:
-//! `shadow(a) = SHADOW_BASE + (a >> 3)`. A shadow byte of 0 means fully
-//! addressable, `1..=7` means only the first *k* bytes of the granule are
-//! addressable, and values `>= 0x80` are poison markers identifying why
-//! the granule is off-limits.
+//! The layout (`shadow(a) = SHADOW_BASE + (a >> 3)`, the poison markers)
+//! and the granule walk live in [`janitizer_dbt::shadow`], shared with
+//! the engine's typed checks; this module re-exports them.
 
+pub use janitizer_dbt::shadow::{
+    classify_poison, shadow_addr, POISON_HEAP_FREED, POISON_HEAP_REDZONE, POISON_STACK_CANARY,
+    SHADOW_BASE,
+};
+use janitizer_dbt::shadow::{read_granule, walk};
 use janitizer_dbt::{ShadowRow, ViolationKind};
 use janitizer_vm::{Memory, Perm, Process};
-
-/// Base of the shadow mapping. Chosen so every application address below
-/// 4 GiB maps to `SHADOW_BASE + (a >> 3) < 0x8000_0000`, which fits the
-/// positive range of a 32-bit displacement — the inline check sequence
-/// needs the shadow base as an immediate.
-pub const SHADOW_BASE: u64 = 0x6000_0000;
-
-/// Poison marker: heap left/right redzone.
-pub const POISON_HEAP_REDZONE: u8 = 0xfa;
-/// Poison marker: freed heap memory (use-after-free).
-pub const POISON_HEAP_FREED: u8 = 0xfd;
-/// Poison marker: stack canary slot (frame redzone).
-pub const POISON_STACK_CANARY: u8 = 0xf1;
-
-/// Shadow address of an application address.
-#[inline]
-pub fn shadow_addr(a: u64) -> u64 {
-    SHADOW_BASE + (a >> 3)
-}
 
 /// Maps the shadow regions for the standard process layout, one per
 /// application area. Guest memory backs a region page by page on first
@@ -98,57 +82,11 @@ fn fill_granules(mem: &mut Memory, first: u64, last: u64, value: u8) {
 /// The core access check: returns the violation kind for a `size`-byte
 /// access at `addr`, or `None` when the access is clean. An unmapped
 /// shadow (e.g. shadow-of-shadow) reads as unpoisoned, like ASan's
-/// zero page.
+/// zero page. The reference entry to the same walk the engine's typed
+/// checks run.
 pub fn check_access(proc: &mut Process, addr: u64, size: u64) -> Option<ViolationKind> {
-    let first = read_granule(proc, addr >> 3);
-    check_access_from(proc, addr, size, first)
-}
-
-/// [`check_access`] given the shadow byte of `addr`'s granule, already
-/// read by the caller (`None` when that shadow is unmapped), so the
-/// granule is not read twice.
-pub(crate) fn check_access_from(
-    proc: &mut Process,
-    addr: u64,
-    size: u64,
-    first: Option<u8>,
-) -> Option<ViolationKind> {
-    let end = addr + size;
-    let first_g = addr >> 3;
-    for g in first_g..end.div_ceil(8) {
-        let s = if g == first_g {
-            first
-        } else {
-            read_granule(proc, g)
-        }?;
-        if s != 0 {
-            if s >= 0x80 {
-                return Some(classify_poison(s));
-            }
-            // Partial granule: only the first `s` bytes are valid.
-            let g_start = g << 3;
-            let portion_end = end.min(g_start + 8) - g_start;
-            if portion_end > s as u64 {
-                return Some(ViolationKind::HeapBufferOverflow);
-            }
-        }
-    }
-    None
-}
-
-/// The shadow byte of granule `g`, or `None` when its shadow is unmapped.
-fn read_granule(proc: &mut Process, g: u64) -> Option<u8> {
-    proc.mem.read_int(SHADOW_BASE + g, 1).ok().map(|v| v as u8)
-}
-
-/// Classifies a poison marker byte into its violation kind.
-pub fn classify_poison(s: u8) -> ViolationKind {
-    match s {
-        POISON_HEAP_REDZONE => ViolationKind::HeapBufferOverflow,
-        POISON_HEAP_FREED => ViolationKind::HeapUseAfterFree,
-        POISON_STACK_CANARY => ViolationKind::StackBufferOverflow,
-        _ => ViolationKind::InvalidAccess,
-    }
+    let first = read_granule(&mut proc.mem, addr >> 3);
+    walk(&mut proc.mem, addr, size, first)
 }
 
 /// Short human label for a shadow byte, used in the region-map legend of
@@ -175,12 +113,7 @@ pub fn shadow_window(proc: &mut Process, addr: u64, rows: u64) -> Vec<ShadowRow>
         .map(|i| {
             let base = first + i * 64;
             let shadow = (0..8)
-                .map(|g| {
-                    proc.mem
-                        .read_int(shadow_addr(base + g * 8), 1)
-                        .ok()
-                        .map(|v| v as u8)
-                })
+                .map(|g| read_granule(&mut proc.mem, (base >> 3) + g))
                 .collect();
             ShadowRow { base, shadow }
         })

@@ -24,7 +24,7 @@ mod info;
 
 pub use info::CfiModuleInfo;
 
-use janitizer_core::{Probe, ProbeResult, Report, RuleId, SecurityPlugin, StaticContext};
+use janitizer_core::{Probe, ProbeResult, ProbeRun, Report, RuleId, SecurityPlugin, StaticContext};
 use janitizer_dbt::{
     DecodedBlock, JcfiContext, ProbeClass, ProbeSite, SiteOrigin, TbItem, ToolContext,
     ViolationKind, DEFAULT_MAX_REPORTS,
@@ -327,7 +327,7 @@ impl Jcfi {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost: COST_SHADOW_PUSH + if conservative { 1 } else { 0 },
-            run: Box::new(move |_p| {
+            run: ProbeRun::custom(move |_p| {
                 let mut st = state.borrow_mut();
                 st.shadow_stack.push(ret_addr);
                 st.backward_ops += 1;
@@ -341,7 +341,7 @@ impl Jcfi {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost: COST_RET_CHECK + if conservative { DYN_EXTRA } else { 0 },
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let target = match p.mem.read_int(p.cpu.reg(janitizer_isa::Reg::SP), 8) {
                     Ok(t) => t,
                     Err(_) => return ProbeResult::Ok, // the ret itself will fault
@@ -395,7 +395,7 @@ impl Jcfi {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost,
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let target = p.cpu.reg(reg);
                 let caller = p.module_containing(pc).map(|m| m.id);
                 let mut st = state.borrow_mut();
@@ -438,7 +438,7 @@ impl Jcfi {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost: COST_ICALL,
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let target = match p.mem.read_int(p.cpu.reg(janitizer_isa::Reg::SP), 8) {
                     Ok(t) => t,
                     Err(_) => return ProbeResult::Ok,
@@ -488,7 +488,7 @@ impl Jcfi {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost: COST_IJMP + if conservative { DYN_EXTRA } else { 0 },
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let target = p.cpu.reg(reg);
                 let mut st = state.borrow_mut();
                 st.forward_checks += 1;

@@ -23,7 +23,7 @@
 //! **dynamic fallback** re-derives actions per block, at fallback cost —
 //! the same static-speeds-up-dynamic pattern as JASan.
 
-use janitizer_core::{Probe, ProbeResult, Report, RuleId, SecurityPlugin, StaticContext};
+use janitizer_core::{Probe, ProbeResult, ProbeRun, Report, RuleId, SecurityPlugin, StaticContext};
 use janitizer_dbt::{DecodedBlock, ProbeClass, ProbeSite, SiteOrigin, TbItem, ViolationKind};
 use janitizer_isa::{Instr, Reg};
 use janitizer_obj::Image;
@@ -167,7 +167,7 @@ impl Jtaint {
         let state = Rc::clone(&self.state);
         TbItem::Probe(Probe {
             cost,
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let mut st = state.borrow_mut();
                 st.propagations += 1;
                 if action.is_source {
@@ -226,7 +226,7 @@ impl Jtaint {
         let enforce = self.enforce;
         TbItem::Probe(Probe {
             cost: SINK_COST,
-            run: Box::new(move |p: &mut Process| {
+            run: ProbeRun::custom(move |p: &mut Process| {
                 let st = state.borrow();
                 let bad = match insn {
                     Instr::CallInd { rs } | Instr::JmpInd { rs } => st.reg_tainted(rs.bit()),

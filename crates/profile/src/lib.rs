@@ -126,8 +126,8 @@ pub struct EngineTotals {
     pub superblocks_formed: u64,
     /// Superblock side exits (a segment left the planned path).
     pub trace_exits: u64,
-    /// Shadow-check executions satisfied by a fused lead's precomputed
-    /// verdict (follower checks coalesced into one shadow walk).
+    /// Retired with probe fusion: always 0, kept in the `profile/v2`
+    /// schema.
     pub checks_fused: u64,
     /// Loop-invariant shadow checks answered by the hoisted fast path
     /// (cost-free elision; profiled as `elided`, not as probe runs).
@@ -678,11 +678,11 @@ impl RunProfile {
                 e.superblocks_formed, e.chained_transfers, e.trace_exits
             );
         }
-        if e.checks_fused > 0 || e.checks_hoisted > 0 {
+        if e.checks_hoisted > 0 {
             let _ = writeln!(
                 out,
-                "shadow checks: {} fused into a lead's walk, {} hoisted (loop-invariant)",
-                e.checks_fused, e.checks_hoisted
+                "shadow checks: {} hoisted (loop-invariant)",
+                e.checks_hoisted
             );
         }
         let elided = self.checks_elided();
@@ -746,7 +746,8 @@ mod tests {
     use super::*;
     use janitizer_asm::{assemble, AsmOptions};
     use janitizer_dbt::{
-        DecodedBlock, Engine, EngineOptions, NullTool, Probe, ProbeResult, ProbeSite, TbItem, Tool,
+        DecodedBlock, Engine, EngineOptions, NullTool, Probe, ProbeResult, ProbeRun, ProbeSite,
+        TbItem, Tool,
     };
     use janitizer_link::{link, LinkOptions};
     use janitizer_vm::{load_process, LoadOptions, ModuleStore};
@@ -771,7 +772,7 @@ mod tests {
         fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
             let mut items = vec![TbItem::Probe(Probe {
                 cost: 3,
-                run: Box::new(|_| ProbeResult::Ok),
+                run: ProbeRun::custom(|_| ProbeResult::Ok),
                 site: Some(ProbeSite {
                     tool: "tagger",
                     kind: "entry",

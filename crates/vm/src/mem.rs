@@ -129,6 +129,15 @@ impl Region {
         }
     }
 
+    /// The byte at region offset `off` (0 on a page never written).
+    #[inline]
+    fn byte(&self, off: usize) -> u8 {
+        match self.pages.get(off / PAGE) {
+            Some(Some(page)) => page[off % PAGE],
+            _ => 0,
+        }
+    }
+
     /// Copies `bytes` to region offset `off`, backing only the pages they
     /// touch (and extending the table to reach them).
     #[inline]
@@ -341,6 +350,7 @@ impl Memory {
         Some(idx)
     }
 
+    #[inline]
     fn access(
         &mut self,
         addr: u64,
@@ -384,6 +394,18 @@ impl Memory {
         let mut buf = [0u8; 8];
         r.load(off, &mut buf[..len as usize]);
         Ok(u64::from_le_bytes(buf))
+    }
+
+    /// Reads one byte: [`Memory::read_int`] with `len == 1`, without the
+    /// variable-length copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`MemFault`] for unmapped or unreadable addresses.
+    #[inline]
+    pub fn read_u8(&mut self, addr: u64) -> Result<u8, MemFault> {
+        let (r, off) = self.access(addr, 1, Access::Read)?;
+        Ok(r.byte(off))
     }
 
     /// Writes the low `len ≤ 8` bytes of `value`.
