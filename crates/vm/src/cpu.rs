@@ -165,6 +165,7 @@ fn mem_addr(cpu: &CpuState, base: Reg, idx: Option<(Reg, u8)>, disp: i32) -> u64
     a
 }
 
+#[inline]
 fn push(p: &mut Process, v: u64) -> Result<(), MemFault> {
     let sp = p.cpu.reg(Reg::SP).wrapping_sub(8);
     p.mem.write_int(sp, 8, v)?;
@@ -172,6 +173,7 @@ fn push(p: &mut Process, v: u64) -> Result<(), MemFault> {
     Ok(())
 }
 
+#[inline]
 fn pop(p: &mut Process) -> Result<u64, MemFault> {
     let sp = p.cpu.reg(Reg::SP);
     let v = p.mem.read_int(sp, 8)?;
@@ -179,14 +181,16 @@ fn pop(p: &mut Process) -> Result<u64, MemFault> {
     Ok(v)
 }
 
-/// Executes one decoded instruction.
+/// Executes one decoded instruction. Its one caller is the execution
+/// kernel ([`crate::run_ops`]), into whose loop it is inlined.
 ///
 /// `next_pc` must be the address immediately after the instruction's
 /// encoding; relative branches and `call` return addresses are computed
 /// from it. The caller is responsible for updating `process.cpu.pc` and
 /// for cycle accounting (so the DBT can charge instrumentation cycles
 /// separately).
-pub fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
+#[inline(always)]
+pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
     match *insn {
         Instr::Nop => Step::Next,
         Instr::Halt => Step::Fault(FaultKind::Halt),

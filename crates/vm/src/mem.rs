@@ -138,6 +138,38 @@ impl Region {
         }
     }
 
+    /// [`Region::load`] of a fixed width, so an in-page read is one
+    /// fixed-size copy.
+    #[inline]
+    fn load_n<const N: usize>(&self, off: usize) -> [u8; N] {
+        let mut buf = [0u8; N];
+        let at = off % PAGE;
+        if at + N > PAGE {
+            self.load_straddling(off, &mut buf);
+        } else if let Some(Some(page)) = self.pages.get(off / PAGE) {
+            buf.copy_from_slice(&page[at..at + N]);
+        }
+        buf
+    }
+
+    /// [`Region::store`] of a fixed width: one fixed-size copy into an
+    /// already backed page, else the general path.
+    #[inline]
+    fn store_n<const N: usize>(&mut self, off: usize, bytes: [u8; N]) {
+        let at = off % PAGE;
+        match self.pages.get_mut(off / PAGE) {
+            Some(Some(page)) if at + N <= PAGE => page[at..at + N].copy_from_slice(&bytes),
+            _ => self.store_backing(off, &bytes),
+        }
+    }
+
+    /// [`Region::store`] where it may have to back a page.
+    #[cold]
+    #[inline(never)]
+    fn store_backing(&mut self, off: usize, bytes: &[u8]) {
+        self.store(off, bytes);
+    }
+
     /// Copies `bytes` to region offset `off`, backing only the pages they
     /// touch (and extending the table to reach them).
     #[inline]
@@ -383,17 +415,27 @@ impl Memory {
         Ok((r, off))
     }
 
-    /// Reads `len ≤ 8` bytes, zero-extended.
+    /// Reads `len ≤ 8` bytes, zero-extended. Widths 1, 2, 4 and 8 take
+    /// a fixed-size copy.
     ///
     /// # Errors
     ///
     /// Returns a [`MemFault`] for unmapped or unreadable addresses.
+    #[inline(always)]
     pub fn read_int(&mut self, addr: u64, len: u64) -> Result<u64, MemFault> {
         debug_assert!(len <= 8);
         let (r, off) = self.access(addr, len, Access::Read)?;
-        let mut buf = [0u8; 8];
-        r.load(off, &mut buf[..len as usize]);
-        Ok(u64::from_le_bytes(buf))
+        Ok(match len {
+            1 => u64::from(r.byte(off)),
+            2 => u64::from(u16::from_le_bytes(r.load_n(off))),
+            4 => u64::from(u32::from_le_bytes(r.load_n(off))),
+            8 => u64::from_le_bytes(r.load_n(off)),
+            _ => {
+                let mut buf = [0u8; 8];
+                r.load(off, &mut buf[..len as usize]);
+                u64::from_le_bytes(buf)
+            }
+        })
     }
 
     /// Reads one byte: [`Memory::read_int`] with `len == 1`, without the
@@ -408,15 +450,23 @@ impl Memory {
         Ok(r.byte(off))
     }
 
-    /// Writes the low `len ≤ 8` bytes of `value`.
+    /// Writes the low `len ≤ 8` bytes of `value`. Widths 1, 2, 4 and 8
+    /// take a fixed-size copy into an already backed page.
     ///
     /// # Errors
     ///
     /// Returns a [`MemFault`] for unmapped or unwritable addresses.
+    #[inline(always)]
     pub fn write_int(&mut self, addr: u64, len: u64, value: u64) -> Result<(), MemFault> {
         debug_assert!(len <= 8);
         let (r, off) = self.access(addr, len, Access::Write)?;
-        r.store(off, &value.to_le_bytes()[..len as usize]);
+        match len {
+            1 => r.store_n(off, (value as u8).to_le_bytes()),
+            2 => r.store_n(off, (value as u16).to_le_bytes()),
+            4 => r.store_n(off, (value as u32).to_le_bytes()),
+            8 => r.store_n(off, value.to_le_bytes()),
+            _ => r.store(off, &value.to_le_bytes()[..len as usize]),
+        }
         Ok(())
     }
 
