@@ -12,9 +12,9 @@
 //! reach may be *missed*, which is precisely the gap the dynamic
 //! modifier's fallback covers (Figure 14).
 
-use janitizer_isa::{decode, Instr};
+use janitizer_isa::{decode, Instr, PcMap, PcSet};
 use janitizer_obj::{DynTarget, Image, SectionKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How a basic block ends.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -137,12 +137,23 @@ impl ModuleCfg {
 /// Reads an 8-byte pointer from the image, honouring dynamic relocations
 /// (PIC jump tables store their targets as `Base` relocations, not bytes).
 pub fn read_pointer(image: &Image, addr: u64) -> Option<u64> {
-    if let Some(rel) = image.dyn_relocs.iter().find(|r| r.offset == addr) {
-        return match &rel.target {
-            DynTarget::Base(off) => Some(*off),
-            DynTarget::Symbol(_) => None,
-        };
+    match image.dyn_relocs.iter().find(|r| r.offset == addr) {
+        Some(rel) => reloc_pointer(&rel.target),
+        None => read_word(image, addr),
     }
+}
+
+/// The image-space pointer a dynamic relocation stores: `Base` targets
+/// are module-local, `Symbol` targets are unknown until load time.
+pub(crate) fn reloc_pointer(target: &DynTarget) -> Option<u64> {
+    match target {
+        DynTarget::Base(off) => Some(*off),
+        DynTarget::Symbol(_) => None,
+    }
+}
+
+/// The raw little-endian word at `addr`, ignoring relocations.
+pub(crate) fn read_word(image: &Image, addr: u64) -> Option<u64> {
     let sec = image.section_containing(addr)?;
     let off = (addr - sec.addr) as usize;
     let bytes = sec.data.get(off..off + 8)?;
@@ -165,10 +176,10 @@ pub fn analyze_module(image: &Image) -> ModuleCfg {
 }
 
 /// Like [`analyze_module`], but with `extra_seeds` added to the
-/// traversal roots. Disassembly backends that recover entry points the
-/// symbol/entry seeding cannot see (data-section code pointers, anchor
-/// markers) re-run recovery through this entry; with no extra seeds the
-/// result is identical to [`analyze_module`].
+/// traversal roots. [`crate::analyze_tiered`] re-runs recovery through
+/// this entry when it finds entry points the symbol/entry seeding cannot
+/// see (data-section code pointers, anchor markers); with no extra seeds
+/// the result is identical to [`analyze_module`].
 pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
     // ---- seeds: entry, init, fini, function symbols, PLT stubs.
     let mut seeds: BTreeSet<u64> = BTreeSet::new();
@@ -195,14 +206,14 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
     }
 
     // ---- pass 1 (iterated): discover reachable instructions.
-    let mut insn_at: HashMap<u64, (Instr, u64)> = HashMap::new();
+    let mut insn_at: PcMap<(Instr, u64)> = PcMap::default();
     let mut leaders: BTreeSet<u64> = seeds.clone();
     let mut call_targets: BTreeSet<u64> = BTreeSet::new();
     let mut jump_tables: Vec<JumpTable> = Vec::new();
-    let mut resolved_ind: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut resolved_ind: PcMap<Vec<u64>> = PcMap::default();
 
     let mut frontier: Vec<u64> = seeds.iter().copied().collect();
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen = PcSet::default();
     for _round in 0..8 {
         while let Some(start) = frontier.pop() {
             let mut pc = start;
@@ -411,7 +422,7 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
             size: s.size,
         })
         .collect();
-    let known: HashSet<u64> = functions.iter().map(|f| f.entry).collect();
+    let known: PcSet = functions.iter().map(|f| f.entry).collect();
     for &t in &call_targets {
         if !known.contains(&t) {
             functions.push(FuncEntry {

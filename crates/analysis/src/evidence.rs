@@ -1,39 +1,36 @@
-//! Soundness-tiered disassembly backends.
+//! The soundness-tiered disassembler: the analyzer every static pass runs.
 //!
 //! The recursive/linear hybrid of [`analyze_module`] trusts every decode
 //! chain it reaches; on hostile modules (stripped symbols, data-in-code
 //! islands, overlapping sequences, obfuscated jump tables) that trust is
 //! misplaced in both directions — code is missed and data is decoded.
-//! This module puts the disassembly strategy behind a [`DisasmBackend`]
-//! trait with a registry, and grades every recovered block with a
-//! [`ConfidenceTier`] so downstream rule emission can degrade *per
-//! region* instead of per module:
+//! [`analyze_tiered`] starts from that recovery and grades every block
+//! with a [`ConfidenceTier`], so rule emission can degrade *per region*
+//! instead of per module:
 //!
-//! * `hybrid` — the existing recovery, unchanged, everything `Proven`.
-//!   The default; benign modules produce byte-identical rules.
-//! * `evidence` — Datalog-Disassembly-style weighted facts (valid decode
-//!   chains, data-pointer corroboration, data-access overlap, alignment,
-//!   padding penalties) propagated to a fixpoint. Corroborated chains
-//!   the hybrid cannot reach are promoted to `Likely` code; blocks whose
-//!   bytes are demonstrably read as data are demoted to `Unknown`;
-//!   overlapping candidate sequences are resolved by aggregate weight
-//!   and the losers recorded as conflicts.
-//! * `cet-anchor` — the evidence backend plus CET-style landing-pad
-//!   anchors ([`janitizer_obj::ANCHOR_SEQ`]) treated as sound indirect
-//!   entry ground truth (`Proven` seeds).
+//! * Datalog-Disassembly-style weighted facts (valid decode chains,
+//!   data-pointer corroboration, data-access overlap, alignment, padding
+//!   penalties) promote corroborated chains the hybrid cannot reach to
+//!   `Likely` code, demote blocks whose bytes are demonstrably read as
+//!   data to `Unknown`, and resolve overlapping candidate sequences by
+//!   aggregate weight, recording the losers as conflicts.
+//! * CET-style landing-pad anchors ([`janitizer_obj::ANCHOR_SEQ`]) are
+//!   sound indirect-entry ground truth: anchored blocks seed recovery and
+//!   stay `Proven`.
 //!
-//! Tiers flow into rule emission: `Proven`/`Likely` blocks receive full
-//! static instrumentation, `Unknown` blocks get *no* rules (not even the
-//! no-op marker), so the run-time classifier misses them and the dynamic
-//! fallback conservatively instruments exactly those regions.
+//! On benign modules none of these facts fire, so the analyzer's rules are
+//! byte-identical to the hybrid's. Tiers flow into rule emission:
+//! `Proven`/`Likely` blocks receive full static instrumentation, `Unknown`
+//! blocks get *no* rules (not even the no-op marker), so the run-time
+//! classifier misses them and the dynamic fallback conservatively
+//! instruments exactly those regions.
 
-use crate::cfg::{analyze_module, analyze_module_seeded, read_pointer, ModuleCfg};
-use janitizer_isa::{decode, Instr, Reg};
+use crate::cfg::{analyze_module, analyze_module_seeded, read_word, reloc_pointer, ModuleCfg};
+use janitizer_isa::{decode, Instr, PcMap, Reg};
 use janitizer_obj::{Image, SectionKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// How sure the backend is that a recovered block really is code.
+/// How sure the analyzer is that a recovered block really is code.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ConfidenceTier {
     /// Sound by construction: reached from symbols/entry seeds (or a
@@ -81,7 +78,7 @@ impl RegionCause {
     }
 }
 
-/// A byte region (image address space) the backend degraded.
+/// A byte region (image address space) the analyzer degraded.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DegradedRegion {
     /// First byte of the region.
@@ -92,24 +89,38 @@ pub struct DegradedRegion {
     pub cause: RegionCause,
 }
 
-/// The output of one backend's whole-module recovery.
+/// The output of one whole-module disassembly.
 #[derive(Clone, Debug)]
 pub struct DisasmResult {
-    /// Recovered control flow (superset of the hybrid's for promoting
-    /// backends).
+    /// Recovered control flow (a superset of [`analyze_module`]'s when
+    /// evidence promotes unreachable code).
     pub cfg: ModuleCfg,
     /// Per-block confidence, keyed by block start. Blocks absent from
-    /// the map are `Proven` — the hybrid backend stores nothing.
+    /// the map are `Proven`.
     pub tiers: BTreeMap<u64, ConfidenceTier>,
     /// Regions degraded to the dynamic fallback, sorted by start.
     pub degraded: Vec<DegradedRegion>,
     /// `(addr, len)` byte ranges proven to be accessed as data.
     pub data_regions: Vec<(u64, u64)>,
-    /// Name of the backend that produced this result.
+    /// `"evidence"` from [`analyze_tiered`], `"hybrid"` from
+    /// [`DisasmResult::untiered`]. Kept only because `perfbench` reads
+    /// it (into `StaticContext::backend`).
     pub backend: &'static str,
 }
 
 impl DisasmResult {
+    /// The no-evidence ablation: `cfg` as recovered (normally by
+    /// [`analyze_module`]), every block `Proven`, nothing degraded.
+    pub fn untiered(cfg: ModuleCfg) -> DisasmResult {
+        DisasmResult {
+            cfg,
+            tiers: BTreeMap::new(),
+            degraded: Vec::new(),
+            data_regions: Vec::new(),
+            backend: "hybrid",
+        }
+    }
+
     /// The confidence tier of the byte at `addr`.
     pub fn tier_at(&self, addr: u64) -> ConfidenceTier {
         if self
@@ -128,59 +139,7 @@ impl DisasmResult {
             None => ConfidenceTier::Unknown,
         }
     }
-
-    /// Block starts carrying the given tier (for `Proven`, only blocks
-    /// explicitly stored — callers treat absent blocks as proven).
-    pub fn blocks_with_tier(&self, tier: ConfidenceTier) -> impl Iterator<Item = u64> + '_ {
-        self.tiers
-            .iter()
-            .filter(move |(_, t)| **t == tier)
-            .map(|(s, _)| *s)
-    }
 }
-
-/// A pluggable whole-module disassembly strategy.
-pub trait DisasmBackend: Sync {
-    /// Registry name (`--disasm-backend <name>`).
-    fn name(&self) -> &'static str;
-    /// One-line description for listings.
-    fn describe(&self) -> &'static str;
-    /// Recovers control flow and confidence tiers for `image`.
-    fn analyze(&self, image: &Image) -> DisasmResult;
-}
-
-// ---------------------------------------------------------------------
-// hybrid — the existing recovery behind the trait, byte-for-byte.
-// ---------------------------------------------------------------------
-
-/// The pre-existing recursive/linear hybrid recovery. Everything it
-/// finds is reported `Proven` and nothing is degraded, so rule emission
-/// is byte-identical to the era before backends existed.
-pub struct HybridBackend;
-
-impl DisasmBackend for HybridBackend {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn describe(&self) -> &'static str {
-        "recursive/linear hybrid seeded from symbols and entry points (default)"
-    }
-
-    fn analyze(&self, image: &Image) -> DisasmResult {
-        DisasmResult {
-            cfg: analyze_module(image),
-            tiers: BTreeMap::new(),
-            degraded: Vec::new(),
-            data_regions: Vec::new(),
-            backend: "hybrid",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// evidence — weighted boundary facts to a fixpoint.
-// ---------------------------------------------------------------------
 
 /// Fact weights (Datalog-Disassembly-style, scaled to small integers).
 /// A candidate chain is promoted when its aggregate weight reaches
@@ -204,45 +163,6 @@ mod weight {
     pub const W_PROMOTE: i32 = 4;
 }
 
-/// The weighted-evidence backend: hybrid recovery, then a fact pass that
-/// promotes corroborated unreachable code and demotes contradicted
-/// blocks.
-pub struct EvidenceBackend;
-
-impl DisasmBackend for EvidenceBackend {
-    fn name(&self) -> &'static str {
-        "evidence"
-    }
-
-    fn describe(&self) -> &'static str {
-        "weighted boundary evidence (pointer corroboration, data-overlap demotion, conflict resolution)"
-    }
-
-    fn analyze(&self, image: &Image) -> DisasmResult {
-        evidence_analyze(image, &[], "evidence")
-    }
-}
-
-/// CET-style anchor backend: the evidence pipeline with landing-pad
-/// markers ([`janitizer_obj::ANCHOR_SEQ`]) taken as sound indirect-entry
-/// ground truth — anchored blocks seed recovery and stay `Proven`.
-pub struct AnchorBackend;
-
-impl DisasmBackend for AnchorBackend {
-    fn name(&self) -> &'static str {
-        "cet-anchor"
-    }
-
-    fn describe(&self) -> &'static str {
-        "evidence backend plus landing-pad anchors as sound indirect-target ground truth"
-    }
-
-    fn analyze(&self, image: &Image) -> DisasmResult {
-        let anchors = image.anchor_addrs();
-        evidence_analyze(image, &anchors, "cet-anchor")
-    }
-}
-
 /// A linearly decoded candidate instruction sequence.
 struct Chain {
     start: u64,
@@ -257,8 +177,13 @@ struct Chain {
 /// must end at a terminator or merge into a known instruction boundary.
 /// Chains that run misaligned into already-recovered code are rejected —
 /// that disagreement is exactly the overlap the weights must not trust.
-fn decode_chain(image: &Image, base: &ModuleCfg, start: u64) -> Option<Chain> {
-    let spans: Vec<(u64, u64)> = base.blocks.values().map(|b| (b.start, b.end)).collect();
+/// `spans` holds the `[start, end)` of every block in `base`.
+fn decode_chain(
+    image: &Image,
+    base: &ModuleCfg,
+    spans: &[(u64, u64)],
+    start: u64,
+) -> Option<Chain> {
     let in_recovered = |a: u64| spans.iter().any(|&(s, e)| a >= s && a < e);
     let sec = image.section_containing(start)?;
     if !sec.kind.is_code() {
@@ -350,7 +275,8 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
             .unwrap_or(false)
     };
     for block in cfg.blocks.values() {
-        let mut consts: HashMap<Reg, u64> = HashMap::new();
+        // Register -> the constant address it holds, within this block.
+        let mut consts: [Option<u64>; 16] = [None; 16];
         for (idx, (_, insn)) in block.insns.iter().enumerate() {
             let base_reg = match *insn {
                 Instr::Ld { base, .. }
@@ -360,7 +286,7 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
                 _ => None,
             };
             if let Some(b) = base_reg {
-                if let Some(&addr) = consts.get(&b) {
+                if let Some(addr) = consts[b.index()] {
                     let disp = match *insn {
                         Instr::Ld { disp, .. }
                         | Instr::St { disp, .. }
@@ -375,12 +301,8 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
                 }
             }
             match *insn {
-                Instr::MovI64 { rd, imm } => {
-                    consts.insert(rd, imm);
-                }
-                Instr::MovI32 { rd, imm } => {
-                    consts.insert(rd, imm as i64 as u64);
-                }
+                Instr::MovI64 { rd, imm } => consts[rd.index()] = Some(imm),
+                Instr::MovI32 { rd, imm } => consts[rd.index()] = Some(imm as i64 as u64),
                 Instr::LeaPc { rd, disp } => {
                     // disp is relative to the next instruction.
                     let next = block
@@ -388,11 +310,11 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
                         .get(idx + 1)
                         .map(|(a, _)| *a)
                         .unwrap_or(block.end);
-                    consts.insert(rd, next.wrapping_add(disp as i64 as u64));
+                    consts[rd.index()] = Some(next.wrapping_add(disp as i64 as u64));
                 }
                 _ => {
                     if let Some(rd) = dest_reg(insn) {
-                        consts.remove(&rd);
+                        consts[rd.index()] = None;
                     }
                 }
             }
@@ -406,6 +328,12 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
 /// corroboration facts for candidate chains. Returns
 /// `target -> aggregate pointer weight`.
 fn scan_pointer_facts(image: &Image, base: &ModuleCfg) -> BTreeMap<u64, i32> {
+    // Relocated words, looked up once each; the first relocation at an
+    // offset wins, as in [`crate::read_pointer`].
+    let mut relocs: PcMap<Option<u64>> = PcMap::default();
+    for r in &image.dyn_relocs {
+        relocs.entry(r.offset).or_insert_with(|| reloc_pointer(&r.target));
+    }
     let mut refs: BTreeMap<u64, i32> = BTreeMap::new();
     for sec in &image.sections {
         let w = match sec.kind {
@@ -415,7 +343,11 @@ fn scan_pointer_facts(image: &Image, base: &ModuleCfg) -> BTreeMap<u64, i32> {
         };
         let mut a = sec.addr.next_multiple_of(8);
         while a + 8 <= sec.end() {
-            if let Some(v) = read_pointer(image, a) {
+            let word = match relocs.get(&a) {
+                Some(&p) => p,
+                None => read_word(image, a),
+            };
+            if let Some(v) = word {
                 let is_code = image
                     .section_containing(v)
                     .map(|s| s.kind.is_code())
@@ -430,19 +362,28 @@ fn scan_pointer_facts(image: &Image, base: &ModuleCfg) -> BTreeMap<u64, i32> {
     refs
 }
 
-/// The evidence pipeline shared by the `evidence` and `cet-anchor`
-/// backends: base recovery, fact collection, weighted promotion with
-/// overlap resolution, seeded re-recovery, and data-overlap demotion.
-fn evidence_analyze(image: &Image, anchors: &[u64], backend: &'static str) -> DisasmResult {
+/// Recovers `image`'s control flow with a confidence tier per block:
+/// base recovery, fact collection, weighted promotion with overlap
+/// resolution, seeded re-recovery from the promoted entries and the
+/// landing-pad anchors, and data-overlap demotion.
+pub fn analyze_tiered(image: &Image) -> DisasmResult {
+    let anchors = image.anchor_addrs();
     let base = analyze_module(image);
     let data_facts = collect_data_facts(image, &base);
     let ptr_facts = scan_pointer_facts(image, &base);
-    let symbol_addrs: BTreeSet<u64> = image.symbols.iter().map(|s| s.value).collect();
 
     // Weigh candidate chains at every corroborated target.
     let mut candidates: Vec<(i32, Chain)> = Vec::new();
+    let (spans, symbol_addrs): (Vec<(u64, u64)>, BTreeSet<u64>) = if ptr_facts.is_empty() {
+        Default::default()
+    } else {
+        (
+            base.blocks.values().map(|b| (b.start, b.end)).collect(),
+            image.symbols.iter().map(|s| s.value).collect(),
+        )
+    };
     for (&target, &ptr_w) in &ptr_facts {
-        let Some(chain) = decode_chain(image, &base, target) else {
+        let Some(chain) = decode_chain(image, &base, &spans, target) else {
             continue;
         };
         let mut w = weight::VALID_CHAIN + ptr_w;
@@ -503,27 +444,26 @@ fn evidence_analyze(image: &Image, anchors: &[u64], backend: &'static str) -> Di
     }
 
     // Seeded re-recovery over the promoted entries (and anchors), run to
-    // the same fixpoint as the base pass.
+    // the same fixpoint as the base pass. Tier assignment: base blocks
+    // stay Proven (absent from the map), anchored entries are Proven
+    // ground truth, everything newly recovered is Likely.
     let mut seeds: Vec<u64> = accepted.iter().map(|c| c.start).collect();
     seeds.extend(anchors.iter().copied());
     seeds.sort_unstable();
     seeds.dedup();
-    let cfg = if seeds.is_empty() {
-        base.clone()
-    } else {
-        analyze_module_seeded(image, &seeds)
-    };
-
-    // Tier assignment: base blocks stay Proven (absent from the map),
-    // anchored entries are Proven ground truth, everything newly
-    // recovered is Likely.
     let anchor_set: BTreeSet<u64> = anchors.iter().copied().collect();
     let mut tiers: BTreeMap<u64, ConfidenceTier> = BTreeMap::new();
-    for &start in cfg.blocks.keys() {
-        if !base.blocks.contains_key(&start) && !anchor_set.contains(&start) {
-            tiers.insert(start, ConfidenceTier::Likely);
+    let cfg = if seeds.is_empty() {
+        base
+    } else {
+        let cfg = analyze_module_seeded(image, &seeds);
+        for &start in cfg.blocks.keys() {
+            if !base.blocks.contains_key(&start) && !anchor_set.contains(&start) {
+                tiers.insert(start, ConfidenceTier::Likely);
+            }
         }
-    }
+        cfg
+    };
 
     // Demotion: a block whose bytes are demonstrably read as data mixes
     // code and data — degrade it (anchored entries stay sound).
@@ -566,50 +506,23 @@ fn evidence_analyze(image: &Image, anchors: &[u64], backend: &'static str) -> Di
         tiers,
         degraded,
         data_regions,
-        backend,
+        backend: "evidence",
     }
 }
 
-// ---------------------------------------------------------------------
-// Registry and process-global selection.
-// ---------------------------------------------------------------------
+/// The analyzer as a value, for `perfbench`, which calls
+/// `disasm_backend().analyze(image)`. Workspace code calls
+/// [`analyze_tiered`].
+pub struct Analyzer;
 
-static HYBRID: HybridBackend = HybridBackend;
-static EVIDENCE: EvidenceBackend = EvidenceBackend;
-static ANCHOR: AnchorBackend = AnchorBackend;
-
-/// All registered backends; index 0 is the default.
-pub fn backends() -> [&'static dyn DisasmBackend; 3] {
-    [&HYBRID, &EVIDENCE, &ANCHOR]
+impl Analyzer {
+    /// Same as [`analyze_tiered`].
+    pub fn analyze(&self, image: &Image) -> DisasmResult {
+        analyze_tiered(image)
+    }
 }
 
-/// Looks a backend up by registry name.
-pub fn backend_by_name(name: &str) -> Option<&'static dyn DisasmBackend> {
-    backends().into_iter().find(|b| b.name() == name)
-}
-
-/// The default backend's name.
-pub const DEFAULT_BACKEND: &str = "hybrid";
-
-static SELECTED: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the process-global disassembly backend (the
-/// `--disasm-backend` knob). Returns `false` (and leaves the selection
-/// unchanged) when no backend has that name.
-pub fn set_disasm_backend(name: &str) -> bool {
-    let Some(i) = backends().iter().position(|b| b.name() == name) else {
-        return false;
-    };
-    SELECTED.store(i, Ordering::Relaxed);
-    true
-}
-
-/// The currently selected backend (default: `hybrid`).
-pub fn disasm_backend() -> &'static dyn DisasmBackend {
-    backends()[SELECTED.load(Ordering::Relaxed)]
-}
-
-/// Name of the currently selected backend.
-pub fn disasm_backend_name() -> &'static str {
-    disasm_backend().name()
+/// The analyzer. Kept only because `perfbench` names it.
+pub fn disasm_backend() -> Analyzer {
+    Analyzer
 }

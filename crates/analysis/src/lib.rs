@@ -2,7 +2,8 @@
 //!
 //! The offline half of the hybrid framework (paper §3.3, Figure 2a):
 //! whole-module disassembly and CFG recovery over **all** executable
-//! sections ([`analyze_module`]), register and arithmetic-flag liveness
+//! sections ([`analyze_module`]) graded per block by soundness tier
+//! ([`analyze_tiered`]), register and arithmetic-flag liveness
 //! with the inter-procedural `ipa-ra` patch ([`compute_liveness`]),
 //! SCEV-lite loop and invariant-address analysis ([`find_loops`],
 //! [`loop_invariant_accesses`]), stack-canary pattern detection
@@ -32,20 +33,16 @@
 //! # }
 //! ```
 
-pub mod backend;
 pub mod budget;
 mod canary;
 mod cfg;
 mod codeptr;
 mod dataflow;
 mod disasm;
+mod evidence;
 mod liveness;
 mod loops;
 
-pub use backend::{
-    backend_by_name, backends, disasm_backend, disasm_backend_name, set_disasm_backend,
-    ConfidenceTier, DegradedRegion, DisasmBackend, DisasmResult, RegionCause, DEFAULT_BACKEND,
-};
 pub use canary::{canary_exempt_addrs, find_canary_sites, CanarySite};
 pub use cfg::{
     analyze_module, analyze_module_seeded, read_pointer, Block, FuncEntry, JumpTable, ModuleCfg,
@@ -54,5 +51,9 @@ pub use cfg::{
 pub use codeptr::{scan_code_pointers, CodePtrScan};
 pub use dataflow::{compute_def_use, Def, DefUse};
 pub use disasm::disassemble;
+pub use evidence::{
+    analyze_tiered, disasm_backend, Analyzer, ConfidenceTier, DegradedRegion, DisasmResult,
+    RegionCause,
+};
 pub use liveness::{compute_liveness, Liveness, ALL_REGS};
 pub use loops::{find_loops, frame_sizes, loop_invariant_accesses, Induction, InvariantAccess, Loop};

@@ -438,3 +438,53 @@ fn block_and_function_queries() {
     assert_eq!(b.start, start);
     assert!(cfg.block_containing(0xdead_beef).is_none());
 }
+
+/// A stripped image whose `helper` is reached by no symbol, direct call
+/// or data pointer; `helper` opens with the landing-pad anchor when
+/// `anchored`. `prelude` runs first in `_start`, with `call_helper`
+/// placing a direct call to it. Returns the image and `helper`'s address.
+fn helper_module(prelude: &str, anchored: bool, call_helper: bool) -> (Image, u64) {
+    let src = format!(
+        ".section text\n.global _start\n_start:\n{prelude}{} mov r0, 0\n ret\n\
+         helper:\n{} mov r4, 1\n ret\n",
+        if call_helper { " call helper\n" } else { "" },
+        if anchored { " test r0, 0x414c50\n" } else { "" },
+    );
+    let img = image_from_asm(&src);
+    let helper = img.symbol("helper").expect("helper label").value;
+    (img.to_stripped(), helper)
+}
+
+#[test]
+fn landing_pad_anchor_proves_an_otherwise_unreachable_helper() {
+    let (img, helper) = helper_module("", true, false);
+    assert_eq!(img.anchor_addrs(), [helper]);
+    assert!(
+        !analyze_module(&img).blocks.contains_key(&helper),
+        "without evidence the helper is unreachable"
+    );
+    let res = analyze_tiered(&img);
+    assert!(res.cfg.blocks.contains_key(&helper), "anchor seeds recovery");
+    assert_eq!(res.tier_at(helper), ConfidenceTier::Proven, "anchors are ground truth");
+    assert!(res.degraded.is_empty());
+}
+
+#[test]
+fn data_access_inside_an_anchored_block_does_not_demote_it() {
+    // `_start` reads the helper's first word as data.
+    let read = " la r1, helper\n ld8 r2, [r1]\n";
+    let (img, helper) = helper_module(read, true, false);
+    let res = analyze_tiered(&img);
+    assert!(res.data_regions.contains(&(helper, 1)), "the data fact fires");
+    assert!(!res.tiers.contains_key(&helper), "anchored block stays Proven");
+    assert!(res.degraded.is_empty(), "nothing degraded");
+
+    // The same read demotes the helper when it is reached by a direct
+    // call instead of an anchor.
+    let (img, helper) = helper_module(read, false, true);
+    let res = analyze_tiered(&img);
+    assert_eq!(res.tiers.get(&helper), Some(&ConfidenceTier::Unknown));
+    assert_eq!(res.degraded.len(), 1);
+    assert_eq!(res.degraded[0].start, helper);
+    assert_eq!(res.degraded[0].cause, RegionCause::LowConfidence);
+}

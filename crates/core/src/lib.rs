@@ -113,7 +113,7 @@ pub enum DegradationReason {
     /// The plugin's static pass panicked; the panic was isolated by the
     /// service supervisor and the module runs dynamic-only.
     AnalysisPanic,
-    /// The disassembly backend marked a byte region of this module as
+    /// The static analyzer marked a byte region of this module as
     /// low-confidence (contradictory code/data evidence); that *region*
     /// — not the whole module — carries no rules and takes the dynamic
     /// fallback.
@@ -183,27 +183,33 @@ pub struct StaticContext {
     pub invariants: Vec<analysis::InvariantAccess>,
     /// Raw-binary code-pointer scan.
     pub scan: analysis::CodePtrScan,
-    /// Per-block confidence tiers from the disassembly backend; blocks
-    /// absent from the map are `Proven` (the hybrid backend stores
-    /// nothing, keeping its behaviour byte-identical).
+    /// Per-block confidence tiers from the analyzer; blocks absent from
+    /// the map are `Proven`.
     pub tiers: std::collections::BTreeMap<u64, analysis::ConfidenceTier>,
-    /// Byte regions the backend degraded below static instrumentation.
+    /// Byte regions the analyzer degraded below static instrumentation.
     pub degraded_regions: Vec<analysis::DegradedRegion>,
-    /// Name of the disassembly backend that produced `cfg`.
+    /// [`analysis::DisasmResult::backend`] of the disassembly behind
+    /// `cfg`. Kept only because `perfbench` builds this struct by
+    /// literal; nothing in the workspace reads it.
     pub backend: &'static str,
 }
 
 impl StaticContext {
-    /// Runs all generic analyses over a module, with disassembly
-    /// delegated to the process-selected [`analysis::DisasmBackend`].
+    /// Runs all generic analyses over a module, starting from the
+    /// soundness-tiered disassembly of [`analysis::analyze_tiered`].
     /// Each phase runs under a telemetry span (`static;<phase>`) so
     /// profiles attribute static pipeline time per analysis.
     pub fn analyze(image: &Image) -> StaticContext {
         let _outer = janitizer_telemetry::span!("static");
         let disasm = {
             let _s = janitizer_telemetry::span!("disasm-cfg");
-            analysis::disasm_backend().analyze(image)
+            analysis::analyze_tiered(image)
         };
+        StaticContext::from_disasm(image, disasm)
+    }
+
+    /// The generic analyses after disassembly, over a given recovery.
+    fn from_disasm(image: &Image, disasm: analysis::DisasmResult) -> StaticContext {
         let analysis::DisasmResult {
             cfg,
             tiers,
@@ -244,7 +250,7 @@ impl StaticContext {
         }
     }
 
-    /// Block starts the backend marked `Unknown` — the per-region
+    /// Block starts the analyzer marked `Unknown` — the per-region
     /// degradation set: these blocks get no rules (not even the no-op
     /// marker), so the run-time classifier sends exactly them to the
     /// dynamic fallback.
@@ -376,6 +382,17 @@ pub fn analyze_statically_with(
     emit_rules(image, &ctx, plugin, emit_noop_rules)
 }
 
+/// Like [`analyze_statically`], but over a given disassembly instead of
+/// the analyzer's — how the no-evidence ablation
+/// ([`analysis::DisasmResult::untiered`]) gets its rules.
+pub fn rules_from_disasm(
+    image: &Image,
+    disasm: analysis::DisasmResult,
+    plugin: &dyn SecurityPlugin,
+) -> RuleFile {
+    emit_rules(image, &StaticContext::from_disasm(image, disasm), plugin, true)
+}
+
 /// The rule-emission half of the static pipeline: runs the plugin's
 /// static pass over an already-computed [`StaticContext`] and adds the
 /// no-op markers. Split out so the [`RuleCache`] can reuse a memoized
@@ -394,7 +411,7 @@ fn emit_rules(
         let _s = janitizer_telemetry::span!("static;rule-emission");
         file.rules = plugin.static_pass(image, ctx);
     }
-    // Per-region graceful degradation: blocks the backend marked
+    // Per-region graceful degradation: blocks the analyzer marked
     // `Unknown` carry no rules at all — neither plugin rules (which
     // would rewrite bytes that may not be code) nor the no-op marker —
     // so the classifier misses them and the dynamic fallback
@@ -436,12 +453,9 @@ struct ModuleEntry {
     /// lifetime, ruling out ABA reuse of a freed image's address.
     image: Arc<Image>,
     /// Lazily computed generic analysis results, shared by all plugins.
-    /// The context records the disassembly backend that produced it; a
-    /// request under a different backend recomputes and replaces it.
     ctx: Mutex<Option<Arc<StaticContext>>>,
-    /// `(plugin cache key, emit_noop, disasm backend)` -> memoized rule
-    /// file + context.
-    slots: Mutex<HashMap<(String, bool, &'static str), CachedRules>>,
+    /// `(plugin cache key, emit_noop)` -> memoized rule file + context.
+    slots: Mutex<HashMap<(String, bool), CachedRules>>,
 }
 
 /// The analyze-once / run-many cache (paper §3.3.1: rules are computed
@@ -556,7 +570,7 @@ impl RuleCache {
     }
 
     /// [`RuleCache::get_or_analyze_traced`] plus the memoized analysis
-    /// context — [`run_hybrid`] reads the backend's per-region
+    /// context — [`run_hybrid`] reads the analyzer's per-region
     /// degradations from it on every run, hits included.
     pub fn get_or_analyze_full(
         &self,
@@ -564,7 +578,6 @@ impl RuleCache {
         plugin: &dyn SecurityPlugin,
         emit_noop_rules: bool,
     ) -> (Arc<RuleFile>, Arc<StaticContext>, FillSource) {
-        let backend = analysis::disasm_backend_name();
         let entry = {
             let mut m = self.modules.lock().unwrap_or_else(|e| e.into_inner());
             Arc::clone(m.entry(Arc::as_ptr(image) as usize).or_insert_with(|| {
@@ -575,7 +588,7 @@ impl RuleCache {
                 })
             }))
         };
-        let key = (plugin.cache_key(), emit_noop_rules, backend);
+        let key = (plugin.cache_key(), emit_noop_rules);
         // The slot lock is held across the (possible) analysis so a
         // concurrent request for the same key waits instead of repeating
         // the work — the exactly-once guarantee.
@@ -595,27 +608,12 @@ impl RuleCache {
         // store-served and in-process rules byte-identical.
         let ctx = {
             let mut c = entry.ctx.lock().unwrap_or_else(|e| e.into_inner());
-            match &*c {
-                Some(a) if a.backend == backend => Arc::clone(a),
-                _ => {
-                    let a = Arc::new(StaticContext::analyze(image));
-                    *c = Some(Arc::clone(&a));
-                    a
-                }
-            }
-        };
-        // Non-default backends fold their name into the store key's
-        // plugin component: rules differ per backend, and the default
-        // backend's on-disk entry names stay exactly what they were.
-        let store_plugin = if backend == analysis::DEFAULT_BACKEND {
-            key.0.clone()
-        } else {
-            format!("{}+disasm-{backend}", key.0)
+            Arc::clone(c.get_or_insert_with(|| Arc::new(StaticContext::analyze(image))))
         };
         let skey = self.store.as_ref().map(|_| janitizer_store::StoreKey {
             module: image.name.clone(),
             fingerprint: image.fingerprint(),
-            plugin: store_plugin,
+            plugin: key.0.clone(),
             noop: key.1,
         });
         let mut store_failed = false;
@@ -830,7 +828,7 @@ pub struct CoverageStats {
     pub static_blocks: u64,
     /// Distinct blocks that went to the dynamic-analysis fallback.
     pub dynamic_blocks: u64,
-    /// Of the dynamic blocks, those inside a backend-degraded region —
+    /// Of the dynamic blocks, those inside an analyzer-degraded region —
     /// the region-scoped graceful-degradation fallback, as opposed to
     /// code the static tier never saw at all.
     pub region_fallback_blocks: u64,
@@ -874,7 +872,7 @@ pub struct JanitizerTool<P: SecurityPlugin> {
     /// Per-module rule tables, indexed by module id (Figure 5).
     tables: Vec<Option<RuleTable>>,
     coverage_sets: CoverageSets,
-    /// Backend-degraded byte regions per module name (image address
+    /// Analyzer-degraded byte regions per module name (image address
     /// space), for classifying misses as region-scoped fallback.
     degraded_regions: HashMap<String, janitizer_dbt::RegionSet>,
 }
@@ -892,7 +890,7 @@ impl<P: SecurityPlugin> JanitizerTool<P> {
         }
     }
 
-    /// Installs the disassembly backend's degraded regions, keyed by
+    /// Installs the static analyzer's degraded regions, keyed by
     /// module name. Classification-time misses inside these regions
     /// count as [`CoverageStats::region_fallback_blocks`].
     pub fn set_degraded_regions(&mut self, regions: HashMap<String, janitizer_dbt::RegionSet>) {
@@ -978,7 +976,7 @@ impl<P: SecurityPlugin> Tool for JanitizerTool<P> {
         } else {
             if self.coverage_sets.dynamic_seen.insert(block.start) {
                 // Region-scoped fallback attribution: a miss inside a
-                // backend-degraded region is graceful degradation doing
+                // analyzer-degraded region is graceful degradation doing
                 // its job, not a static-coverage gap.
                 let in_region = proc
                     .module_containing(block.start)
@@ -1159,7 +1157,7 @@ pub fn run_hybrid<P: SecurityPlugin>(
                     }
                 };
                 // Per-region graceful degradation: every byte region the
-                // disassembly backend refused to trust is recorded (and
+                // static analyzer refused to trust is recorded (and
                 // surfaced through telemetry + the flight recorder), but
                 // the rest of the module keeps full static rules.
                 for r in &ctx.degraded_regions {

@@ -26,14 +26,14 @@ pub mod shadow;
 
 pub use shadow::{CheckMode, ShadowCheck, ShadowReporter, ShadowViolation};
 
-use janitizer_isa::{Instr, Reg};
-use janitizer_vm::{run_ops, Fault, Op, PcMap, Process, ProcessEvent, RunEnd, MAX_BLOCK};
+use janitizer_isa::{Instr, PcMap, Reg};
+use janitizer_vm::{run_ops, Fault, Op, Process, ProcessEvent, RunEnd, MAX_BLOCK};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A sorted set of non-overlapping byte intervals in a module's image
 /// address space. The hybrid driver hands one per degraded module to its
-/// block classifier so a cache miss inside a backend-degraded region is
+/// block classifier so a cache miss inside an analyzer-degraded region is
 /// attributed to the *region-scoped* dynamic fallback (as opposed to
 /// code the static tier simply never saw).
 #[derive(Clone, Debug, Default)]

@@ -11,8 +11,9 @@ use janitizer_baselines::{
     static_rewriter_costs, CfiBaseline, CfiPolicy, Memcheck, Retrowrite, MEMCHECK_RT,
 };
 use janitizer_core::{
-    run_hybrid, run_native, EngineOptions, FaultInjection, HybridOptions, HybridRun, RuleCache,
-    RunOutcome, RunProfile, SecurityPlugin, StaticContext, TbItem, ViolationReport,
+    rules_from_disasm, run_hybrid, run_native, EngineOptions, FaultInjection, HybridOptions,
+    HybridRun, RuleCache, RunOutcome, RunProfile, SecurityPlugin, StaticContext, TbItem,
+    ViolationReport,
 };
 use janitizer_dbt::DecodedBlock;
 use janitizer_jasan::{Jasan, RT_MODULE};
@@ -1446,10 +1447,10 @@ pub fn bench_trend(history: &str) -> String {
 }
 
 // =====================================================================
-// Hostile-module gauntlet: soundness-tiered disassembly backends.
+// Hostile-module gauntlet: the analyzer against its no-evidence ablation.
 // =====================================================================
 
-/// One `(hostile class, backend)` cell of the gauntlet.
+/// One `(hostile class, disassembly)` cell of the gauntlet.
 #[derive(Clone, Debug)]
 pub struct GauntletCell {
     /// Hostility class (`stripped`, `data-island`, `overlap`,
@@ -1457,16 +1458,17 @@ pub struct GauntletCell {
     pub class: String,
     /// Module name in the store.
     pub module: String,
-    /// Backend that produced this cell.
+    /// `evidence` (the analyzer) or `hybrid` (the no-evidence ablation:
+    /// [`janitizer_analysis::analyze_module`] alone).
     pub backend: &'static str,
     /// Ground-truth instruction bytes in the module.
     pub code_bytes: u64,
     /// Ground-truth bytes inside statically instrumented
     /// (`Proven`/`Likely`) blocks.
     pub static_bytes: u64,
-    /// Regions the backend degraded for contradictory code/data evidence.
+    /// Regions degraded for contradictory code/data evidence.
     pub low_confidence: u64,
-    /// Regions the backend degraded as overlap-resolution losers.
+    /// Regions degraded as overlap-resolution losers.
     pub conflicts: u64,
     /// Runtime blocks that fell back dynamically inside degraded regions.
     pub region_fallback_blocks: u64,
@@ -1489,12 +1491,11 @@ impl GauntletCell {
     }
 }
 
-/// The full gauntlet: every hostile class under every registered
-/// backend.
+/// The full gauntlet: every hostile class under the ablation and the
+/// analyzer.
 #[derive(Clone, Debug)]
 pub struct GauntletResult {
-    /// Cells, grouped by backend in registry order, classes in suite
-    /// order.
+    /// Cells, ablation first, then the analyzer; classes in suite order.
     pub cells: Vec<GauntletCell>,
 }
 
@@ -1505,8 +1506,8 @@ impl GauntletResult {
         self.cells.iter().all(|c| c.ok)
     }
 
-    /// Classes where the evidence backend's static coverage *strictly*
-    /// exceeds the hybrid backend's.
+    /// Classes where the analyzer's static coverage *strictly* exceeds
+    /// the ablation's.
     pub fn evidence_gains(&self) -> Vec<String> {
         let cov = |class: &str, backend: &str| {
             self.cells
@@ -1531,7 +1532,7 @@ impl GauntletResult {
     /// Aligned table for stdout.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "== hostile-module gauntlet (disassembly backends) ==");
+        let _ = writeln!(out, "== hostile-module gauntlet (analyzer vs no-evidence ablation) ==");
         let _ = writeln!(
             out,
             "{:<12}{:<12}{:>10}{:>12}{:>9}{:>9}{:>9}  {:<14}{:>7}{:>5}",
@@ -1565,7 +1566,7 @@ impl GauntletResult {
         let gains = self.evidence_gains();
         let _ = writeln!(
             out,
-            "evidence backend strictly increases static coverage on {} class(es): {}",
+            "the analyzer strictly increases static coverage on {} class(es): {}",
             gains.len(),
             if gains.is_empty() { "-".into() } else { gains.join(", ") }
         );
@@ -1670,17 +1671,17 @@ fn gauntlet_static_bytes(
 }
 
 /// Runs the hostile-module gauntlet: every hostile class analyzed and
-/// executed under JASan-hybrid with each registered disassembly backend.
-/// Every module must analyze soundly or degrade per region — a panic or
-/// engine error fails the cell, and the overlap class's heap overflow
-/// must stay detected under every backend.
+/// executed under JASan-hybrid, first with the no-evidence ablation
+/// (rules from [`janitizer_analysis::analyze_module`] alone, supplied as
+/// a rule override), then with the analyzer. Every module must analyze
+/// soundly or degrade per region — a panic or engine error fails the
+/// cell, and the overlap class's heap overflow must stay detected under
+/// both.
 pub fn hostile_gauntlet() -> GauntletResult {
     use janitizer_analysis as analysis;
-    let prev = analysis::disasm_backend_name();
     let mut cells = Vec::new();
-    for b in analysis::backends() {
-        let backend = b.name();
-        analysis::set_disasm_backend(backend);
+    for backend in ["hybrid", "evidence"] {
+        let ablation = backend == "hybrid";
         for m in janitizer_workloads::hostile_suite() {
             let code_bytes = m.code_bytes();
             let janitizer_workloads::HostileModule {
@@ -1691,7 +1692,11 @@ pub fn hostile_gauntlet() -> GauntletResult {
                 expect_violation,
                 ..
             } = m;
-            let res = b.analyze(&image);
+            let res = if ablation {
+                analysis::DisasmResult::untiered(analysis::analyze_module(&image))
+            } else {
+                analysis::analyze_tiered(&image)
+            };
             let static_bytes = gauntlet_static_bytes(&res, &code_ranges);
             let low_confidence = res
                 .degraded
@@ -1704,9 +1709,7 @@ pub fn hostile_gauntlet() -> GauntletResult {
                 .filter(|r| r.cause == analysis::RegionCause::Conflict)
                 .count() as u64;
 
-            let mut store = janitizer_workloads::library_base();
-            store.add(image);
-            let opts = HybridOptions {
+            let mut opts = HybridOptions {
                 load: LoadOptions {
                     preload: vec![RT_MODULE.into()],
                     ..LoadOptions::default()
@@ -1714,6 +1717,12 @@ pub fn hostile_gauntlet() -> GauntletResult {
                 fuel: 200_000_000,
                 ..HybridOptions::default()
             };
+            if ablation {
+                let rules = rules_from_disasm(&image, res, &Jasan::hybrid());
+                opts.rule_overrides.insert(name.to_string(), rules.to_bytes());
+            }
+            let mut store = janitizer_workloads::library_base();
+            store.add(image);
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_hybrid(&store, name, Jasan::hybrid(), &opts)
             }));
@@ -1750,6 +1759,5 @@ pub fn hostile_gauntlet() -> GauntletResult {
             });
         }
     }
-    analysis::set_disasm_backend(prev);
     GauntletResult { cells }
 }

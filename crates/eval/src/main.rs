@@ -383,7 +383,7 @@ subcommands (default: all):
   disasm <module>          disassemble one module
   report <case>            re-run one Juliet case with full forensics
   serve                    deterministic multi-client analysis-service simulation
-  gauntlet                 hostile-module suite under every disassembly backend
+  gauntlet                 hostile-module suite: analyzer vs no-evidence ablation
   profile <figure>         run one figure with telemetry, write JSON + folded stacks
   explain <fig|workload>   overhead-attribution budgets + janitizer.profile/v2 bundle
   explain diff <A> <B>     rank per-site cycle deltas between two profile bundles
@@ -403,8 +403,6 @@ flags:
   --juliet-limit N         fig10: truncate the Juliet suite (CI smoke)
   --inject-faults seed=N,rate=R
                            corrupt rule files on the untrusted load path
-  --disasm-backend NAME    disassembly backend for every static analysis:
-                           hybrid (default), evidence, cet-anchor
   --store DIR              persistent rule store (crash-safe, content-addressed)
   --store-kill-after N     inject a store crash after N commits
   --quarantine-limit N     cap store quarantine growth: prune the oldest
@@ -458,18 +456,6 @@ fn main() {
                 }));
             }
             "--flight-recorder" => flight_flag = true,
-            "--disasm-backend" => {
-                i += 1;
-                let name = args.get(i).cloned().unwrap_or_default();
-                if !janitizer_analysis::set_disasm_backend(&name) {
-                    eprintln!("unknown disassembly backend `{name}`; registered backends:");
-                    for b in janitizer_analysis::backends() {
-                        eprintln!("  {:<12} {}", b.name(), b.describe());
-                    }
-                    std::process::exit(2);
-                }
-                eprintln!("disassembly backend: {name}");
-            }
             "--gate" => {
                 i += 1;
                 gate = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -874,8 +860,8 @@ fn main() {
     }
     if which.iter().any(|w| w == "gauntlet") {
         // Hostile-module gauntlet: every hostility class analyzed and run
-        // under each registered disassembly backend. A failing cell (a
-        // panic, an engine error, or a lost detection) fails the process.
+        // under the analyzer and the no-evidence ablation. A failing cell
+        // (a panic, an engine error, or a lost detection) fails the process.
         let r = hostile_gauntlet();
         print!("{}", r.render());
         let write_all = || -> std::io::Result<()> {

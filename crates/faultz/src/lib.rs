@@ -147,7 +147,7 @@ pub fn hostile_tiny_exe() -> Image {
 pub enum HostileMutation {
     /// Retargets the blob load at `splice_site` to read `case_b`'s
     /// instruction bytes as data — code and data now share a region, and
-    /// the evidence backend must degrade it instead of trusting either
+    /// the analyzer must degrade it instead of trusting either
     /// interpretation.
     DataSplice,
     /// Adds one to every jump-table entry, so dispatch lands mid-

@@ -4,8 +4,8 @@
 //! `cargo run -p janitizer-faultz --bin faultz-gen-corpus` after format
 //! changes, and update the expectations here deliberately.
 
-use janitizer_analysis::set_disasm_backend;
-use janitizer_core::{run_hybrid, DegradationReason, HybridOptions, RunOutcome};
+use janitizer_analysis::{analyze_module, DisasmResult};
+use janitizer_core::{rules_from_disasm, run_hybrid, DegradationReason, HybridOptions, RunOutcome};
 use janitizer_faultz::MarkerPlugin;
 use janitizer_obj::{FormatError, Image, Object};
 use janitizer_rules::RuleFile;
@@ -90,37 +90,48 @@ fn corpus_directory_has_no_strays() {
     );
 }
 
-/// Runs one hostile fixture end to end under the given disassembly
-/// backend and returns the [`janitizer_core::HybridRun`].
-fn run_hostile(name: &str, backend: &str) -> janitizer_core::HybridRun {
+/// Which static analysis a hostile fixture run gets.
+#[derive(Clone, Copy, PartialEq)]
+enum Analysis {
+    /// The analyzer, as every run uses.
+    Analyzer,
+    /// The no-evidence ablation: rules from `analyze_module` alone,
+    /// supplied as a rule override.
+    Ablation,
+}
+
+/// Runs one hostile fixture end to end under the given analysis and
+/// returns the [`janitizer_core::HybridRun`].
+fn run_hostile(name: &str, analysis: Analysis) -> janitizer_core::HybridRun {
     let img = Image::from_bytes(&fixture(name)).expect("hostile fixture must decode");
     let module = img.name.clone();
+    let mut opts = HybridOptions::with_fuel(2_000_000);
+    if analysis == Analysis::Ablation {
+        let base = DisasmResult::untiered(analyze_module(&img));
+        let rules = rules_from_disasm(&img, base, &MarkerPlugin);
+        opts.rule_overrides.insert(module.clone(), rules.to_bytes());
+    }
     let mut store = ModuleStore::new();
     store.add(img);
-    assert!(set_disasm_backend(backend), "unknown backend {backend}");
-    let run = run_hybrid(&store, &module, MarkerPlugin, &HybridOptions::with_fuel(2_000_000));
-    set_disasm_backend("hybrid");
-    run.expect("hostile fixture run must not error")
+    run_hybrid(&store, &module, MarkerPlugin, &opts).expect("hostile fixture run must not error")
 }
 
 /// The `hostile_*` fixtures are *valid* images with targeted hostility;
 /// each must produce its exact outcome: graceful per-region degradation,
-/// a typed fault, or a clean dynamic-fallback run — never a panic and
-/// never silent misanalysis.
+/// a typed fault, or a clean run — never a panic and never silent
+/// misanalysis.
 #[test]
 fn hostile_fixtures_degrade_with_their_exact_outcome() {
-    // Pristine subject: exits 0 with nothing degraded, under both the
-    // default and the evidence backend.
-    for backend in ["hybrid", "evidence"] {
-        let run = run_hostile("hostile_tiny.bin", backend);
-        assert_eq!(run.outcome.code(), Some(0), "pristine subject ({backend})");
-        assert!(run.degraded.is_empty(), "pristine subject degraded ({backend})");
-    }
+    use Analysis::{Ablation, Analyzer};
+    // Pristine subject: exits 0 with nothing degraded.
+    let run = run_hostile("hostile_tiny.bin", Analyzer);
+    assert_eq!(run.outcome.code(), Some(0), "pristine subject");
+    assert!(run.degraded.is_empty(), "pristine subject degraded");
 
     // Data splice: code bytes are demonstrably read as data. The run
-    // still exits 0, and the evidence backend records exactly a
+    // still exits 0, and the analyzer records exactly a
     // low-confidence-region degradation for the spliced block.
-    let run = run_hostile("hostile_data_splice.bin", "evidence");
+    let run = run_hostile("hostile_data_splice.bin", Analyzer);
     assert_eq!(run.outcome.code(), Some(0), "splice must still run benignly");
     let reasons: Vec<DegradationReason> = run.degraded.iter().map(|d| d.reason).collect();
     assert_eq!(
@@ -135,7 +146,7 @@ fn hostile_fixtures_degrade_with_their_exact_outcome() {
 
     // Jump-table scramble: dispatch lands mid-instruction; the run dies
     // with a typed decode fault, never a panic.
-    let run = run_hostile("hostile_jumptab_scramble.bin", "hybrid");
+    let run = run_hostile("hostile_jumptab_scramble.bin", Analyzer);
     let RunOutcome::Fault(f) = &run.outcome else {
         panic!("scramble must fault: {:?}", run.outcome);
     };
@@ -145,13 +156,21 @@ fn hostile_fixtures_degrade_with_their_exact_outcome() {
         f.kind
     );
 
-    // Symbol strip: still exits 0; the dispatch targets are reached only
-    // through the dynamic fallback.
-    let run = run_hostile("hostile_symbol_strip.bin", "hybrid");
+    // Symbol strip: still exits 0. Without evidence the dispatch targets
+    // are reached only through the dynamic fallback; the analyzer
+    // recovers them statically.
+    let run = run_hostile("hostile_symbol_strip.bin", Ablation);
     assert_eq!(run.outcome.code(), Some(0), "stripped subject must still run");
     assert!(run.degraded.is_empty(), "strip alone must not degrade");
     assert!(
         run.coverage.dynamic_blocks > 0,
         "stripped dispatch targets must fall back to dynamic translation"
+    );
+    let run = run_hostile("hostile_symbol_strip.bin", Analyzer);
+    assert_eq!(run.outcome.code(), Some(0), "stripped subject must still run");
+    assert!(run.degraded.is_empty(), "strip alone must not degrade");
+    assert_eq!(
+        run.coverage.dynamic_blocks, 0,
+        "the analyzer must recover the stripped dispatch targets"
     );
 }

@@ -39,10 +39,12 @@
 //! ```
 
 mod encoding;
+mod hash;
 mod insn;
 mod reg;
 
 pub use encoding::{decode, DecodeError, MAX_INSTR_LEN};
+pub use hash::{PcHasher, PcMap, PcSet};
 pub use insn::{AluOp, Cc, Instr, MemRef, MemSize};
 pub use reg::{Flags, Reg, ABI};
 

@@ -14,8 +14,8 @@ pub const SECTION_ALIGN: u64 = 0x40;
 /// immediate (`"PLA"`), executable as a no-op at any indirect-entry
 /// point, analogous to x86 `ENDBR64`. Toolchains that opt in place it at
 /// indirect-call/jump targets; [`Image::anchor_addrs`] scans for it and
-/// anchor-aware disassembly backends treat the hits as sound
-/// indirect-target ground truth.
+/// the static analyzer treats the hits as sound indirect-target ground
+/// truth.
 pub const ANCHOR_SEQ: [u8; 6] = [0x4c, 0x00, 0x50, 0x4c, 0x41, 0x00];
 
 /// One procedure-linkage-table stub within an [`Image`].
@@ -217,23 +217,20 @@ impl Image {
     }
 
     /// Addresses of every landing-pad anchor ([`ANCHOR_SEQ`]) in the
-    /// image's code sections. CET-style disassembly backends treat these
-    /// as sound indirect-entry ground truth: the marker is a flags-only
-    /// `test` with a magic immediate (the ENDBR analogue), so executing
-    /// through it is a no-op and scanning for it cannot be confused by
-    /// ordinary immediates shorter than the full 6-byte pattern.
+    /// image's code sections. The static analyzer treats these as sound
+    /// indirect-entry ground truth: the marker is a flags-only `test`
+    /// with a magic immediate (the ENDBR analogue), so executing through
+    /// it is a no-op and scanning for it cannot be confused by ordinary
+    /// immediates shorter than the full 6-byte pattern.
     pub fn anchor_addrs(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        for sec in &self.sections {
-            if !sec.kind.is_code() {
-                continue;
-            }
-            let mut off = 0usize;
-            while off + ANCHOR_SEQ.len() <= sec.data.len() {
-                if sec.data[off..off + ANCHOR_SEQ.len()] == ANCHOR_SEQ {
+        for sec in self.sections.iter().filter(|s| s.kind.is_code()) {
+            for (off, w) in sec.data.windows(ANCHOR_SEQ.len()).enumerate() {
+                // The first-byte test skips the slice compare on almost
+                // every offset.
+                if w[0] == ANCHOR_SEQ[0] && w == ANCHOR_SEQ {
                     out.push(sec.addr + off as u64);
                 }
-                off += 1;
             }
         }
         out

@@ -36,38 +36,6 @@ pub use process::{
     MAX_BLOCK, MMAP_BASE, PIC_MODULE_BASE, PIC_MODULE_STRIDE, STACK_BASE, STACK_SIZE,
 };
 
-/// Multiplicative hasher for guest-pc keys. The interpreter and the
-/// dynamic modifier index translations by pc on every dispatch, where the
-/// default SipHash costs more than the table probe it guards; pcs are
-/// plain addresses with no adversarial structure, so a Fibonacci multiply
-/// plus an avalanche shift is both cheap and well distributed.
-#[derive(Default, Clone)]
-pub struct PcHasher(u64);
-
-impl std::hash::Hasher for PcHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback for non-u64 keys (unused on the hot paths).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let mut h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 29;
-        self.0 = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// A `HashMap` keyed by guest pc, using [`PcHasher`].
-pub type PcMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<PcHasher>>;
-
 /// Assembly source of a minimal `ld.so` providing the lazy-binding
 /// resolver. Real programs use the full ld.so from `janitizer-workloads`;
 /// this one is enough for tests and examples.

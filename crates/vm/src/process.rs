@@ -4,7 +4,7 @@ use crate::cpu::{CpuState, Fault, FaultKind};
 use crate::kernel::{run_ops_exact, Op, RunEnd};
 use crate::loader;
 use crate::mem::{Memory, Perm};
-use janitizer_isa::{decode, Instr, TLS_BLOCK_SIZE, TLS_CANARY_OFFSET};
+use janitizer_isa::{decode, Instr, PcMap, TLS_BLOCK_SIZE, TLS_CANARY_OFFSET};
 use janitizer_obj::Image;
 use std::sync::Arc;
 
@@ -393,7 +393,7 @@ impl Process {
     /// a write to executable memory, so exits, faults, fuel and
     /// self-modifying code behave as under a per-instruction loop.
     fn run_native_inner(&mut self, fuel: u64) -> Exit {
-        let mut cache: crate::PcMap<Box<[Op]>> = crate::PcMap::default();
+        let mut cache: PcMap<Box<[Op]>> = PcMap::default();
         let mut cache_gen = self.mem.code_generation();
         loop {
             if self.cycles >= fuel {

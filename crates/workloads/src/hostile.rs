@@ -3,24 +3,22 @@
 //!
 //! Each module carries its own ground truth: `gt<N>`/`gt<N>_end` label
 //! pairs bracket the bytes that really are instructions, recorded from
-//! the symbol table *before* the image is stripped. A disassembly
-//! backend's static coverage on a hostile module is measured against
-//! exactly these ranges, so missed code and mis-decoded data both count
-//! against it.
+//! the symbol table *before* the image is stripped. A disassembler's
+//! static coverage on a hostile module is measured against exactly these
+//! ranges, so missed code and mis-decoded data both count against it.
 //!
 //! Four classes, one per way real binaries go hostile:
 //!
 //! * `stripped` — functions reachable only through a function-pointer
 //!   table, all local symbols removed. Each target starts with the
-//!   JX-64 landing-pad anchor so the `cet-anchor` backend can prove
-//!   them.
+//!   JX-64 landing-pad anchor so the analyzer can prove them.
 //! * `data-island` — a byte blob in `.text` that decodes as plausible
 //!   instructions, is fallen into by a never-taken branch, and is read
 //!   as data at run time.
 //! * `overlap` — one byte region with two valid decodings at different
 //!   offsets; the decoy swallows the real code as immediate payload.
 //!   The real entry performs a heap overflow, so detection must survive
-//!   whatever the backend decides about the region.
+//!   whatever the analyzer decides about the region.
 //! * `jump-table` — an indirect dispatch whose table base lives in a
 //!   different register than the jump, outside the analyzer's
 //!   pattern-match window, with the case blocks stripped.
@@ -29,8 +27,8 @@ use crate::build_exe;
 use janitizer_minic::CompileOptions;
 use janitizer_obj::Image;
 
-/// One hostile executable plus the oracle needed to judge a backend on
-/// it.
+/// One hostile executable plus the oracle needed to judge a disassembler
+/// on it.
 pub struct HostileModule {
     /// Module (and store) name, e.g. `hostile-stripped`.
     pub name: &'static str,
