@@ -1073,16 +1073,6 @@ pub struct HybridOptions {
     /// `--inject-faults` evaluation mode. `None` (the default) keeps the
     /// trusted in-memory fast path, byte-identical to previous behaviour.
     pub inject_faults: Option<FaultInjection>,
-    /// Disable the host-side trace machinery (direct-branch chaining,
-    /// superblock formation, probe-fusion precompute) — the `--no-traces`
-    /// flag. Traces are host-only: the modeled guest state, cycle counts,
-    /// and violation reports are byte-identical either way; this knob
-    /// exists for A/B wall-time measurement and bisection.
-    pub no_traces: bool,
-    /// Override the engine's superblock hotness threshold (block
-    /// executions before trace formation is attempted). `0` keeps the
-    /// engine default.
-    pub trace_threshold: u32,
 }
 
 impl HybridOptions {
@@ -1241,10 +1231,6 @@ pub fn run_hybrid<P: SecurityPlugin>(
     tool.set_degraded_regions(region_map);
     let mut engine_opts = opts.engine.clone();
     engine_opts.profile |= opts.profile;
-    engine_opts.traces &= !opts.no_traces;
-    if opts.trace_threshold != 0 {
-        engine_opts.trace_hot_threshold = opts.trace_threshold;
-    }
     let mut engine = Engine::new(engine_opts);
     let fuel = if opts.fuel == 0 { 2_000_000_000 } else { opts.fuel };
     let outcome = engine.run(&mut proc, &mut tool, fuel);

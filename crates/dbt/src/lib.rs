@@ -521,21 +521,13 @@ pub struct Stats {
     /// paid [`CostModel::chain_hit`] instead of the full lookup. Always
     /// `<= indirect_transfers`.
     pub indirect_chain_hits: u64,
-    /// Control transfers that bypassed the dispatcher entirely: direct
-    /// transfers that followed a chain link, plus superblock-internal
-    /// segment transitions and loop-back laps. These are *not* indirect
-    /// transfers and cost zero modeled cycles — the counter records how
-    /// much real dispatcher work (hash lookups, loop-top checks) the
-    /// trace layer removed.
+    /// Retired with the trace layer: always 0; kept for perfbench.
     pub chained_transfers: u64,
-    /// Superblocks stitched by the hot-trace builder.
+    /// Retired with the trace layer: always 0; kept for perfbench.
     pub superblocks_formed: u64,
-    /// Superblock executions that left the trace before its planned end
-    /// (a side exit: a conditional went the other way, or a stale segment
-    /// tore the trace down). Planned completions are not exits.
+    /// Retired with the trace layer: always 0; kept for perfbench.
     pub trace_exits: u64,
-    /// Retired with probe fusion: always 0. Kept because the
-    /// `profile/v2` schema and the benchmark still read it.
+    /// Retired with probe fusion: always 0; kept for perfbench.
     pub checks_fused: u64,
     /// Hoisted loop-invariant check executions elided at run time
     /// ([`ProbeResult::Hoisted`]).
@@ -558,10 +550,9 @@ impl Stats {
     /// Cycles the engine added on top of pure guest execution:
     /// translation + dispatch + probes. `dispatch_cycles` covers both
     /// full indirect lookups and the cheap [`CostModel::chain_hit`]
-    /// charges of target-cache hits; chained *direct* transfers and
-    /// superblock-internal transitions cost zero and therefore appear in
-    /// no cycle term (only in [`Stats::chained_transfers`]). Always at
-    /// most the process's total cycle count for the same run.
+    /// charges of target-cache hits; direct transfers cost zero and
+    /// therefore appear in no cycle term. Always at most the process's
+    /// total cycle count for the same run.
     pub fn total_overhead_cycles(&self) -> u64 {
         self.translation_cycles + self.dispatch_cycles + self.probe_cycles
     }
@@ -682,10 +673,6 @@ struct StatsMark {
     probe_runs: u64,
     indirect_transfers: u64,
     indirect_chain_hits: u64,
-    chained_transfers: u64,
-    superblocks_formed: u64,
-    trace_exits: u64,
-    checks_fused: u64,
     checks_hoisted: u64,
     oversized_blocks: u64,
 }
@@ -701,10 +688,6 @@ impl StatsMark {
             probe_runs: s.probe_runs,
             indirect_transfers: s.indirect_transfers,
             indirect_chain_hits: s.indirect_chain_hits,
-            chained_transfers: s.chained_transfers,
-            superblocks_formed: s.superblocks_formed,
-            trace_exits: s.trace_exits,
-            checks_fused: s.checks_fused,
             checks_hoisted: s.checks_hoisted,
             oversized_blocks: s.oversized_blocks,
         }
@@ -743,20 +726,6 @@ pub struct EngineOptions {
     /// ([`Engine::profile`]). Observation only: results and cycle
     /// totals are byte-identical with it on or off.
     pub profile: bool,
-    /// Enable the trace layer: direct-branch chaining between cached
-    /// blocks and NET-style superblock formation. Host-mechanism only —
-    /// modeled cycles, stats cycle terms and guest results are
-    /// byte-identical with traces on or off; the layer removes *real*
-    /// dispatcher work (hash lookups, loop-top re-entry) and reports it
-    /// in [`Stats::chained_transfers`] / [`Stats::superblocks_formed`].
-    pub traces: bool,
-    /// Block executions before the trace builder considers a block hot
-    /// and tries to stitch a superblock from its dominant successor
-    /// chain. Retried every further `trace_hot_threshold` executions
-    /// while the block stays unstitched.
-    pub trace_hot_threshold: u32,
-    /// Maximum blocks per superblock.
-    pub trace_max_blocks: usize,
 }
 
 impl Default for EngineOptions {
@@ -769,54 +738,12 @@ impl Default for EngineOptions {
             trail_len: 16,
             max_tb_items: 1 << 16,
             profile: false,
-            traces: true,
-            trace_hot_threshold: 64,
-            trace_max_blocks: 16,
         }
     }
 }
 
-/// A direct-branch chain link: "when this block's successor is `target`,
-/// it lives in `slot` (valid while the slot's generation is `gen`)".
-/// Followed without touching the code-cache index; invalidated lazily by
-/// the generation check when the target is evicted or retranslated.
-#[derive(Clone, Copy, Debug)]
-struct ChainLink {
-    target: u64,
-    slot: u32,
-    gen: u32,
-}
-
-/// One segment of a superblock: a cached block, pinned by slot and
-/// generation. The segment *references* the block's existing translation
-/// (no retranslation, no new charges); a generation mismatch at entry
-/// tears the superblock down.
-#[derive(Clone, Copy, Debug)]
-struct SbSeg {
-    pc: u64,
-    slot: u32,
-    gen: u32,
-}
-
-/// A NET-style superblock: the dominant successor chain of a hot block,
-/// executed as one unit without re-entering the dispatcher between
-/// segments. `loop_back` traces (tail branches to head) lap in place.
-#[derive(Clone, Debug)]
-struct Superblock {
-    segs: Vec<SbSeg>,
-    loop_back: bool,
-}
-
-/// How a superblock execution handed control back.
-enum SbExit {
-    /// The run is over (exit, fault, violation, out of fuel).
-    Outcome(RunOutcome),
-    /// Fall back to the dispatcher at the current `proc.cpu.pc`.
-    Dispatch,
-}
-
-/// Sentinel for "no target seen yet" in per-block successor caches
-/// (guest pcs never reach it).
+/// Sentinel for "no target seen yet" in the per-block indirect-target
+/// cache (guest pcs never reach it).
 const NO_TARGET: u64 = u64::MAX;
 
 /// A translated block in the engine's internal form: the tool's
@@ -828,32 +755,20 @@ struct CachedBlock {
     /// The probes in order, each with the number of ops that run before
     /// it. The ops between two probes run as one kernel call.
     probes: Vec<(usize, Probe)>,
-    /// Statically, does the block end in an indirect CTI? (Trace chains
-    /// terminate at indirect-ending blocks.)
+    /// Statically, does the block end in an indirect CTI? (Only those
+    /// pay the modeled dispatch lookup.)
     ends_indirect: bool,
     /// Statically, is the block's final instruction `ret`? (Edge-kind
     /// classification, precomputed so the per-instruction loop does not
     /// re-match it.)
     ends_ret: bool,
     /// Inlined single-entry indirect-target cache (the modeled exit-stub
-    /// comparison). Part of the *cost model*, so it is maintained
-    /// identically with traces on or off.
+    /// comparison). Part of the *cost model*.
     itarget: u64,
-    /// Most-recently-seen successor and its run length — the cheap
-    /// always-on stand-in for full edge profiling that trace formation
-    /// follows as the dominant successor.
-    last_next: u64,
-    streak: u32,
-    /// Executions left until the next hot-trace formation attempt.
-    hot_countdown: u32,
-    /// Chain link to the successor block for one direct-branch target.
-    link: Option<ChainLink>,
-    /// Superblock headed by this block, if one was formed.
-    sb: Option<u32>,
 }
 
 impl CachedBlock {
-    fn new(items: Vec<TbItem>, hot_countdown: u32) -> CachedBlock {
+    fn new(items: Vec<TbItem>) -> CachedBlock {
         let guests = items
             .iter()
             .filter(|i| matches!(i, TbItem::Guest(..)))
@@ -876,22 +791,6 @@ impl CachedBlock {
             ends_indirect,
             ends_ret,
             itarget: NO_TARGET,
-            last_next: NO_TARGET,
-            streak: 0,
-            hot_countdown,
-            link: None,
-            sb: None,
-        }
-    }
-
-    /// Updates the MRU successor after an execution that transferred to
-    /// `next_pc`.
-    fn note_successor(&mut self, next_pc: u64) {
-        if self.last_next == next_pc {
-            self.streak = self.streak.saturating_add(1);
-        } else {
-            self.last_next = next_pc;
-            self.streak = 1;
         }
     }
 }
@@ -909,13 +808,6 @@ pub struct Engine {
     index: PcMap<u32>,
     slots: Vec<Option<CachedBlock>>,
     free: Vec<u32>,
-    /// Per-slot generation counters, bumped whenever a slot is freed so
-    /// chain links and superblock segments referencing the old occupant
-    /// invalidate themselves lazily.
-    slot_gens: Vec<u32>,
-    /// Formed superblocks, referenced from head blocks' `sb` fields.
-    sbs: Vec<Option<Superblock>>,
-    sb_free: Vec<u32>,
     cache_gen: u64,
     /// Ring buffer of the start pcs of the last executed blocks (flat
     /// array + wrap position; [`Engine::trail_vec`] restores oldest-first
@@ -947,9 +839,6 @@ impl Engine {
             index: PcMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
-            slot_gens: Vec::new(),
-            sbs: Vec::new(),
-            sb_free: Vec::new(),
             cache_gen: 0,
             trail: Vec::new(),
             trail_pos: 0,
@@ -1006,39 +895,28 @@ impl Engine {
         v
     }
 
-    /// Places a freshly translated block into a (possibly recycled) slot.
-    fn alloc_slot(&mut self, block: CachedBlock) -> u32 {
-        match self.free.pop() {
+    /// Places a freshly translated block into a (possibly recycled) slot
+    /// and indexes it by its start pc.
+    fn cache_block(&mut self, pc: u64, block: CachedBlock) {
+        let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(block);
                 s
             }
             None => {
                 self.slots.push(Some(block));
-                self.slot_gens.push(0);
                 (self.slots.len() - 1) as u32
             }
-        }
+        };
+        self.index.insert(pc, slot);
     }
 
-    /// Empties a slot after its occupant was invalidated (mid-block JIT
-    /// write) and bumps its generation so chain links and superblock
-    /// segments that referenced it stop matching.
-    fn evict_slot(&mut self, pc: u64, slot: u32) {
-        self.index.remove(&pc);
-        self.slot_gens[slot as usize] += 1;
-        self.free.push(slot);
-    }
-
-    /// Drops every cached translation, chain link and superblock (cache
-    /// generation change or an explicit flush).
+    /// Drops every cached translation (cache generation change or an
+    /// explicit flush).
     fn clear_cache_state(&mut self) {
         self.index.clear();
         self.slots.clear();
         self.free.clear();
-        self.slot_gens.clear();
-        self.sbs.clear();
-        self.sb_free.clear();
     }
 
     /// Builds (but does not cache) the decoded block starting at `pc`.
@@ -1067,18 +945,7 @@ impl Engine {
         self.trail.clear();
         self.trail_pos = 0;
         // Deliver already-pending module loads, then start the tool.
-        let pending: Vec<ProcessEvent> = proc.events.drain(..).collect();
-        for ev in pending {
-            let ProcessEvent::ModuleLoaded { id } = ev;
-            janitizer_telemetry::event!("dbt.module_load", id = id);
-            janitizer_telemetry::flight::record(
-                "dbt.module_load",
-                janitizer_telemetry::flight::NO_MODULE,
-                id as u64,
-                0,
-            );
-            tool.on_module_load(proc, id);
-        }
+        Self::deliver_module_loads(proc, tool);
         tool.on_start(proc);
 
         let outcome = self.run_inner(proc, tool, fuel);
@@ -1122,16 +989,6 @@ impl Engine {
             s.indirect_chain_hits - mark.indirect_chain_hits,
         );
         janitizer_telemetry::counter_add(
-            "dbt.chained_transfers",
-            s.chained_transfers - mark.chained_transfers,
-        );
-        janitizer_telemetry::counter_add(
-            "dbt.superblocks_formed",
-            s.superblocks_formed - mark.superblocks_formed,
-        );
-        janitizer_telemetry::counter_add("dbt.trace_exits", s.trace_exits - mark.trace_exits);
-        janitizer_telemetry::counter_add("dbt.checks_fused", s.checks_fused - mark.checks_fused);
-        janitizer_telemetry::counter_add(
             "dbt.checks_hoisted",
             s.checks_hoisted - mark.checks_hoisted,
         );
@@ -1141,241 +998,150 @@ impl Engine {
         );
     }
 
+    /// Forwards the process's pending module-load events (the static
+    /// modules at start-up, `dlopen` during execution) to the tool.
+    fn deliver_module_loads(proc: &mut Process, tool: &mut dyn Tool) {
+        let pending: Vec<ProcessEvent> = proc.events.drain(..).collect();
+        for ev in pending {
+            let ProcessEvent::ModuleLoaded { id } = ev;
+            janitizer_telemetry::event!("dbt.module_load", id = id);
+            janitizer_telemetry::flight::record(
+                "dbt.module_load",
+                janitizer_telemetry::flight::NO_MODULE,
+                id as u64,
+                0,
+            );
+            tool.on_module_load(proc, id);
+        }
+    }
+
     fn run_inner(&mut self, proc: &mut Process, tool: &mut dyn Tool, fuel: u64) -> RunOutcome {
-        // A direct-ending block that just executed without a usable chain
-        // link, waiting for its successor's slot to resolve: (slot, gen).
-        let mut want_link: Option<(u32, u32)> = None;
         loop {
             if proc.cycles >= fuel {
                 return RunOutcome::OutOfFuel;
             }
-            // JIT writes invalidate the cache — links and traces included.
+            // JIT writes invalidate the cache.
             if proc.mem.code_generation() != self.cache_gen {
                 self.clear_cache_state();
                 self.cache_gen = proc.mem.code_generation();
-                want_link = None;
             }
             // Deliver dlopen events raised by the previous block.
             if !proc.events.is_empty() {
-                let pending: Vec<ProcessEvent> = proc.events.drain(..).collect();
-                for ev in pending {
-                    let ProcessEvent::ModuleLoaded { id } = ev;
-                    janitizer_telemetry::event!("dbt.module_load", id = id);
-                    janitizer_telemetry::flight::record(
-                        "dbt.module_load",
-                        janitizer_telemetry::flight::NO_MODULE,
-                        id as u64,
-                        0,
-                    );
-                    tool.on_module_load(proc, id);
-                }
+                Self::deliver_module_loads(proc, tool);
             }
 
             let pc = proc.cpu.pc;
-            // `slot` is `None` for an oversized translation: it executes
-            // from the local `uncached` binding and is never cached.
-            let mut uncached: Option<CachedBlock> = None;
-            let slot = if let Some(&s) = self.index.get(&pc) {
-                Some(s)
-            } else {
-                let block = match self.build_block(proc, pc) {
-                    Ok(b) => b,
+            // Execute the block out of its slot, so probes can borrow the
+            // engine-free process state. `slot` is `None` for a fresh
+            // translation, which is cached after it runs (unless it is
+            // oversized).
+            let (slot, mut cached, cacheable) = match self.index.get(&pc) {
+                Some(&s) => {
+                    let b = self.slots[s as usize].take().expect("indexed slot occupied");
+                    (Some(s), b, true)
+                }
+                None => match self.translate(proc, tool, pc) {
+                    Ok((b, cacheable)) => (None, b, cacheable),
                     Err(f) => return RunOutcome::Fault(f),
-                };
-                let build_cost = self.opts.costs.block_build
-                    + self.opts.costs.translate_per_insn * block.insns.len() as u64;
-                proc.cycles += build_cost;
-                self.stats.translation_cycles += build_cost;
-                self.stats.blocks_translated += 1;
-                janitizer_telemetry::histogram_record(
-                    "dbt.block_insns",
-                    block.insns.len() as u64,
-                );
-                janitizer_telemetry::event!(
-                    "dbt.block_translated",
-                    pc = pc,
-                    insns = block.insns.len(),
-                    cost = build_cost,
-                );
-                let cycles_before_instrument = proc.cycles;
-                let mut items = tool.instrument_block(proc, &block);
-                let tool_translate = proc.cycles - cycles_before_instrument;
-                // Elision notes are observation-only markers. They are
-                // stripped *before* the size guard below so oversized
-                // classification is byte-identical whether or not a tool
-                // emits them, and recorded (when profiling) so each
-                // execution of the block can count its avoided checks.
-                if items.iter().any(|i| matches!(i, TbItem::Note(_))) {
-                    let mut notes: Vec<ProbeSite> = Vec::new();
-                    items.retain(|i| match i {
-                        TbItem::Note(s) => {
-                            notes.push(*s);
-                            false
-                        }
-                        _ => true,
-                    });
-                    if let Some(prof) = &mut self.profile {
-                        prof.elided.insert(pc, notes);
-                    }
-                }
-                if let Some(prof) = &mut self.profile {
-                    let bp = prof.blocks.entry(pc).or_default();
-                    bp.translations += 1;
-                    bp.translate_cycles += build_cost;
-                    bp.tool_translate_cycles += tool_translate;
-                }
-                if items.len() > self.opts.max_tb_items {
-                    // Translation-size guard: run it, don't cache it.
-                    self.stats.oversized_blocks += 1;
-                    janitizer_telemetry::event!(
-                        "dbt.oversized_block",
-                        pc = pc,
-                        items = items.len(),
-                    );
-                    janitizer_telemetry::flight::record(
-                        "dbt.oversized_block",
-                        janitizer_telemetry::flight::NO_MODULE,
-                        pc,
-                        items.len() as u64,
-                    );
-                    uncached = Some(CachedBlock::new(items, u32::MAX));
-                    None
-                } else {
-                    let hot = self.opts.trace_hot_threshold.max(1);
-                    let s = self.alloc_slot(CachedBlock::new(items, hot));
-                    self.index.insert(pc, s);
-                    // The tool may have been the one to notice a module load
-                    // (rule-file loading) — but cache generation may also have
-                    // changed; re-check on the next loop iteration.
-                    Some(s)
-                }
+                },
             };
-
-            // Resolve the pending chain link now that the successor's
-            // slot is known. The first installed link wins; an oversized
-            // successor or an evicted source simply leaves it unlinked.
-            if let Some((ls, lgen)) = want_link.take() {
-                if let Some(ts) = slot {
-                    if self.slot_gens.get(ls as usize) == Some(&lgen) {
-                        let tgen = self.slot_gens[ts as usize];
-                        if let Some(Some(src)) = self.slots.get_mut(ls as usize) {
-                            if src.link.is_none() {
-                                src.link = Some(ChainLink { target: pc, slot: ts, gen: tgen });
-                            }
-                        }
-                    }
-                }
+            // Record the block in the execution trail before running it,
+            // so the final trail entry is the block containing a fault.
+            if self.opts.trail_len > 0 {
+                self.push_trail(pc);
             }
+            let res = self.exec_items(proc, &mut cached, pc);
+            if res.outcome.is_none() {
+                self.finish_transfer(proc, &mut cached, pc, &res);
+            }
+            // Keep the block only when the cache was not invalidated
+            // mid-block (e.g. by a guest write to JIT memory).
+            if proc.mem.code_generation() == self.cache_gen {
+                match slot {
+                    Some(s) => self.slots[s as usize] = Some(cached),
+                    None if cacheable => self.cache_block(pc, cached),
+                    None => {}
+                }
+            } else if let Some(s) = slot {
+                self.index.remove(&pc);
+                self.free.push(s);
+            }
+            if let Some(o) = res.outcome {
+                return o;
+            }
+            proc.cpu.pc = res.next_pc;
+        }
+    }
 
-            let mut cur_pc = pc;
-            let mut cur_slot = slot;
-            'chain: loop {
-                // Hot-trace fast path: a superblock head executes its
-                // whole trace without re-entering the dispatcher.
-                if self.opts.traces {
-                    if let Some(s) = cur_slot {
-                        if let Some(sbid) = self.slots[s as usize].as_ref().and_then(|b| b.sb) {
-                            match self.run_superblock(proc, sbid, fuel) {
-                                SbExit::Outcome(o) => return o,
-                                SbExit::Dispatch => break 'chain,
-                            }
-                        }
-                    }
+    /// Translates the block at `pc` under `tool`, charging the engine's
+    /// build cost and whatever the tool charges while instrumenting. The
+    /// flag is `false` for a translation over
+    /// [`EngineOptions::max_tb_items`]: it runs, but is never cached.
+    fn translate(
+        &mut self,
+        proc: &mut Process,
+        tool: &mut dyn Tool,
+        pc: u64,
+    ) -> Result<(CachedBlock, bool), Fault> {
+        let block = self.build_block(proc, pc)?;
+        let build_cost = self.opts.costs.block_build
+            + self.opts.costs.translate_per_insn * block.insns.len() as u64;
+        proc.cycles += build_cost;
+        self.stats.translation_cycles += build_cost;
+        self.stats.blocks_translated += 1;
+        janitizer_telemetry::histogram_record("dbt.block_insns", block.insns.len() as u64);
+        janitizer_telemetry::event!(
+            "dbt.block_translated",
+            pc = pc,
+            insns = block.insns.len(),
+            cost = build_cost,
+        );
+        let cycles_before_instrument = proc.cycles;
+        let mut items = tool.instrument_block(proc, &block);
+        let tool_translate = proc.cycles - cycles_before_instrument;
+        // Elision notes are observation-only markers. They are stripped
+        // *before* the size guard below so oversized classification is
+        // byte-identical whether or not a tool emits them, and recorded
+        // (when profiling) so each execution of the block can count its
+        // avoided checks.
+        if items.iter().any(|i| matches!(i, TbItem::Note(_))) {
+            let mut notes: Vec<ProbeSite> = Vec::new();
+            items.retain(|i| match i {
+                TbItem::Note(s) => {
+                    notes.push(*s);
+                    false
                 }
-                // Record the block in the execution trail before running
-                // it, so the final trail entry is the block containing a
-                // fault.
-                if self.opts.trail_len > 0 {
-                    self.push_trail(cur_pc);
-                }
-                // Execute the cached block. We temporarily take it out of
-                // its slot so probes can borrow the engine-free process
-                // state.
-                let mut cached = match (uncached.take(), cur_slot) {
-                    (Some(b), _) => b,
-                    (None, Some(s)) => {
-                        self.slots[s as usize].take().expect("indexed slot occupied")
-                    }
-                    (None, None) => unreachable!("block neither cached nor oversized"),
-                };
-                let res = self.exec_items(proc, &mut cached, cur_pc);
-                if res.outcome.is_none() {
-                    self.finish_transfer(proc, &mut cached, cur_pc, &res);
-                }
-                // Hot-trace candidacy: cheap always-on countdown, retried
-                // periodically while the block stays unstitched.
-                let mut attempt_form = false;
-                if self.opts.traces
-                    && cur_slot.is_some()
-                    && res.outcome.is_none()
-                    && cached.sb.is_none()
-                {
-                    cached.hot_countdown = cached.hot_countdown.saturating_sub(1);
-                    if cached.hot_countdown == 0 {
-                        cached.hot_countdown = self.opts.trace_hot_threshold.max(1);
-                        attempt_form = true;
-                    }
-                }
-                let link = cached.link;
-                // Only put the block back when it was cached at all and
-                // the cache was not invalidated mid-block (e.g. by a
-                // guest write to JIT memory). Oversized blocks
-                // (`cur_slot == None`) are simply dropped.
-                if let Some(s) = cur_slot {
-                    if proc.mem.code_generation() == self.cache_gen {
-                        self.slots[s as usize] = Some(cached);
-                    } else {
-                        self.evict_slot(cur_pc, s);
-                    }
-                }
-                if let Some(o) = res.outcome {
-                    return o;
-                }
-                proc.cpu.pc = res.next_pc;
-                if attempt_form && proc.mem.code_generation() == self.cache_gen {
-                    if let Some(s) = cur_slot {
-                        self.try_form_trace(cur_pc, s);
-                    }
-                }
-                // Chain following is only for direct transfers with a
-                // clean engine state; everything else goes back through
-                // the dispatcher's loop-top checks.
-                if !self.opts.traces
-                    || res.ended_indirect
-                    || proc.cycles >= fuel
-                    || proc.mem.code_generation() != self.cache_gen
-                    || !proc.events.is_empty()
-                {
-                    break 'chain;
-                }
-                let Some(s) = cur_slot else { break 'chain };
-                match link {
-                    Some(l)
-                        if l.target == res.next_pc
-                            && self.slot_gens.get(l.slot as usize) == Some(&l.gen)
-                            && self.slots[l.slot as usize].is_some() =>
-                    {
-                        self.stats.chained_transfers += 1;
-                        cur_pc = res.next_pc;
-                        cur_slot = Some(l.slot);
-                    }
-                    Some(_) => break 'chain,
-                    None => {
-                        want_link = Some((s, self.slot_gens[s as usize]));
-                        break 'chain;
-                    }
-                }
+                _ => true,
+            });
+            if let Some(prof) = &mut self.profile {
+                prof.elided.insert(pc, notes);
             }
         }
+        if let Some(prof) = &mut self.profile {
+            let bp = prof.blocks.entry(pc).or_default();
+            bp.translations += 1;
+            bp.translate_cycles += build_cost;
+            bp.tool_translate_cycles += tool_translate;
+        }
+        let cacheable = items.len() <= self.opts.max_tb_items;
+        if !cacheable {
+            // Translation-size guard: run it, don't cache it.
+            self.stats.oversized_blocks += 1;
+            janitizer_telemetry::event!("dbt.oversized_block", pc = pc, items = items.len());
+            janitizer_telemetry::flight::record(
+                "dbt.oversized_block",
+                janitizer_telemetry::flight::NO_MODULE,
+                pc,
+                items.len() as u64,
+            );
+        }
+        Ok((CachedBlock::new(items), cacheable))
     }
 
     /// Executes one translated block against `proc`: each run of guest
     /// ops between two probes goes through the execution kernel, then
     /// the probe runs. Charges guest and probe costs and (when
-    /// profiling) flushes the block's per-class profile row. Shared
-    /// verbatim by the dispatcher, the chain-following loop and the
-    /// superblock runner so every mode produces identical charges,
-    /// reports and profile rows.
+    /// profiling) flushes the block's per-class profile row.
     fn exec_items(&mut self, proc: &mut Process, cached: &mut CachedBlock, pc: u64) -> ExecRes {
         let profiling = self.profile.is_some();
         let mut outcome: Option<RunOutcome> = None;
@@ -1521,11 +1287,10 @@ impl Engine {
     }
 
     /// Charges the modeled dispatch cost of a completed block execution
-    /// and records its edge and MRU-successor metadata. The indirect
-    /// charge goes through the block's inlined single-entry target
-    /// cache: a repeat target pays [`CostModel::chain_hit`], a new
-    /// target pays the full [`CostModel::indirect_lookup`] and installs
-    /// itself. Part of the cost model — identical with traces on or off.
+    /// and (when profiling) records its edge. The indirect charge goes
+    /// through the block's inlined single-entry target cache: a repeat
+    /// target pays [`CostModel::chain_hit`], a new target pays the full
+    /// [`CostModel::indirect_lookup`] and installs itself.
     fn finish_transfer(&mut self, proc: &mut Process, cached: &mut CachedBlock, pc: u64, res: &ExecRes) {
         if res.ended_indirect {
             self.stats.indirect_transfers += 1;
@@ -1552,182 +1317,6 @@ impl Engine {
             };
             *prof.edges.entry((pc, res.next_pc, kind)).or_insert(0) += 1;
         }
-        // MRU-successor tracking only feeds trace formation, which is
-        // host-only; skip the bookkeeping entirely with traces off.
-        if self.opts.traces {
-            cached.note_successor(res.next_pc);
-        }
-    }
-
-    /// Executes a formed superblock: the segments run back to back (and
-    /// loop-back traces lap in place) without re-entering the dispatcher,
-    /// re-checking the dispatcher's guards (fuel, cache generation,
-    /// pending events) between segments so observable behavior is
-    /// identical to block-at-a-time execution. Stale segments (generation
-    /// mismatch after an eviction) tear the superblock down.
-    fn run_superblock(&mut self, proc: &mut Process, sbid: u32, fuel: u64) -> SbExit {
-        let mut first = true;
-        'laps: loop {
-            let nsegs = match self.sbs.get(sbid as usize).and_then(|s| s.as_ref()) {
-                Some(sb) => sb.segs.len(),
-                None => return SbExit::Dispatch,
-            };
-            let mut i = 0usize;
-            while i < nsegs {
-                let (seg, is_last, loop_back) = {
-                    let sb = self.sbs[sbid as usize].as_ref().expect("sb checked above");
-                    (sb.segs[i], i + 1 == sb.segs.len(), sb.loop_back)
-                };
-                if !first {
-                    // Dispatcher-equivalent guards between segments.
-                    if proc.cycles >= fuel {
-                        proc.cpu.pc = seg.pc;
-                        return SbExit::Outcome(RunOutcome::OutOfFuel);
-                    }
-                    if proc.mem.code_generation() != self.cache_gen
-                        || !proc.events.is_empty()
-                    {
-                        proc.cpu.pc = seg.pc;
-                        return SbExit::Dispatch;
-                    }
-                }
-                first = false;
-                // A stale segment (evicted or retranslated occupant)
-                // invalidates the whole trace.
-                if self.slot_gens.get(seg.slot as usize) != Some(&seg.gen)
-                    || self.slots[seg.slot as usize].is_none()
-                {
-                    self.drop_superblock(sbid);
-                    proc.cpu.pc = seg.pc;
-                    return SbExit::Dispatch;
-                }
-                if self.opts.trail_len > 0 {
-                    self.push_trail(seg.pc);
-                }
-                proc.cpu.pc = seg.pc;
-                let mut cached = self.slots[seg.slot as usize].take().expect("validated");
-                let res = self.exec_items(proc, &mut cached, seg.pc);
-                if res.outcome.is_none() {
-                    self.finish_transfer(proc, &mut cached, seg.pc, &res);
-                }
-                if proc.mem.code_generation() == self.cache_gen {
-                    self.slots[seg.slot as usize] = Some(cached);
-                } else {
-                    self.evict_slot(seg.pc, seg.slot);
-                }
-                if let Some(o) = res.outcome {
-                    return SbExit::Outcome(o);
-                }
-                proc.cpu.pc = res.next_pc;
-                if res.ended_indirect {
-                    // The trace's planned tail: the dispatcher resolves
-                    // indirect targets.
-                    return SbExit::Dispatch;
-                }
-                let expected = if !is_last {
-                    Some(self.sbs[sbid as usize].as_ref().expect("sb alive").segs[i + 1].pc)
-                } else if loop_back {
-                    Some(self.sbs[sbid as usize].as_ref().expect("sb alive").segs[0].pc)
-                } else {
-                    None
-                };
-                match expected {
-                    Some(e) if e == res.next_pc => {
-                        self.stats.chained_transfers += 1;
-                        if is_last {
-                            continue 'laps;
-                        }
-                        i += 1;
-                    }
-                    Some(_) => {
-                        // Side exit: a conditional went the other way.
-                        self.stats.trace_exits += 1;
-                        return SbExit::Dispatch;
-                    }
-                    None => return SbExit::Dispatch, // planned completion
-                }
-            }
-            return SbExit::Dispatch;
-        }
-    }
-
-    /// Tries to stitch a superblock from `head`'s dominant successor
-    /// chain: follow each block's MRU successor while the streak is
-    /// convincing, stopping at indirect-ending blocks, already-visited
-    /// blocks, untranslated targets or the size cap. A chain whose tail
-    /// branches back to the head becomes a loop-back trace (even with a
-    /// single segment — a tight self-loop). Straight-line traces need at
-    /// least two segments to be worth stitching.
-    fn try_form_trace(&mut self, head_pc: u64, head_slot: u32) {
-        const MIN_STREAK: u32 = 2;
-        let max = self.opts.trace_max_blocks.max(1);
-        let mut segs = vec![SbSeg {
-            pc: head_pc,
-            slot: head_slot,
-            gen: self.slot_gens[head_slot as usize],
-        }];
-        let mut loop_back = false;
-        let mut cur = head_slot;
-        while let Some(b) = self.slots[cur as usize].as_ref() {
-            if b.ends_indirect || b.streak < MIN_STREAK || b.last_next == NO_TARGET {
-                break;
-            }
-            let next = b.last_next;
-            if next == head_pc {
-                loop_back = true;
-                break;
-            }
-            if segs.len() >= max || segs.iter().any(|s| s.pc == next) {
-                break;
-            }
-            let Some(&ns) = self.index.get(&next) else { break };
-            segs.push(SbSeg { pc: next, slot: ns, gen: self.slot_gens[ns as usize] });
-            cur = ns;
-        }
-        if !(loop_back || segs.len() >= 2) {
-            return;
-        }
-        janitizer_telemetry::event!(
-            "dbt.superblock_formed",
-            head = head_pc,
-            segs = segs.len(),
-        );
-        janitizer_telemetry::flight::record(
-            "dbt.superblock_formed",
-            janitizer_telemetry::flight::NO_MODULE,
-            head_pc,
-            segs.len() as u64,
-        );
-        let sb = Superblock { segs, loop_back };
-        let id = match self.sb_free.pop() {
-            Some(i) => {
-                self.sbs[i as usize] = Some(sb);
-                i
-            }
-            None => {
-                self.sbs.push(Some(sb));
-                (self.sbs.len() - 1) as u32
-            }
-        };
-        self.slots[head_slot as usize]
-            .as_mut()
-            .expect("head block cached")
-            .sb = Some(id);
-        self.stats.superblocks_formed += 1;
-    }
-
-    /// Unlinks a superblock whose segments went stale.
-    fn drop_superblock(&mut self, sbid: u32) {
-        if let Some(sb) = self.sbs[sbid as usize].take() {
-            if let Some(head) = sb.segs.first() {
-                if self.slot_gens.get(head.slot as usize) == Some(&head.gen) {
-                    if let Some(Some(b)) = self.slots.get_mut(head.slot as usize) {
-                        b.sb = None;
-                    }
-                }
-            }
-            self.sb_free.push(sbid);
-        }
     }
 
     /// Number of blocks currently in the code cache.
@@ -1735,8 +1324,7 @@ impl Engine {
         self.index.len()
     }
 
-    /// Clears the code cache (tests and ablations), including chain
-    /// links and superblocks.
+    /// Clears the code cache (tests and ablations).
     pub fn flush_cache(&mut self) {
         self.clear_cache_state();
     }
@@ -2275,8 +1863,8 @@ mod tests {
         assert_eq!(site_cycles, engine.stats.probe_cycles, "site cycles cover all probes");
     }
 
-    /// A hot call loop: direct-chainable blocks plus an indirect leaf
-    /// return, so every trace mechanism fires.
+    /// A hot call loop: direct transfers plus an indirect leaf return
+    /// whose target repeats, so the inlined target cache hits.
     const HOT_CALL_LOOP: &str = ".section text\n.global _start\n_start:\n\
         mov r0, 0\n mov r2, 200\n\
         loop:\n call leaf\n add r0, r1\n sub r2, 1\n cmp r2, 0\n jne loop\n\
@@ -2284,47 +1872,35 @@ mod tests {
         leaf:\n mov r1, 2\n ret\n";
 
     #[test]
-    fn traces_change_no_observable_state() {
-        // Chaining and superblocks are a host-side execution strategy
-        // only: the modeled cost — and therefore every observable
-        // figure input — is identical with traces on and off.
-        let mut p_on = proc_from(HOT_CALL_LOOP);
-        let mut e_on = Engine::new(EngineOptions {
-            trace_hot_threshold: 4,
-            ..EngineOptions::default()
-        });
-        let out_on = e_on.run(&mut p_on, &mut NullTool, 10_000_000);
-
-        let mut p_off = proc_from(HOT_CALL_LOOP);
-        let mut e_off = Engine::new(EngineOptions {
-            traces: false,
-            ..EngineOptions::default()
-        });
-        let out_off = e_off.run(&mut p_off, &mut NullTool, 10_000_000);
-
-        assert_eq!(out_on, out_off);
-        assert_eq!(p_on.cycles, p_off.cycles, "traces never change modeled cost");
-        assert_eq!(p_on.insns, p_off.insns);
-        let (on, off) = (&e_on.stats, &e_off.stats);
-        assert_eq!(on.guest_insns, off.guest_insns);
-        assert_eq!(on.blocks_translated, off.blocks_translated);
-        assert_eq!(on.translation_cycles, off.translation_cycles);
-        assert_eq!(on.indirect_transfers, off.indirect_transfers);
-        assert_eq!(on.indirect_chain_hits, off.indirect_chain_hits);
-        assert_eq!(on.dispatch_cycles, off.dispatch_cycles);
-        // ...but the host-side mechanisms really engaged.
-        assert!(on.chained_transfers > 0, "direct transfers chained");
-        assert!(on.superblocks_formed > 0, "hot chain stitched");
-        assert_eq!(off.chained_transfers, 0);
-        assert_eq!(off.superblocks_formed, 0);
-        assert_eq!(off.trace_exits, 0);
+    fn hot_call_loop_dispatch_is_pinned() {
+        // Every modeled figure input of the one dispatch path, pinned to
+        // the values the engine produced when it still had a host-only
+        // trace layer (identical with that layer on or off).
+        let mut p = proc_from(HOT_CALL_LOOP);
+        let mut e = Engine::new(EngineOptions::default());
+        let out = e.run(&mut p, &mut NullTool, 10_000_000);
+        assert_eq!(out, RunOutcome::Exited(400));
+        assert_eq!(p.cycles, 5699);
+        assert_eq!(p.insns, 1408);
+        let s = &e.stats;
+        assert_eq!(s.guest_insns, 1408);
+        assert_eq!(s.blocks_translated, 7);
+        assert_eq!(s.translation_cycles, 2900);
+        assert_eq!(s.dispatch_cycles, 840);
+        assert_eq!(s.indirect_transfers, 201);
+        assert_eq!(s.indirect_chain_hits, 199);
+        assert_eq!(
+            (s.chained_transfers, s.superblocks_formed, s.trace_exits),
+            (0, 0, 0),
+            "retired counters stay 0"
+        );
     }
 
     #[test]
-    fn superblock_run_reports_identically() {
-        // A violating tool on a hot loop: the superblock path must
-        // produce the same reports, contexts and cycles as
-        // block-at-a-time execution.
+    fn hot_loop_violation_reports_are_pinned() {
+        // A violating tool on a hot loop: every report and its context
+        // (registers, trail), pinned to the values the engine produced
+        // when it still had a host-only trace layer.
         struct Violator;
         impl Tool for Violator {
             fn name(&self) -> &str {
@@ -2350,45 +1926,56 @@ mod tests {
                 items
             }
         }
-        let mut p_sb = proc_from(HOT_CALL_LOOP);
-        let mut e_sb = Engine::new(EngineOptions {
-            trace_hot_threshold: 2,
+        let mut p = proc_from(HOT_CALL_LOOP);
+        let mut e = Engine::new(EngineOptions {
             halt_on_violation: false,
             trail_len: 8,
             ..EngineOptions::default()
         });
-        let out_sb = e_sb.run(&mut p_sb, &mut Violator, 10_000_000);
-        assert!(e_sb.stats.superblocks_formed > 0, "hot loop stitched");
+        let out = e.run(&mut p, &mut Violator, 10_000_000);
+        assert_eq!(out, RunOutcome::Exited(400));
+        assert_eq!(p.cycles, 6903);
+        assert_eq!(e.stats.probe_runs, 602);
 
-        let mut p_bb = proc_from(HOT_CALL_LOOP);
-        let mut e_bb = Engine::new(EngineOptions {
-            traces: false,
-            halt_on_violation: false,
-            trail_len: 8,
-            ..EngineOptions::default()
-        });
-        let out_bb = e_bb.run(&mut p_bb, &mut Violator, 10_000_000);
-
-        assert_eq!(out_sb, out_bb);
-        assert_eq!(p_sb.cycles, p_bb.cycles);
-        assert_eq!(e_sb.stats.reports, e_bb.stats.reports, "identical violations");
-        assert_eq!(e_sb.stats.probe_runs, e_bb.stats.probe_runs);
-        // Context snapshots (registers, trail) agree too: the trace
-        // runner pushes the same per-block trail entries.
-        assert_eq!(e_sb.stats.contexts.len(), e_bb.stats.contexts.len());
-        for (a, b) in e_sb.stats.contexts.iter().zip(&e_bb.stats.contexts) {
-            assert_eq!(a.pc, b.pc);
-            assert_eq!(a.regs, b.regs);
-            assert_eq!(a.trail, b.trail);
+        // The loop's three blocks: head (`call leaf`), leaf, and the
+        // block after the call returns.
+        const H: u64 = 0x40000c;
+        const L: u64 = 0x400027;
+        const R: u64 = 0x400011;
+        const SP: u64 = 0xe00fffb8;
+        // (report pc, insns, r0, r2, sp, trail)
+        let want: [(u64, u64, u64, u64, u64, [u64; 8]); 6] = [
+            (L, 97, 26, 187, SP, [H, L, R, H, L, R, H, L]),
+            (H, 291, 82, 159, SP - 8, [R, H, L, R, H, L, R, H]),
+            (R, 388, 110, 145, SP, [L, R, H, L, R, H, L, R]),
+            (L, 776, 220, 90, SP, [H, L, R, H, L, R, H, L]),
+            (H, 970, 276, 62, SP - 8, [R, H, L, R, H, L, R, H]),
+            (R, 1067, 304, 48, SP, [L, R, H, L, R, H, L, R]),
+        ];
+        assert_eq!(e.stats.reports.len(), want.len());
+        assert_eq!(e.stats.contexts.len(), want.len());
+        for ((r, c), (pc, insns, r0, r2, sp, trail)) in
+            e.stats.reports.iter().zip(&e.stats.contexts).zip(want)
+        {
+            assert_eq!(r.pc, pc);
+            assert_eq!(r.kind, ViolationKind::InvalidAccess);
+            assert_eq!(r.details, format!("at insn {insns}"));
+            assert_eq!(c.pc, pc);
+            let mut regs = [0u64; 16];
+            regs[0] = r0;
+            regs[1] = 2;
+            regs[2] = r2;
+            regs[Reg::SP.index()] = sp;
+            assert_eq!(c.regs, regs, "registers at {insns}");
+            assert_eq!(c.trail, trail, "trail at {insns}");
         }
     }
 
     #[test]
-    fn jit_invalidation_unlinks_chains_and_traces() {
-        // The JIT-write program from `jit_code_invalidates_cache`, but
-        // with aggressive trace formation: generation checks must tear
-        // down stale links and superblocks instead of executing stale
-        // code.
+    fn jit_write_and_flush_rerun_match_a_cold_engine() {
+        // The JIT-write program from `jit_code_invalidates_cache` in a
+        // hot call loop's company: the generation check must drop stale
+        // translations instead of executing them.
         let src = ".section text\n.global _start\n_start:\n\
              mov r0, 3\n mov r1, 4096\n mov r2, 1\n syscall\n\
              mov r8, r0\n\
@@ -2398,22 +1985,15 @@ mod tests {
              mov r9, 0x6c\n st1 [r8+6], r9\n\
              call r8\n ret\n";
         let mut p = proc_from(src);
-        let mut engine = Engine::new(EngineOptions {
-            trace_hot_threshold: 1,
-            ..EngineOptions::default()
-        });
+        let mut engine = Engine::new(EngineOptions::default());
         let out = engine.run(&mut p, &mut NullTool, 10_000_000);
         assert_eq!(out.code(), Some(123));
 
-        // And a flush drops every trace structure: a rerun behaves like
-        // a cold engine.
+        // A flush drops every cached translation: a rerun behaves like a
+        // cold engine.
         let mut p1 = proc_from(HOT_CALL_LOOP);
-        let mut e = Engine::new(EngineOptions {
-            trace_hot_threshold: 2,
-            ..EngineOptions::default()
-        });
+        let mut e = Engine::new(EngineOptions::default());
         let out1 = e.run(&mut p1, &mut NullTool, 10_000_000);
-        assert!(e.stats.superblocks_formed > 0);
         e.flush_cache();
         assert_eq!(e.cached_blocks(), 0);
         let mut p2 = proc_from(HOT_CALL_LOOP);
@@ -2423,20 +2003,16 @@ mod tests {
     }
 
     #[test]
-    fn oversized_blocks_never_chain_or_trace() {
+    fn oversized_blocks_run_a_call_loop() {
         // Oversized blocks are rebuilt per visit and live outside the
-        // cache, so they can never be a chain source, a chain target or
-        // a trace segment — but execution must stay correct.
+        // cache, but execution must stay correct.
         let mut p = proc_from(HOT_CALL_LOOP);
         let mut engine = Engine::new(EngineOptions {
             max_tb_items: 0,
-            trace_hot_threshold: 1,
             ..EngineOptions::default()
         });
         let out = engine.run(&mut p, &mut NullTool, 10_000_000);
         assert!(matches!(out, RunOutcome::Exited(_)));
-        assert_eq!(engine.stats.chained_transfers, 0);
-        assert_eq!(engine.stats.superblocks_formed, 0);
         assert!(engine.stats.oversized_blocks > 0);
     }
 

@@ -24,7 +24,7 @@ use janitizer_vm::{LoadOptions, ModuleStore, Process};
 use janitizer_workloads::{build_case, build_world, juliet_suite, BuildOptions, JulietCategory, World};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[cfg(test)]
@@ -402,31 +402,6 @@ pub fn profiling() -> bool {
     PROFILING.load(Ordering::Relaxed)
 }
 
-/// Whether figure runs use the host-side trace machinery (direct-branch
-/// chaining, superblock formation). On by
-/// default; `--no-traces` clears it. Host-only: figure results are
-/// byte-identical either way (test-enforced), only wall time moves.
-static TRACES: AtomicBool = AtomicBool::new(true);
-
-/// Superblock hotness-threshold override for figure runs; `0` keeps the
-/// engine default.
-static TRACE_THRESHOLD: AtomicU32 = AtomicU32::new(0);
-
-/// Enables or disables trace machinery for subsequent figure runs.
-pub fn set_traces(on: bool) {
-    TRACES.store(on, Ordering::Relaxed);
-}
-
-/// Whether trace machinery is armed.
-pub fn traces() -> bool {
-    TRACES.load(Ordering::Relaxed)
-}
-
-/// Overrides the superblock hotness threshold (`0` = engine default).
-pub fn set_trace_threshold(threshold: u32) {
-    TRACE_THRESHOLD.store(threshold, Ordering::Relaxed);
-}
-
 fn note_profile(workload: &str, label: &str, prof: RunProfile) {
     let mut map = PROFILES.lock().unwrap_or_else(|e| e.into_inner());
     match map.entry((workload.to_string(), label.to_string())) {
@@ -512,8 +487,6 @@ fn base_opts(ew: &EvalWorld, load: LoadOptions) -> HybridOptions {
         rule_cache: Some(Arc::clone(&ew.cache)),
         inject_faults: ew.inject,
         profile: profiling(),
-        no_traces: !traces(),
-        trace_threshold: TRACE_THRESHOLD.load(Ordering::Relaxed),
         ..HybridOptions::default()
     }
 }

@@ -3,7 +3,6 @@
 //! ```text
 //! janitizer-eval [--scale S] [--trace FILE] [--threads N] \
 //!     [--reports DIR] [--juliet-limit N] [--inject-faults seed=N,rate=R] \
-//!     [--no-traces] [--trace-threshold N] \
 //!     [fig7|...|fig14|soundness|rules|disasm <module>|profile <figure>|report <case>|all]
 //! ```
 //!
@@ -35,13 +34,6 @@
 //! in-memory path and figure output is byte-identical to a build without
 //! fault injection. All result files are written atomically (temp file +
 //! rename), so an interrupted run never leaves torn CSV/JSON output.
-//!
-//! `--no-traces` disables the DBT engine's host-side trace machinery
-//! (direct-branch chaining, superblock formation) and
-//! `--trace-threshold N` overrides the superblock hotness threshold.
-//! Both are host-only knobs: figure results are byte-identical with
-//! traces on or off (test-enforced); only host wall time moves. Use them
-//! for A/B measurement and bisection.
 //!
 //! `--threads N` caps the evaluation's worker threads (default: one per
 //! core; `--threads 1` is the fully serial reference). Figure output is
@@ -397,8 +389,6 @@ flags:
   --top N                  rows per ranked table (profile/explain/diff; default 10)
   --trace FILE             collect telemetry for the whole run, write FILE on exit
   --profile                arm the deterministic cycle profiler for figure runs
-  --no-traces              disable DBT trace layer (chaining/superblocks)
-  --trace-threshold N      superblock hotness threshold override
   --reports DIR            fig10: write one forensics report pair per violation
   --juliet-limit N         fig10: truncate the Juliet suite (CI smoke)
   --inject-faults seed=N,rate=R
@@ -574,15 +564,6 @@ fn main() {
                 }));
             }
             "--profile" => profile_flag = true,
-            "--no-traces" => set_traces(false),
-            "--trace-threshold" => {
-                i += 1;
-                let t = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--trace-threshold needs a positive integer");
-                    std::process::exit(2);
-                });
-                set_trace_threshold(t);
-            }
             "--top" => {
                 i += 1;
                 top = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {

@@ -6,7 +6,8 @@
 
 use janitizer_core::{analyze_statically, RuleCache, SecurityPlugin};
 use janitizer_eval::{
-    build_eval_world, fig10, fig12, fig14, run_config, set_threads, threads, ToolConfig,
+    build_eval_world, fig10, fig11, fig12, fig13, fig14, fig7, fig8, fig9, run_config,
+    set_threads, threads, EvalWorld, FigResult, ToolConfig,
 };
 use janitizer_jasan::Jasan;
 use std::sync::Mutex;
@@ -107,26 +108,30 @@ fn parallel_and_serial_figures_are_byte_identical() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
     // Serial reference on a fresh world (fresh cache), then an explicit
-    // multi-worker fan-out on another fresh world: every CSV/JSON byte
-    // must match. An explicit count (not 0 = auto) guarantees the scoped
-    // threads actually spawn even on a single-core machine. fig12 covers
-    // multi-column dynamic runs, fig14 the coverage metric, fig10 the
-    // parallel Juliet fold.
+    // multi-worker fan-out on another fresh world: every rendered, CSV
+    // and JSON byte of every figure must match. An explicit count (not
+    // 0 = auto) guarantees the scoped threads actually spawn even on a
+    // single-core machine. fig10 is the parallel Juliet fold.
+    let all_figs = |ew: &EvalWorld| -> Vec<FigResult> {
+        [fig7, fig8, fig9, fig11, fig12, fig13, fig14]
+            .iter()
+            .map(|f| f(ew))
+            .collect()
+    };
     set_threads(1);
     let ew_serial = build_eval_world(0.05);
-    let f12_serial = fig12(&ew_serial);
-    let f14_serial = fig14(&ew_serial);
+    let serial = all_figs(&ew_serial);
 
     set_threads(4);
     let ew_par = build_eval_world(0.05);
     assert_eq!(threads(), 4);
-    let f12_par = fig12(&ew_par);
-    let f14_par = fig14(&ew_par);
+    let par = all_figs(&ew_par);
 
-    assert_eq!(f12_serial.to_csv(), f12_par.to_csv(), "fig12 CSV diverged");
-    assert_eq!(f12_serial.to_json(), f12_par.to_json(), "fig12 JSON diverged");
-    assert_eq!(f14_serial.to_csv(), f14_par.to_csv(), "fig14 CSV diverged");
-    assert_eq!(f14_serial.to_json(), f14_par.to_json(), "fig14 JSON diverged");
+    for (s, p) in serial.iter().zip(&par) {
+        assert_eq!(s.render(), p.render(), "{}: render diverged", s.title);
+        assert_eq!(s.to_csv(), p.to_csv(), "{}: CSV diverged", s.title);
+        assert_eq!(s.to_json(), p.to_json(), "{}: JSON diverged", s.title);
+    }
 
     set_threads(1);
     let j_serial = fig10(&ew_serial.world.store);

@@ -90,7 +90,7 @@ pub struct CellSummary {
     /// Cycle classes (`total`, `guest`, `dispatch`, …) from the
     /// profile's `cycles` object.
     pub cycles: BTreeMap<String, u64>,
-    /// Engine counters (`blocks_translated`, `chained_transfers`, …).
+    /// Engine counters (`blocks_translated`, `indirect_chain_hits`, …).
     pub engine: BTreeMap<String, u64>,
     /// `(module, function) → cost` rollup.
     pub functions: BTreeMap<(String, String), FnCost>,

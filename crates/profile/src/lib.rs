@@ -6,7 +6,7 @@
 //!
 //! * **`janitizer.profile/v2` JSON** — per-function/per-block/per-site
 //!   rollups, block→successor edge counts, and top-N hot-edge chains
-//!   (the NET-style trace candidates for superblock formation);
+//!   (NET-style hot-trace candidates);
 //! * **folded stacks** — `flamegraph.pl`-ready cycle attribution,
 //!   one `tool;module;function;class` stack per line;
 //! * **overhead budget tables** — each workload×tool overhead ratio
@@ -118,24 +118,13 @@ pub struct EngineTotals {
     /// Indirect transfers satisfied by a block's inlined target cache
     /// (charged the cheap `chain_hit` instead of the full lookup).
     pub indirect_chain_hits: u64,
-    /// Dispatcher bypasses: direct chain-link follows plus
-    /// superblock-internal transitions. Zero modeled cost — this counts
-    /// transfers that never touched the dispatcher at all.
-    pub chained_transfers: u64,
-    /// Superblocks stitched from hot successor chains.
-    pub superblocks_formed: u64,
-    /// Superblock side exits (a segment left the planned path).
-    pub trace_exits: u64,
-    /// Retired with probe fusion: always 0, kept in the `profile/v2`
-    /// schema.
-    pub checks_fused: u64,
     /// Loop-invariant shadow checks answered by the hoisted fast path
     /// (cost-free elision; profiled as `elided`, not as probe runs).
     pub checks_hoisted: u64,
 }
 
 /// One hot-edge chain: a maximal sequence of blocks stitched along the
-/// hottest successor edges (a NET-style superblock/trace candidate).
+/// hottest successor edges (a NET-style hot-trace candidate).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct HotChain {
     /// Block start pcs, in execution order.
@@ -251,10 +240,6 @@ impl RunProfile {
                 indirect_transfers: stats.indirect_transfers,
                 oversized_blocks: stats.oversized_blocks,
                 indirect_chain_hits: stats.indirect_chain_hits,
-                chained_transfers: stats.chained_transfers,
-                superblocks_formed: stats.superblocks_formed,
-                trace_exits: stats.trace_exits,
-                checks_fused: stats.checks_fused,
                 checks_hoisted: stats.checks_hoisted,
             },
             blocks,
@@ -300,10 +285,6 @@ impl RunProfile {
         e.indirect_transfers += other.engine.indirect_transfers;
         e.oversized_blocks += other.engine.oversized_blocks;
         e.indirect_chain_hits += other.engine.indirect_chain_hits;
-        e.chained_transfers += other.engine.chained_transfers;
-        e.superblocks_formed += other.engine.superblocks_formed;
-        e.trace_exits += other.engine.trace_exits;
-        e.checks_fused += other.engine.checks_fused;
         e.checks_hoisted += other.engine.checks_hoisted;
         for (k, b) in &other.blocks {
             let dst = self.blocks.entry(k.clone()).or_default();
@@ -380,9 +361,8 @@ impl RunProfile {
 
     /// Top-`top` hot-edge chains: seeded at the most frequent edges and
     /// greedily extended along each block's hottest successor while the
-    /// successor count stays within half of the chain's floor. These
-    /// are the NET-style trace candidates superblock formation would
-    /// stitch.
+    /// successor count stays within half of the chain's floor: the
+    /// NET-style hot-trace candidates.
     pub fn hot_chains(&self, top: usize) -> Vec<HotChain> {
         // Hottest successor per source block (count desc, then target
         // asc for determinism).
@@ -577,13 +557,6 @@ impl RunProfile {
                         "indirect_chain_hits",
                         Json::U64(self.engine.indirect_chain_hits),
                     ),
-                    ("chained_transfers", Json::U64(self.engine.chained_transfers)),
-                    (
-                        "superblocks_formed",
-                        Json::U64(self.engine.superblocks_formed),
-                    ),
-                    ("trace_exits", Json::U64(self.engine.trace_exits)),
-                    ("checks_fused", Json::U64(self.engine.checks_fused)),
                     ("checks_hoisted", Json::U64(self.engine.checks_hoisted)),
                     ("checks_elided", Json::U64(self.checks_elided())),
                     ("site_rows", Json::U64(self.sites.len() as u64)),
@@ -669,13 +642,6 @@ impl RunProfile {
                 e.indirect_transfers,
                 e.indirect_chain_hits,
                 100.0 * e.indirect_chain_hits as f64 / e.indirect_transfers.max(1) as f64
-            );
-        }
-        if e.superblocks_formed > 0 || e.chained_transfers > 0 {
-            let _ = writeln!(
-                out,
-                "traces: {} superblocks, {} chained transfers (dispatch bypassed), {} side exits",
-                e.superblocks_formed, e.chained_transfers, e.trace_exits
             );
         }
         if e.checks_hoisted > 0 {
