@@ -667,9 +667,6 @@ pub struct EngineProfile {
 struct StatsMark {
     blocks_translated: u64,
     guest_insns: u64,
-    translation_cycles: u64,
-    dispatch_cycles: u64,
-    probe_cycles: u64,
     probe_runs: u64,
     indirect_transfers: u64,
     indirect_chain_hits: u64,
@@ -682,9 +679,6 @@ impl StatsMark {
         StatsMark {
             blocks_translated: s.blocks_translated,
             guest_insns: s.guest_insns,
-            translation_cycles: s.translation_cycles,
-            dispatch_cycles: s.dispatch_cycles,
-            probe_cycles: s.probe_cycles,
             probe_runs: s.probe_runs,
             indirect_transfers: s.indirect_transfers,
             indirect_chain_hits: s.indirect_chain_hits,
@@ -939,7 +933,6 @@ impl Engine {
     /// forwarded to the tool before the next block executes.
     pub fn run(&mut self, proc: &mut Process, tool: &mut dyn Tool, fuel: u64) -> RunOutcome {
         let mark = StatsMark::of(&self.stats);
-        let cycles_at_entry = proc.cycles;
         // A fresh trail per run: blocks from a previous run served by the
         // same engine must not appear in this run's violation contexts.
         self.trail.clear();
@@ -950,30 +943,18 @@ impl Engine {
 
         let outcome = self.run_inner(proc, tool, fuel);
         tool.on_exit(proc);
-        self.flush_telemetry(mark, cycles_at_entry, proc.cycles);
+        self.flush_telemetry(mark);
         outcome
     }
 
-    /// Attributes this run's cycle deltas to the telemetry registry.
-    /// Overhead cycles go to `run;dbt;{translate,dispatch,probes}` and
-    /// the remainder — pure guest execution — to `run;guest`, so the sum
-    /// of span cycles always equals the process's cycle delta.
-    fn flush_telemetry(&self, mark: StatsMark, cycles_at_entry: u64, cycles_at_exit: u64) {
+    /// Adds this run's counter deltas to the telemetry registry. Model
+    /// cycles are attributed by the profiler ([`EngineOptions::profile`]),
+    /// not here.
+    fn flush_telemetry(&self, mark: StatsMark) {
         if !janitizer_telemetry::enabled() {
             return;
         }
         let s = &self.stats;
-        let translate = s.translation_cycles - mark.translation_cycles;
-        let dispatch = s.dispatch_cycles - mark.dispatch_cycles;
-        let probes = s.probe_cycles - mark.probe_cycles;
-        let total = cycles_at_exit.saturating_sub(cycles_at_entry);
-        janitizer_telemetry::cycles("run;dbt;translate", translate);
-        janitizer_telemetry::cycles("run;dbt;dispatch", dispatch);
-        janitizer_telemetry::cycles("run;dbt;probes", probes);
-        janitizer_telemetry::cycles(
-            "run;guest",
-            total.saturating_sub(translate + dispatch + probes),
-        );
         janitizer_telemetry::counter_add(
             "dbt.blocks_translated",
             s.blocks_translated - mark.blocks_translated,

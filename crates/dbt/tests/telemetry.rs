@@ -24,13 +24,13 @@ fn proc_from(src: &str) -> Process {
 }
 
 #[test]
-fn telemetry_attributes_all_cycles() {
+fn telemetry_counts_match_engine_stats() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Baseline with telemetry off.
     let mut base = proc_from(LOOP_SUM);
     let base_out = Engine::new(EngineOptions::default()).run(&mut base, &mut NullTool, 1_000_000);
 
-    telemetry::install(Box::<telemetry::InMemoryCollector>::default());
+    telemetry::reset();
     telemetry::set_enabled(true);
     let mut p = proc_from(LOOP_SUM);
     let mut engine = Engine::new(EngineOptions::default());
@@ -44,23 +44,11 @@ fn telemetry_attributes_all_cycles() {
         "telemetry must not change the cost model"
     );
     assert_eq!(
-        reg.total_span_cycles(),
-        p.cycles,
-        "span paths must attribute 100% of cycles"
-    );
-    assert_eq!(
-        reg.spans["run;dbt;translate"].cycles,
-        engine.stats.translation_cycles
-    );
-    assert_eq!(
-        reg.spans["run;dbt;dispatch"].cycles,
-        engine.stats.dispatch_cycles
-    );
-    assert_eq!(
         reg.counter("dbt.blocks_translated"),
         engine.stats.blocks_translated
     );
     assert_eq!(reg.counter("dbt.guest_insns"), engine.stats.guest_insns);
+    assert_eq!(reg.counter("dbt.probe_runs"), engine.stats.probe_runs);
     assert_eq!(
         reg.histograms["dbt.block_insns"].count,
         engine.stats.blocks_translated
@@ -71,7 +59,7 @@ fn telemetry_attributes_all_cycles() {
 #[test]
 fn disabled_telemetry_is_inert() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::install(Box::<telemetry::InMemoryCollector>::default());
+    telemetry::reset();
     telemetry::set_enabled(false);
     let mut p = proc_from(LOOP_SUM);
     let mut engine = Engine::new(EngineOptions::default());

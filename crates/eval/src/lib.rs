@@ -392,7 +392,7 @@ static PROFILING: AtomicBool = AtomicBool::new(false);
 static PROFILES: Mutex<BTreeMap<(String, String), RunProfile>> = Mutex::new(BTreeMap::new());
 
 /// Turns profile collection on or off for subsequent figure runs
-/// (`explain` and `--profile` set this before running).
+/// (`explain` sets this before running).
 pub fn set_profiling(on: bool) {
     PROFILING.store(on, Ordering::Relaxed);
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! janitizer-eval [--scale S] [--trace FILE] [--threads N] \
 //!     [--reports DIR] [--juliet-limit N] [--inject-faults seed=N,rate=R] \
-//!     [fig7|...|fig14|soundness|rules|disasm <module>|profile <figure>|report <case>|all]
+//!     [fig7|...|fig14|soundness|rules|disasm <module>|report <case>|explain <figure>|all]
 //! ```
 //!
 //! Results print as aligned tables and are also written as CSV and JSON
@@ -12,11 +12,12 @@
 //! §3.3.1: rules "are recorded in separate files for each binary
 //! module").
 //!
-//! `profile <figure>` runs one figure with telemetry collection enabled
-//! and writes a JSON profile plus a folded-stack (`flamegraph.pl`-ready)
-//! cycle attribution under `results/`. `--trace FILE` enables collection
-//! for the whole invocation and writes the combined JSON profile to
-//! `FILE` on exit.
+//! `explain <figure|workload>` runs the target with the deterministic
+//! cycle profiler armed and writes its overhead attribution (a
+//! `janitizer.profile/v2` bundle, folded stacks and budget tables); it is
+//! the one view of modeled cycles. `--trace FILE` enables telemetry
+//! (counters, histograms, events and static-phase wall time) for the
+//! whole invocation and writes it as one JSON document to `FILE` on exit.
 //!
 //! `report <case>` re-runs one Juliet case's bad variant under
 //! JASan-hybrid with forensics enabled and prints the full ASan-style
@@ -75,23 +76,6 @@ fn run_figure(ew: &EvalWorld, name: &str) -> Option<FigResult> {
         "fig14" => fig14(ew),
         _ => return None,
     })
-}
-
-/// Writes the collected telemetry registry as a JSON profile and a
-/// folded-stack file.
-fn write_profile(
-    reg: &telemetry::Registry,
-    json_path: &str,
-    folded_path: &str,
-) -> std::io::Result<()> {
-    if let Some(dir) = std::path::Path::new(json_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    write_atomic(json_path, telemetry::export::to_json(reg).as_bytes())?;
-    write_atomic(folded_path, telemetry::export::to_folded(reg).as_bytes())?;
-    Ok(())
 }
 
 /// Writes `BENCH_eval.json`: host wall-clock per figure, rule-cache
@@ -369,14 +353,14 @@ usage: janitizer-eval [FLAGS] [SUBCOMMANDS]
 
 subcommands (default: all):
   all                      every figure plus BENCH_eval.json/BENCH_history.jsonl
-  fig7 .. fig14            one figure (fig10 is the Juliet detection suite)
+  fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
+                           one figure (fig10 is the Juliet detection suite)
   rules                    materialize per-module .jrul rewrite-rule files
   soundness                false-positive table on benign runs
   disasm <module>          disassemble one module
   report <case>            re-run one Juliet case with full forensics
   serve                    deterministic multi-client analysis-service simulation
   gauntlet                 hostile-module suite: analyzer vs no-evidence ablation
-  profile <figure>         run one figure with telemetry, write JSON + folded stacks
   explain <fig|workload>   overhead-attribution budgets + janitizer.profile/v2 bundle
   explain diff <A> <B>     rank per-site cycle deltas between two profile bundles
   explain trend            read BENCH_history.jsonl and print the wall-clock trend
@@ -386,9 +370,8 @@ flags:
   --threads N              worker threads (default: one per core; output is
                            byte-identical at any N)
   --out DIR                artifact directory (default results/)
-  --top N                  rows per ranked table (profile/explain/diff; default 10)
+  --top N                  rows per ranked table (explain/diff; default 10)
   --trace FILE             collect telemetry for the whole run, write FILE on exit
-  --profile                arm the deterministic cycle profiler for figure runs
   --reports DIR            fig10: write one forensics report pair per violation
   --juliet-limit N         fig10: truncate the Juliet suite (CI smoke)
   --inject-faults seed=N,rate=R
@@ -424,7 +407,6 @@ fn main() {
     let mut store_kill_after: Option<u64> = None;
     let mut quarantine_limit: Option<usize> = None;
     let mut serve_cfg = ServeSimConfig::default();
-    let mut profile_flag = false;
     let mut top = 10usize;
     let mut out_dir = "results".to_string();
     let mut metrics_out: Option<String> = None;
@@ -563,7 +545,6 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--profile" => profile_flag = true,
             "--top" => {
                 i += 1;
                 top = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -582,19 +563,8 @@ fn main() {
         }
         i += 1;
     }
-    // `profile <figure>` and `explain <figure|workload>` are extracted
-    // before figure selection so their targets don't double as figure
-    // requests.
-    let mut profile_target: Option<String> = None;
-    if let Some(pos) = which.iter().position(|w| w == "profile") {
-        let end = (pos + 2).min(which.len());
-        let mut taken: Vec<String> = which.drain(pos..end).collect();
-        profile_target = Some(if taken.len() == 2 {
-            taken.pop().expect("two elements")
-        } else {
-            "fig7".to_string()
-        });
-    }
+    // `explain <figure|workload>` is extracted before figure selection
+    // so its target doesn't double as a figure request.
     let mut explain_target: Option<String> = None;
     let mut explain_diff: Option<(String, String)> = None;
     let mut explain_trend = false;
@@ -624,12 +594,7 @@ fn main() {
             }
         }
     }
-    if which.is_empty()
-        && profile_target.is_none()
-        && explain_target.is_none()
-        && explain_diff.is_none()
-        && !explain_trend
-    {
+    if which.is_empty() && explain_target.is_none() && explain_diff.is_none() && !explain_trend {
         which.push("all".into());
     }
     // `explain diff` and `explain trend` are pure artifact readers — no
@@ -662,11 +627,8 @@ fn main() {
     if threads_flag > 0 {
         set_threads(threads_flag);
     }
-    if profile_flag {
-        set_profiling(true);
-    }
     if trace.is_some() {
-        telemetry::install(Box::<telemetry::InMemoryCollector>::default());
+        telemetry::reset();
         telemetry::set_enabled(true);
     }
     if flight_flag {
@@ -746,18 +708,6 @@ fn main() {
         if let Some(d) = dir {
             let n = std::fs::read_dir(d).map(|it| it.count()).unwrap_or(0);
             eprintln!("{n} report file(s) written to {}", d.display());
-        }
-    }
-    if profile_flag {
-        // Drain the figure runs' profiles now, before the `all` block's
-        // speedup re-runs would double-count fig14's cells.
-        let profiles = take_profiles();
-        if profiles.is_empty() {
-            eprintln!("--profile: no profiled runs (no figure requested?)");
-        } else {
-            println!("\n== overhead budgets ==");
-            let target = if all { "all" } else { "figures" };
-            write_explain_artifacts(target, top, &out_dir, &profiles, &mut failures);
         }
     }
     if want("rules") {
@@ -973,7 +923,6 @@ fn main() {
         // `explain <figure|workload>`: run the target with profiling
         // armed and export the three overhead-attribution artifacts.
         set_profiling(true);
-        let _ = take_profiles(); // cover exactly this target's runs
         if let Some(r) = run_figure(&ew, target) {
             print!("{}", r.render());
         } else if let Some(idx) = ew
@@ -1003,38 +952,10 @@ fn main() {
             );
             std::process::exit(2);
         }
-        set_profiling(profile_flag);
+        set_profiling(false);
         let profiles = take_profiles();
         println!("\n== overhead budgets ({target}) ==");
         write_explain_artifacts(target, top, &out_dir, &profiles, &mut failures);
-    }
-
-    if let Some(target) = &profile_target {
-        // Fresh collector so the profile covers exactly this figure —
-        // unless --trace is live, whose accumulated data must survive.
-        if trace.is_none() {
-            telemetry::install(Box::<telemetry::InMemoryCollector>::default());
-        }
-        telemetry::set_enabled(true);
-        let r = run_figure(&ew, target).unwrap_or_else(|| {
-            eprintln!("profile: unknown figure `{target}` (fig7..fig14, except fig10)");
-            std::process::exit(2);
-        });
-        telemetry::set_enabled(trace.is_some());
-        print!("{}", r.render());
-        persist(target, &r, &mut failures);
-        let reg = telemetry::snapshot();
-        let json_path = format!("results/profile-{target}.json");
-        let folded_path = format!("results/profile-{target}.folded");
-        match write_profile(&reg, &json_path, &folded_path) {
-            Ok(()) => eprintln!("profile written to {json_path} and {folded_path}"),
-            Err(e) => {
-                eprintln!("error: failed to write profile: {e}");
-                failures += 1;
-            }
-        }
-        println!("\n== cycle attribution ({target}) ==");
-        print!("{}", telemetry::export::to_summary(&reg));
     }
 
     if let Some(path) = &trace {

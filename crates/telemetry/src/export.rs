@@ -1,6 +1,4 @@
-//! Profile exporters: JSON documents, OpenMetrics-style text,
-//! folded-stack ("flamegraph") text, and a human-readable per-phase
-//! summary table.
+//! Profile exporters: JSON documents and OpenMetrics-style text.
 
 use crate::json::Json;
 use crate::registry::{Histogram, Registry};
@@ -45,7 +43,6 @@ pub fn to_json(reg: &Registry) -> String {
                     ("calls", Json::U64(s.calls)),
                     ("wall_ns", Json::U64(s.wall_ns)),
                     ("wall_ms", Json::F64(s.wall_ms())),
-                    ("cycles", Json::U64(s.cycles)),
                 ])
             })
             .collect(),
@@ -77,7 +74,6 @@ pub fn to_json(reg: &Registry) -> String {
             .collect(),
     );
     Json::obj([
-        ("total_span_cycles", Json::U64(reg.total_span_cycles())),
         ("spans", spans),
         ("counters", counters),
         ("gauges", gauges),
@@ -178,49 +174,6 @@ pub fn to_openmetrics(reg: &Registry) -> String {
     out
 }
 
-/// Renders span cycles as folded stacks — one `path;to;frame N` line per
-/// span path with attributed cycles, ready for `flamegraph.pl` or
-/// speedscope. Wall time is deliberately excluded: cycles are the
-/// deterministic unit of the cost model.
-pub fn to_folded(reg: &Registry) -> String {
-    let mut out = String::new();
-    for (path, s) in &reg.spans {
-        if s.cycles > 0 {
-            let _ = writeln!(out, "{path} {}", s.cycles);
-        }
-    }
-    out
-}
-
-/// Renders a per-phase summary table: calls, attributed cycles, share of
-/// all attributed cycles, and wall time where measured.
-pub fn to_summary(reg: &Registry) -> String {
-    let total = reg.total_span_cycles().max(1);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<40}{:>10}{:>16}{:>8}{:>12}",
-        "phase", "calls", "cycles", "%", "wall ms"
-    );
-    for (path, s) in &reg.spans {
-        let _ = writeln!(
-            out,
-            "{:<40}{:>10}{:>16}{:>8.2}{:>12.3}",
-            path,
-            s.calls,
-            s.cycles,
-            s.cycles as f64 * 100.0 / total as f64,
-            s.wall_ms()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{:<40}{:>10}{:>16}{:>8.2}",
-        "total", "", reg.total_span_cycles(), 100.0
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,20 +181,12 @@ mod tests {
 
     fn sample() -> Registry {
         let mut r = Registry::new();
-        r.span_complete("run;dbt;translate", 1_500, 300);
-        r.span_complete("run;guest", 9_000, 700);
+        r.span_complete("static;liveness", 1_500);
+        r.span_complete("static;canaries", 9_000);
         r.counter_add("dbt.blocks_translated", 4);
         r.histogram_record("dbt.block_insns", 12);
         r.event("vm.syscall", vec![("no".into(), Value::U64(3))]);
         r
-    }
-
-    /// Golden-file check: the folded exporter's exact output format is a
-    /// public contract (flamegraph.pl consumes it).
-    #[test]
-    fn folded_golden() {
-        let golden = "run;dbt;translate 300\nrun;guest 700\n";
-        assert_eq!(to_folded(&sample()), golden);
     }
 
     #[test]
@@ -250,8 +195,7 @@ mod tests {
         let b = to_json(&sample());
         assert_eq!(a, b, "export must be deterministic");
         for needle in [
-            "\"total_span_cycles\": 1000",
-            "\"run;dbt;translate\"",
+            "\"static;liveness\"",
             "\"wall_ms\": 0.0015",
             "\"dbt.blocks_translated\": 4",
             "\"vm.syscall\": 1",
@@ -259,6 +203,7 @@ mod tests {
         ] {
             assert!(a.contains(needle), "missing {needle} in:\n{a}");
         }
+        assert!(!a.contains("cycles"), "spans carry no model cycles:\n{a}");
     }
 
     /// Golden-file check: the OpenMetrics exposition format is a public
@@ -290,12 +235,5 @@ serve_analyze_units_count 2
         assert_eq!(to_openmetrics(&r), golden);
         // Deterministic on repeat.
         assert_eq!(to_openmetrics(&r), to_openmetrics(&r));
-    }
-
-    #[test]
-    fn summary_shows_percentages() {
-        let s = to_summary(&sample());
-        assert!(s.contains("run;guest"));
-        assert!(s.contains("70.00"), "guest is 70% of cycles:\n{s}");
     }
 }

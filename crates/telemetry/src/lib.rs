@@ -1,28 +1,28 @@
 //! # Janitizer telemetry
 //!
 //! Structured tracing and metrics for the whole stack: a
-//! zero-cost-when-disabled span/event API over a pluggable [`Collector`],
-//! a metrics registry with named counters, gauges and power-of-two
-//! cycle/byte histograms, an always-on bounded [`flight`] recorder for
-//! black-box dumps, and exporters for JSON profiles, OpenMetrics text,
-//! folded-stack ("flamegraph") text and per-phase summary tables.
+//! zero-cost-when-disabled span/event API over one process-wide
+//! [`Registry`], named counters, gauges and power-of-two histograms, an
+//! always-on bounded [`flight`] recorder for black-box dumps, and
+//! exporters for JSON profiles and OpenMetrics text.
 //!
 //! Telemetry is **disabled by default**: every entry point first checks
 //! one relaxed atomic and bails, so instrumented hot paths pay a single
-//! predictable branch. Because the Janitizer cost model is deterministic
-//! (cycles, not wall time), enabling collection never changes a result —
-//! collection only *observes* counters the pipeline already computes.
+//! predictable branch. Collection only *observes* counters the pipeline
+//! already computes, so enabling it never changes a result. Spans carry
+//! calls and host wall time; model cycles are attributed by the
+//! `janitizer-profile` crate (`janitizer-eval explain`), not here.
 //!
 //! ```
 //! janitizer_telemetry::set_enabled(true);
 //! janitizer_telemetry::reset();
 //! {
-//!     let span = janitizer_telemetry::span!("static;liveness");
-//!     span.add_cycles(128);
+//!     let _span = janitizer_telemetry::span!("static;liveness");
 //!     janitizer_telemetry::counter_add("analysis.fixpoint_rounds", 3);
 //! }
 //! let profile = janitizer_telemetry::snapshot();
-//! assert_eq!(profile.spans["static;liveness"].cycles, 128);
+//! assert_eq!(profile.spans["static;liveness"].calls, 1);
+//! assert_eq!(profile.counter("analysis.fixpoint_rounds"), 3);
 //! janitizer_telemetry::set_enabled(false);
 //! ```
 
@@ -33,85 +33,20 @@ pub mod registry;
 
 pub use registry::{EventRecord, Gauge, Histogram, Registry, SpanStat, Value, WindowedHistogram};
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// A telemetry sink. The default collector aggregates into an in-memory
-/// [`Registry`]; embedders can [`install`] their own (e.g. a streaming
-/// writer) without touching instrumented code.
-pub trait Collector: Send {
-    /// A span at `path` (`;`-joined names, innermost last) completed.
-    fn span_complete(&mut self, path: &str, wall_ns: u64, cycles: u64);
-    /// `cycles` were attributed directly to `path` (no call recorded).
-    fn cycles(&mut self, path: &str, cycles: u64);
-    /// Counter `name` increased by `delta`.
-    fn counter_add(&mut self, name: &str, delta: u64);
-    /// Gauge `name` was set to an absolute level. Default no-op keeps
-    /// pre-gauge collectors source-compatible.
-    fn gauge_set(&mut self, _name: &str, _value: i64) {}
-    /// Gauge `name` moved by `delta` relative to its current level.
-    fn gauge_add(&mut self, _name: &str, _delta: i64) {}
-    /// `value` was recorded into histogram `name`.
-    fn histogram_record(&mut self, name: &str, value: u64);
-    /// A structured event was emitted.
-    fn event(&mut self, name: &str, fields: Vec<(String, Value)>);
-    /// Current aggregated state (empty for streaming collectors).
-    fn snapshot(&self) -> Registry {
-        Registry::new()
-    }
-    /// Clears accumulated state.
-    fn reset(&mut self) {}
-}
-
-/// The default collector: aggregates everything into a [`Registry`].
-#[derive(Debug, Default)]
-pub struct InMemoryCollector {
-    registry: Registry,
-}
-
-impl Collector for InMemoryCollector {
-    fn span_complete(&mut self, path: &str, wall_ns: u64, cycles: u64) {
-        self.registry.span_complete(path, wall_ns, cycles);
-    }
-    fn cycles(&mut self, path: &str, cycles: u64) {
-        self.registry.attribute_cycles(path, cycles);
-    }
-    fn counter_add(&mut self, name: &str, delta: u64) {
-        self.registry.counter_add(name, delta);
-    }
-    fn gauge_set(&mut self, name: &str, value: i64) {
-        self.registry.gauge_set(name, value);
-    }
-    fn gauge_add(&mut self, name: &str, delta: i64) {
-        self.registry.gauge_add(name, delta);
-    }
-    fn histogram_record(&mut self, name: &str, value: u64) {
-        self.registry.histogram_record(name, value);
-    }
-    fn event(&mut self, name: &str, fields: Vec<(String, Value)>) {
-        self.registry.event(name, fields);
-    }
-    fn snapshot(&self) -> Registry {
-        self.registry.clone()
-    }
-    fn reset(&mut self) {
-        self.registry = Registry::new();
-    }
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static COLLECTOR: Mutex<Option<Box<dyn Collector>>> = Mutex::new(None);
+static COLLECTOR: Mutex<Registry> = Mutex::new(Registry::new());
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-fn with_collector<R>(f: impl FnOnce(&mut dyn Collector) -> R) -> R {
-    let mut guard = COLLECTOR.lock().unwrap_or_else(|e| e.into_inner());
-    let collector = guard.get_or_insert_with(|| Box::<InMemoryCollector>::default());
-    f(collector.as_mut())
+fn collector() -> MutexGuard<'static, Registry> {
+    COLLECTOR.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Whether telemetry collection is currently on.
@@ -125,36 +60,21 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Replaces the active collector.
-pub fn install(collector: Box<dyn Collector>) {
-    *COLLECTOR.lock().unwrap_or_else(|e| e.into_inner()) = Some(collector);
-}
-
-/// Clears the active collector's accumulated state.
+/// Clears the accumulated state.
 pub fn reset() {
-    with_collector(|c| c.reset());
+    *collector() = Registry::new();
 }
 
-/// Returns the active collector's aggregated state.
+/// Returns a copy of the aggregated state.
 pub fn snapshot() -> Registry {
-    with_collector(|c| c.snapshot())
+    collector().clone()
 }
 
 /// An RAII scope timer. Created by [`span()`]/[`span!`]; on drop it
-/// reports its wall time and explicitly attributed cycles under the
-/// nesting path of all open spans on this thread.
+/// reports its wall time under the nesting path of all open spans on
+/// this thread.
 pub struct Span {
     start: Option<Instant>,
-    cycles: Cell<u64>,
-}
-
-impl Span {
-    /// Attributes `n` deterministic model cycles to this span.
-    pub fn add_cycles(&self, n: u64) {
-        if self.start.is_some() {
-            self.cycles.set(self.cycles.get() + n);
-        }
-    }
 }
 
 impl Drop for Span {
@@ -167,7 +87,7 @@ impl Drop for Span {
             s.pop();
             path
         });
-        with_collector(|c| c.span_complete(&path, wall_ns, self.cycles.get()));
+        collector().span_complete(&path, wall_ns);
     }
 }
 
@@ -175,52 +95,39 @@ impl Drop for Span {
 /// thread. Returns an inert guard when telemetry is disabled.
 pub fn span(name: &'static str) -> Span {
     if !enabled() {
-        return Span {
-            start: None,
-            cycles: Cell::new(0),
-        };
+        return Span { start: None };
     }
     SPAN_STACK.with(|s| s.borrow_mut().push(name));
     Span {
         start: Some(Instant::now()),
-        cycles: Cell::new(0),
-    }
-}
-
-/// Attributes `n` cycles directly to the absolute span path `path`
-/// (`;`-joined). Used by engines that account cycles in bulk at the end
-/// of a run instead of opening a span per basic block.
-pub fn cycles(path: &str, n: u64) {
-    if enabled() && n > 0 {
-        with_collector(|c| c.cycles(path, n));
     }
 }
 
 /// Adds `delta` to counter `name`.
 pub fn counter_add(name: &str, delta: u64) {
     if enabled() && delta > 0 {
-        with_collector(|c| c.counter_add(name, delta));
+        collector().counter_add(name, delta);
     }
 }
 
 /// Sets gauge `name` to an absolute level.
 pub fn gauge_set(name: &str, value: i64) {
     if enabled() {
-        with_collector(|c| c.gauge_set(name, value));
+        collector().gauge_set(name, value);
     }
 }
 
 /// Moves gauge `name` by `delta`.
 pub fn gauge_add(name: &str, delta: i64) {
     if enabled() && delta != 0 {
-        with_collector(|c| c.gauge_add(name, delta));
+        collector().gauge_add(name, delta);
     }
 }
 
 /// Records `value` into histogram `name`.
 pub fn histogram_record(name: &str, value: u64) {
     if enabled() {
-        with_collector(|c| c.histogram_record(name, value));
+        collector().histogram_record(name, value);
     }
 }
 
@@ -228,7 +135,7 @@ pub fn histogram_record(name: &str, value: u64) {
 /// building the field vector when telemetry is off.
 pub fn event(name: &str, fields: Vec<(String, Value)>) {
     if enabled() {
-        with_collector(|c| c.event(name, fields));
+        collector().event(name, fields);
     }
 }
 

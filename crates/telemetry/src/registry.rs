@@ -253,15 +253,10 @@ pub struct SpanStat {
     pub calls: u64,
     /// Total wall time spent inside the span (inclusive of children).
     pub wall_ns: u64,
-    /// Cycles attributed to exactly this path (exclusive — direct
-    /// attributions only, so the folded-stack export needs no
-    /// subtraction).
-    pub cycles: u64,
 }
 
 impl SpanStat {
-    /// Wall time in milliseconds — the host-time view of [`SpanStat::wall_ns`],
-    /// surfaced in span summaries next to the deterministic cycle counts.
+    /// Wall time in milliseconds — [`SpanStat::wall_ns`] as exported.
     pub fn wall_ms(&self) -> f64 {
         self.wall_ns as f64 / 1e6
     }
@@ -300,8 +295,16 @@ pub struct Registry {
 
 impl Registry {
     /// Creates an empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
+    pub const fn new() -> Registry {
+        Registry {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            spans: BTreeMap::new(),
+            events: Vec::new(),
+            event_counts: BTreeMap::new(),
+            events_dropped: 0,
+        }
     }
 
     /// Adds `delta` to counter `name`.
@@ -337,16 +340,10 @@ impl Registry {
     }
 
     /// Marks one completed entry of span `path`, adding wall time.
-    pub fn span_complete(&mut self, path: &str, wall_ns: u64, cycles: u64) {
+    pub fn span_complete(&mut self, path: &str, wall_ns: u64) {
         let s = self.spans.entry(path.to_string()).or_default();
         s.calls += 1;
         s.wall_ns += wall_ns;
-        s.cycles += cycles;
-    }
-
-    /// Attributes `cycles` to span `path` without counting a call.
-    pub fn attribute_cycles(&mut self, path: &str, cycles: u64) {
-        self.spans.entry(path.to_string()).or_default().cycles += cycles;
     }
 
     /// Appends an event.
@@ -362,11 +359,6 @@ impl Registry {
         } else {
             self.events_dropped += 1;
         }
-    }
-
-    /// Sum of cycles attributed across all span paths.
-    pub fn total_span_cycles(&self) -> u64 {
-        self.spans.values().map(|s| s.cycles).sum()
     }
 
     /// Merges another registry into this one (used to fold per-run
@@ -400,7 +392,6 @@ impl Registry {
             let mine = self.spans.entry(k.clone()).or_default();
             mine.calls += s.calls;
             mine.wall_ns += s.wall_ns;
-            mine.cycles += s.cycles;
         }
         for e in &other.events {
             self.event(&e.name, e.fields.clone());
@@ -534,7 +525,7 @@ mod tests {
             r.histogram_record("h", seed * 1000 + 1);
             r.gauge_set("g", seed as i64 * 3);
             r.gauge_add("g", -(seed as i64));
-            r.span_complete("x;y", seed, seed * 10);
+            r.span_complete("x;y", seed);
             r
         };
         let (a, b) = (mk(2), mk(5));
@@ -566,22 +557,22 @@ mod tests {
         let mut a = Registry::new();
         a.counter_add("c", 1);
         a.histogram_record("h", 8);
-        a.span_complete("x;y", 10, 100);
+        a.span_complete("x;y", 10);
         a.event("e", vec![("k".into(), Value::U64(1))]);
 
         let mut b = Registry::new();
         b.counter_add("c", 2);
         b.histogram_record("h", 16);
-        b.span_complete("x;y", 5, 50);
-        b.attribute_cycles("x;z", 7);
+        b.span_complete("x;y", 5);
+        b.span_complete("x;z", 7);
         b.event("e", vec![("k".into(), Value::U64(2))]);
 
         a.merge(&b);
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.histograms["h"].count, 2);
         assert_eq!(a.spans["x;y"].calls, 2);
-        assert_eq!(a.spans["x;y"].cycles, 150);
-        assert_eq!(a.spans["x;z"].cycles, 7);
+        assert_eq!(a.spans["x;y"].wall_ns, 15);
+        assert_eq!(a.spans["x;z"].wall_ns, 7);
         assert_eq!(a.events.len(), 2);
         assert_eq!(a.event_counts["e"], 2);
     }

@@ -380,19 +380,13 @@ impl Process {
 
     /// Runs the process natively (no instrumentation) until exit, fault,
     /// or `fuel` cycles.
-    pub fn run_native(&mut self, fuel: u64) -> Exit {
-        let cycles_at_entry = self.cycles;
-        let exit = self.run_native_inner(fuel);
-        janitizer_telemetry::cycles("run;native", self.cycles.saturating_sub(cycles_at_entry));
-        exit
-    }
-
+    ///
     /// Block-at-a-time through the execution kernel, from a cache of
     /// decoded blocks dropped whenever executable memory changes. The
     /// kernel stops between instructions on fuel exhaustion and after
     /// a write to executable memory, so exits, faults, fuel and
     /// self-modifying code behave as under a per-instruction loop.
-    fn run_native_inner(&mut self, fuel: u64) -> Exit {
+    pub fn run_native(&mut self, fuel: u64) -> Exit {
         let mut cache: PcMap<Box<[Op]>> = PcMap::default();
         let mut cache_gen = self.mem.code_generation();
         loop {
