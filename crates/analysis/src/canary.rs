@@ -35,7 +35,9 @@ pub fn find_canary_sites(cfg: &ModuleCfg) -> Vec<CanarySite> {
         for w in block.insns.windows(2) {
             let (_, a) = w[0];
             let (st_addr, b) = w[1];
-            let Instr::RdTls { rd, off } = a else { continue };
+            let Instr::RdTls { rd, off } = a else {
+                continue;
+            };
             if off != TLS_CANARY_OFFSET {
                 continue;
             }
@@ -66,7 +68,9 @@ pub fn find_canary_sites(cfg: &ModuleCfg) -> Vec<CanarySite> {
                     let (_, x) = w2[0];
                     let (ld_addr, y) = w2[1];
                     let (_, z) = w2[2];
-                    let Instr::RdTls { off: o2, .. } = x else { continue };
+                    let Instr::RdTls { off: o2, .. } = x else {
+                        continue;
+                    };
                     if o2 != TLS_CANARY_OFFSET {
                         continue;
                     }
@@ -92,7 +96,9 @@ pub fn find_canary_sites(cfg: &ModuleCfg) -> Vec<CanarySite> {
                     break 'search;
                 }
             }
-            let Some(check_load_addr) = check_load else { continue };
+            let Some(check_load_addr) = check_load else {
+                continue;
+            };
             // Poison point: the instruction following the store.
             let poison_at = block
                 .insns

@@ -319,10 +319,11 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
                 let mut targets = Vec::new();
                 for i in 0..n {
                     match read_pointer(image, tbl + i * 8) {
-                        Some(t) if image
-                            .section_containing(t)
-                            .map(|s| s.kind.is_code())
-                            .unwrap_or(false) =>
+                        Some(t)
+                            if image
+                                .section_containing(t)
+                                .map(|s| s.kind.is_code())
+                                .unwrap_or(false) =>
                         {
                             targets.push(t)
                         }
@@ -384,10 +385,20 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
                 Instr::CallInd { .. } => break (Term::IndirectCall, vec![next], None, next),
                 Instr::JmpInd { .. } => {
                     if let Some(ts) = resolved_ind.get(&pc) {
-                        break (Term::IndirectJump { resolved: true }, ts.clone(), None, next);
+                        break (
+                            Term::IndirectJump { resolved: true },
+                            ts.clone(),
+                            None,
+                            next,
+                        );
                     }
                     unresolved.push(pc);
-                    break (Term::IndirectJump { resolved: false }, Vec::new(), None, next);
+                    break (
+                        Term::IndirectJump { resolved: false },
+                        Vec::new(),
+                        None,
+                        next,
+                    );
                 }
                 Instr::Ret => break (Term::Ret, Vec::new(), None, next),
                 Instr::Halt | Instr::Trap => break (Term::Stop, Vec::new(), None, next),

@@ -27,10 +27,7 @@ pub fn disassemble(image: &Image, cfg: &ModuleCfg) -> String {
         sym_at.entry(s.value).or_default().push(&s.name);
     }
     for p in &image.plt {
-        sym_at
-            .entry(p.plt_offset)
-            .or_default()
-            .push(&p.symbol); // stub label
+        sym_at.entry(p.plt_offset).or_default().push(&p.symbol); // stub label
     }
 
     let mut last_section = None;

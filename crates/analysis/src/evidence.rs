@@ -195,7 +195,12 @@ fn decode_chain(
     for _ in 0..96 {
         if base.insn_boundaries.contains(&pc) {
             // Merges consistently into known code.
-            return Some(Chain { start, end: pc, starts, all_nop });
+            return Some(Chain {
+                start,
+                end: pc,
+                starts,
+                all_nop,
+            });
         }
         if in_recovered(pc) {
             // Misaligned overlap with recovered code: contradictory.
@@ -229,12 +234,13 @@ fn decode_chain(
             }
         }
         match insn {
-            Instr::Jmp { .. }
-            | Instr::JmpInd { .. }
-            | Instr::Ret
-            | Instr::Halt
-            | Instr::Trap => {
-                return Some(Chain { start, end: next, starts, all_nop });
+            Instr::Jmp { .. } | Instr::JmpInd { .. } | Instr::Ret | Instr::Halt | Instr::Trap => {
+                return Some(Chain {
+                    start,
+                    end: next,
+                    starts,
+                    all_nop,
+                });
             }
             _ => pc = next,
         }
@@ -332,7 +338,9 @@ fn scan_pointer_facts(image: &Image, base: &ModuleCfg) -> BTreeMap<u64, i32> {
     // offset wins, as in [`crate::read_pointer`].
     let mut relocs: PcMap<Option<u64>> = PcMap::default();
     for r in &image.dyn_relocs {
-        relocs.entry(r.offset).or_insert_with(|| reloc_pointer(&r.target));
+        relocs
+            .entry(r.offset)
+            .or_insert_with(|| reloc_pointer(&r.target));
     }
     let mut refs: BTreeMap<u64, i32> = BTreeMap::new();
     for sec in &image.sections {

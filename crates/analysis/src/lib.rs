@@ -56,4 +56,6 @@ pub use evidence::{
     RegionCause,
 };
 pub use liveness::{compute_liveness, Liveness, ALL_REGS};
-pub use loops::{find_loops, frame_sizes, loop_invariant_accesses, Induction, InvariantAccess, Loop};
+pub use loops::{
+    find_loops, frame_sizes, loop_invariant_accesses, Induction, InvariantAccess, Loop,
+};

@@ -181,7 +181,11 @@ pub fn compute_liveness(cfg: &ModuleCfg) -> Liveness {
         // optimistic, so optimizing on them would be unsound. Fall back
         // to the empty (all-live) fact set.
         janitizer_telemetry::counter_add("analysis.fuel_exhausted", 1);
-        janitizer_telemetry::event!("analysis.fuel_exhausted", analysis = "liveness", rounds = rounds);
+        janitizer_telemetry::event!(
+            "analysis.fuel_exhausted",
+            analysis = "liveness",
+            rounds = rounds
+        );
         return Liveness::default();
     }
 

@@ -97,8 +97,7 @@ pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
                 }
                 // predecessors of b
                 for (&pa, pb) in &cfg.blocks {
-                    if pb.succs.contains(&b) && pa >= header && pa <= latch && !body.contains(&pa)
-                    {
+                    if pb.succs.contains(&b) && pa >= header && pa <= latch && !body.contains(&pa) {
                         work.push(pa);
                     }
                 }
@@ -111,8 +110,10 @@ pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
             for b in &body {
                 for (_, insn) in &cfg.blocks[b].insns {
                     clobbered |= insn.defs();
-                    if matches!(insn, Instr::Call { .. } | Instr::CallInd { .. } | Instr::Syscall)
-                    {
+                    if matches!(
+                        insn,
+                        Instr::Call { .. } | Instr::CallInd { .. } | Instr::Syscall
+                    ) {
                         clobbered = 0xffff; // calls may clobber anything
                     }
                 }
@@ -164,7 +165,10 @@ pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
             let induction = steps
                 .iter()
                 .find(|(r, (_, n))| *n == 1 && compared.contains(r))
-                .map(|(r, (step, _))| Induction { reg: *r, step: *step });
+                .map(|(r, (step, _))| Induction {
+                    reg: *r,
+                    step: *step,
+                });
             loops.push(Loop {
                 header,
                 body,
@@ -187,7 +191,9 @@ pub fn loop_invariant_accesses(cfg: &ModuleCfg, loops: &[Loop]) -> Vec<Invariant
             continue; // a call inside the loop spoils everything
         }
         for b in &lp.body {
-            let Some(block) = cfg.blocks.get(b) else { continue };
+            let Some(block) = cfg.blocks.get(b) else {
+                continue;
+            };
             for (addr, insn) in &block.insns {
                 let Some(m) = insn.mem_access() else { continue };
                 // Stack-relative operands are already cheap; skip them.
@@ -219,7 +225,9 @@ pub fn loop_invariant_accesses(cfg: &ModuleCfg, loops: &[Loop]) -> Vec<Invariant
 pub fn frame_sizes(cfg: &ModuleCfg) -> HashMap<u64, u64> {
     let mut out = HashMap::new();
     for f in &cfg.functions {
-        let Some(block) = cfg.blocks.get(&f.entry) else { continue };
+        let Some(block) = cfg.blocks.get(&f.entry) else {
+            continue;
+        };
         // push fp; mov fp, sp; sub sp, N
         for (_, insn) in block.insns.iter().take(4) {
             if let Instr::AluRi {

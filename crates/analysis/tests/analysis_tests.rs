@@ -22,7 +22,8 @@ fn image_from_c(src: &str, opts: &CompileOptions) -> Image {
 
 #[test]
 fn straightline_single_block() {
-    let img = image_from_asm(".section text\n.global _start\n_start:\n mov r0, 1\n add r0, 2\n ret\n");
+    let img =
+        image_from_asm(".section text\n.global _start\n_start:\n mov r0, 1\n add r0, 2\n ret\n");
     let cfg = analyze_module(&img);
     assert_eq!(cfg.blocks.len(), 1);
     let b = cfg.blocks.values().next().unwrap();
@@ -183,9 +184,7 @@ fn liveness_flags() {
 
 #[test]
 fn liveness_conservative_at_unresolved_indirect() {
-    let img = image_from_asm(
-        ".section text\n.global _start\n_start:\n st8 [r1], r0\n jmp r2\n",
-    );
+    let img = image_from_asm(".section text\n.global _start\n_start:\n st8 [r1], r0\n jmp r2\n");
     let cfg = analyze_module(&img);
     let lv = compute_liveness(&cfg);
     let block = cfg.blocks.values().next().unwrap();
@@ -233,7 +232,10 @@ fn ipa_ra_inbound_detection() {
     let cfg2 = analyze_module(&img2);
     let lv2 = compute_liveness(&cfg2);
     let leaf2 = cfg2.functions.iter().find(|f| f.name == "leaf").unwrap();
-    assert_eq!(lv2.inbound.get(&leaf2.entry).copied().unwrap_or(0) & 0b111100, 0);
+    assert_eq!(
+        lv2.inbound.get(&leaf2.entry).copied().unwrap_or(0) & 0b111100,
+        0
+    );
 }
 
 #[test]
@@ -387,7 +389,10 @@ fn def_use_chains() {
     let (use2_addr, _) = block.insns[2];
     assert!(du.may_reach(mov_addr, use1_addr, Reg::R1));
     assert!(du.may_reach(mov_addr, use2_addr, Reg::R1));
-    assert_eq!(du.defs_of_use(use1_addr, Reg::R1), vec![Def::Insn(mov_addr)]);
+    assert_eq!(
+        du.defs_of_use(use1_addr, Reg::R1),
+        vec![Def::Insn(mov_addr)]
+    );
 }
 
 #[test]
@@ -421,16 +426,23 @@ fn def_use_across_blocks_and_calls() {
     // path).
     let (use_r0, _) = all
         .iter()
-        .find(|(_, i)| matches!(i, Instr::MovRr { rd: Reg::R2, rs: Reg::R0 }))
+        .find(|(_, i)| {
+            matches!(
+                i,
+                Instr::MovRr {
+                    rd: Reg::R2,
+                    rs: Reg::R0
+                }
+            )
+        })
         .unwrap();
     assert!(!du.defs_of_use(*use_r0, Reg::R0).is_empty());
 }
 
 #[test]
 fn block_and_function_queries() {
-    let img = image_from_asm(
-        ".section text\n.global _start\n_start:\n nop\n nop\n ret\nother:\n ret\n",
-    );
+    let img =
+        image_from_asm(".section text\n.global _start\n_start:\n nop\n nop\n ret\nother:\n ret\n");
     let cfg = analyze_module(&img);
     let start = img.symbol("_start").unwrap().value;
     assert_eq!(cfg.function_containing(start + 1).unwrap().name, "_start");
@@ -464,8 +476,15 @@ fn landing_pad_anchor_proves_an_otherwise_unreachable_helper() {
         "without evidence the helper is unreachable"
     );
     let res = analyze_tiered(&img);
-    assert!(res.cfg.blocks.contains_key(&helper), "anchor seeds recovery");
-    assert_eq!(res.tier_at(helper), ConfidenceTier::Proven, "anchors are ground truth");
+    assert!(
+        res.cfg.blocks.contains_key(&helper),
+        "anchor seeds recovery"
+    );
+    assert_eq!(
+        res.tier_at(helper),
+        ConfidenceTier::Proven,
+        "anchors are ground truth"
+    );
     assert!(res.degraded.is_empty());
 }
 
@@ -475,8 +494,14 @@ fn data_access_inside_an_anchored_block_does_not_demote_it() {
     let read = " la r1, helper\n ld8 r2, [r1]\n";
     let (img, helper) = helper_module(read, true, false);
     let res = analyze_tiered(&img);
-    assert!(res.data_regions.contains(&(helper, 1)), "the data fact fires");
-    assert!(!res.tiers.contains_key(&helper), "anchored block stays Proven");
+    assert!(
+        res.data_regions.contains(&(helper, 1)),
+        "the data fact fires"
+    );
+    assert!(
+        !res.tiers.contains_key(&helper),
+        "anchored block stays Proven"
+    );
     assert!(res.degraded.is_empty(), "nothing degraded");
 
     // The same read demotes the helper when it is reached by a direct

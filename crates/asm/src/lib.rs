@@ -64,12 +64,7 @@ mod tests {
     }
 
     fn asm_pic(src: &str) -> janitizer_obj::Object {
-        assemble(
-            "test.s",
-            src,
-            &AsmOptions { pic: true },
-        )
-        .expect("assembly failed")
+        assemble("test.s", src, &AsmOptions { pic: true }).expect("assembly failed")
     }
 
     fn decode_all(data: &[u8]) -> Vec<Instr> {
@@ -85,28 +80,37 @@ mod tests {
 
     #[test]
     fn basic_instructions_assemble() {
-        let obj = asm(
-            ".section text\n\
+        let obj = asm(".section text\n\
              start:\n\
              \tnop\n\
              \tmov r0, 5\n\
              \tmov r1, r0\n\
              \tadd r1, 3\n\
              \tsub r1, r0\n\
-             \tret\n",
-        );
+             \tret\n");
         let text = obj.section(SectionKind::Text).unwrap();
         let insns = decode_all(&text.data);
         assert_eq!(insns[0], Instr::Nop);
-        assert_eq!(insns[1], Instr::MovI32 { rd: Reg::R0, imm: 5 });
-        assert_eq!(insns[2], Instr::MovRr { rd: Reg::R1, rs: Reg::R0 });
+        assert_eq!(
+            insns[1],
+            Instr::MovI32 {
+                rd: Reg::R0,
+                imm: 5
+            }
+        );
+        assert_eq!(
+            insns[2],
+            Instr::MovRr {
+                rd: Reg::R1,
+                rs: Reg::R0
+            }
+        );
         assert_eq!(insns[5], Instr::Ret);
     }
 
     #[test]
     fn memory_operands() {
-        let obj = asm(
-            ".section text\n\
+        let obj = asm(".section text\n\
              f:\n\
              \tld8 r1, [sp+8]\n\
              \tld4 r2, [r1]\n\
@@ -114,11 +118,17 @@ mod tests {
              \tld8 r3, [r1+r2*8+16]\n\
              \tst8 [r1+r2*1], r3\n\
              \tlea r4, [fp-32]\n\
-             \tret\n",
-        );
+             \tret\n");
         let text = obj.section(SectionKind::Text).unwrap();
         let insns = decode_all(&text.data);
-        assert!(matches!(insns[0], Instr::Ld { base: Reg::R15, disp: 8, .. }));
+        assert!(matches!(
+            insns[0],
+            Instr::Ld {
+                base: Reg::R15,
+                disp: 8,
+                ..
+            }
+        ));
         assert!(matches!(insns[2], Instr::St { disp: -4, .. }));
         assert!(matches!(
             insns[3],
@@ -129,26 +139,33 @@ mod tests {
             }
         ));
         assert!(matches!(insns[4], Instr::StIdx { scale: 0, .. }));
-        assert!(matches!(insns[5], Instr::Lea { base: Reg::R14, disp: -32, .. }));
+        assert!(matches!(
+            insns[5],
+            Instr::Lea {
+                base: Reg::R14,
+                disp: -32,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn local_branches_resolve_without_relocs() {
-        let obj = asm(
-            ".section text\n\
+        let obj = asm(".section text\n\
              f:\n\
              \tcmp r0, 0\n\
              \tje out\n\
              \tsub r0, 1\n\
              \tjmp f\n\
              out:\n\
-             \tret\n",
-        );
+             \tret\n");
         assert!(obj.relocs.is_empty(), "local branches need no relocations");
         let text = obj.section(SectionKind::Text).unwrap();
         let insns = decode_all(&text.data);
         // jmp f: backwards branch.
-        let Instr::Jmp { rel } = insns[3] else { panic!() };
+        let Instr::Jmp { rel } = insns[3] else {
+            panic!()
+        };
         assert!(rel < 0);
     }
 
@@ -195,15 +212,13 @@ mod tests {
 
     #[test]
     fn data_directives() {
-        let obj = asm(
-            ".section data\n\
+        let obj = asm(".section data\n\
              bytes: .byte 1, 2, 0xff\n\
              words: .word 0x11223344\n\
              quads: .quad 0x1122334455667788\n\
              blob:  .space 10\n\
              text1: .ascii \"ab\"\n\
-             text2: .asciz \"cd\"\n",
-        );
+             text2: .asciz \"cd\"\n");
         let data = obj.section(SectionKind::Data).unwrap();
         assert_eq!(&data.data[0..3], &[1, 2, 0xff]);
         assert_eq!(&data.data[3..7], &0x11223344u32.to_le_bytes());
@@ -215,10 +230,8 @@ mod tests {
 
     #[test]
     fn quad_with_symbol_emits_abs64() {
-        let obj = asm(
-            ".section text\nf:\n\tret\ng:\n\tret\n\
-             .section rodata\ntbl: .quad f, g\n",
-        );
+        let obj = asm(".section text\nf:\n\tret\ng:\n\tret\n\
+             .section rodata\ntbl: .quad f, g\n");
         let rels: Vec<_> = obj
             .relocs
             .iter()
@@ -254,8 +267,12 @@ mod tests {
 
     #[test]
     fn errors_are_reported_with_lines() {
-        let err = assemble("bad.s", ".section text\nf:\n\tbogus r0\n", &AsmOptions::default())
-            .unwrap_err();
+        let err = assemble(
+            "bad.s",
+            ".section text\nf:\n\tbogus r0\n",
+            &AsmOptions::default(),
+        )
+        .unwrap_err();
         let msg = format!("{err}");
         assert!(msg.contains("bad.s:3"), "got: {msg}");
         assert!(assemble("bad.s", "f:\n\tmov r99, 1\n", &AsmOptions::default()).is_err());
@@ -272,12 +289,10 @@ mod tests {
     fn data_in_text_is_allowed() {
         // Jump tables interleaved with code — the code/data ambiguity that
         // makes static-only disassembly unsound (paper §2.1).
-        let obj = asm(
-            ".section text\n\
+        let obj = asm(".section text\n\
              f:\n\tret\n\
              jumptable: .quad f\n\
-             g:\n\tret\n",
-        );
+             g:\n\tret\n");
         let text = obj.section(SectionKind::Text).unwrap();
         assert_eq!(text.data.len(), 1 + 8 + 1);
         assert_eq!(obj.symbol("g").unwrap().value, 9);
@@ -285,8 +300,7 @@ mod tests {
 
     #[test]
     fn tls_and_stack_instructions() {
-        let obj = asm(
-            ".section text\n\
+        let obj = asm(".section text\n\
              f:\n\
              \trdtls r6, 0x28\n\
              \twrtls r6, 0x100\n\
@@ -294,11 +308,22 @@ mod tests {
              \tpopf\n\
              \tpush r8\n\
              \tpop r8\n\
-             \tret\n",
-        );
+             \tret\n");
         let insns = decode_all(&obj.section(SectionKind::Text).unwrap().data);
-        assert_eq!(insns[0], Instr::RdTls { rd: Reg::R6, off: 0x28 });
-        assert_eq!(insns[1], Instr::WrTls { rs: Reg::R6, off: 0x100 });
+        assert_eq!(
+            insns[0],
+            Instr::RdTls {
+                rd: Reg::R6,
+                off: 0x28
+            }
+        );
+        assert_eq!(
+            insns[1],
+            Instr::WrTls {
+                rs: Reg::R6,
+                off: 0x100
+            }
+        );
         assert_eq!(insns[2], Instr::PushF);
     }
 
@@ -312,7 +337,19 @@ mod tests {
     fn char_and_negative_immediates() {
         let obj = asm(".section text\nf:\n\tmov r0, 'A'\n\tmov r1, -7\n\tret\n");
         let insns = decode_all(&obj.section(SectionKind::Text).unwrap().data);
-        assert_eq!(insns[0], Instr::MovI32 { rd: Reg::R0, imm: 65 });
-        assert_eq!(insns[1], Instr::MovI32 { rd: Reg::R1, imm: -7 });
+        assert_eq!(
+            insns[0],
+            Instr::MovI32 {
+                rd: Reg::R0,
+                imm: 65
+            }
+        );
+        assert_eq!(
+            insns[1],
+            Instr::MovI32 {
+                rd: Reg::R1,
+                imm: -7
+            }
+        );
     }
 }

@@ -391,10 +391,7 @@ impl<'a> Assembler<'a> {
             }
             ".ascii" | ".asciz" => {
                 let rest = rest.trim();
-                let Some(body) = rest
-                    .strip_prefix('"')
-                    .and_then(|r| r.strip_suffix('"'))
-                else {
+                let Some(body) = rest.strip_prefix('"').and_then(|r| r.strip_suffix('"')) else {
                     return self.err("string literal expected");
                 };
                 let mut bytes = Vec::new();
@@ -420,11 +417,13 @@ impl<'a> Assembler<'a> {
                 Ok(())
             }
             ".align" => {
-                let n = parse_int(rest.trim()).filter(|v| *v > 0).ok_or_else(|| AsmError {
-                    file: self.file.clone(),
-                    line: self.line,
-                    message: "bad alignment".into(),
-                })? as u64;
+                let n = parse_int(rest.trim())
+                    .filter(|v| *v > 0)
+                    .ok_or_else(|| AsmError {
+                        file: self.file.clone(),
+                        line: self.line,
+                        message: "bad alignment".into(),
+                    })? as u64;
                 let here = self.here();
                 let pad = (n - here % n) % n;
                 if self.current == SectionKind::Bss {
@@ -495,14 +494,11 @@ impl<'a> Assembler<'a> {
             }
             "la" => {
                 let rd = reg_at(0)?;
-                let sym = ops
-                    .get(1)
-                    .cloned()
-                    .ok_or_else(|| AsmError {
-                        file: self.file.clone(),
-                        line: self.line,
-                        message: "la needs a symbol".into(),
-                    })?;
+                let sym = ops.get(1).cloned().ok_or_else(|| AsmError {
+                    file: self.file.clone(),
+                    line: self.line,
+                    message: "la needs a symbol".into(),
+                })?;
                 if self.opts.pic {
                     self.emit_branch(Instr::LeaPc { rd, disp: 0 }, &sym, RelocKind::Pc32);
                 } else {
@@ -535,11 +531,14 @@ impl<'a> Assembler<'a> {
             }
             "lea" => {
                 let rd = reg_at(0)?;
-                let m = ops.get(1).and_then(|t| parse_mem(t)).ok_or_else(|| AsmError {
-                    file: self.file.clone(),
-                    line: self.line,
-                    message: "lea needs a memory operand".into(),
-                })?;
+                let m = ops
+                    .get(1)
+                    .and_then(|t| parse_mem(t))
+                    .ok_or_else(|| AsmError {
+                        file: self.file.clone(),
+                        line: self.line,
+                        message: "lea needs a memory operand".into(),
+                    })?;
                 if m.idx.is_some() {
                     return self.err("lea does not support index registers");
                 }
@@ -567,20 +566,26 @@ impl<'a> Assembler<'a> {
             }
             "rdtls" => {
                 let rd = reg_at(0)?;
-                let off = ops.get(1).and_then(|t| parse_int(t)).ok_or_else(|| AsmError {
-                    file: self.file.clone(),
-                    line: self.line,
-                    message: "rdtls needs an offset".into(),
-                })? as i32;
+                let off = ops
+                    .get(1)
+                    .and_then(|t| parse_int(t))
+                    .ok_or_else(|| AsmError {
+                        file: self.file.clone(),
+                        line: self.line,
+                        message: "rdtls needs an offset".into(),
+                    })? as i32;
                 self.emit(Instr::RdTls { rd, off });
             }
             "wrtls" => {
                 let rs = reg_at(0)?;
-                let off = ops.get(1).and_then(|t| parse_int(t)).ok_or_else(|| AsmError {
-                    file: self.file.clone(),
-                    line: self.line,
-                    message: "wrtls needs an offset".into(),
-                })? as i32;
+                let off = ops
+                    .get(1)
+                    .and_then(|t| parse_int(t))
+                    .ok_or_else(|| AsmError {
+                        file: self.file.clone(),
+                        line: self.line,
+                        message: "wrtls needs an offset".into(),
+                    })? as i32;
                 self.emit(Instr::WrTls { rs, off });
             }
             _ => {
@@ -602,16 +607,16 @@ impl<'a> Assembler<'a> {
                     } else {
                         return self.err(format!("bad operand `{src}`"));
                     }
-                } else if let Some(size) = mnem
-                    .strip_prefix("ld")
-                    .and_then(mem_size)
-                {
+                } else if let Some(size) = mnem.strip_prefix("ld").and_then(mem_size) {
                     let rd = reg_at(0)?;
-                    let m = ops.get(1).and_then(|t| parse_mem(t)).ok_or_else(|| AsmError {
-                        file: self.file.clone(),
-                        line: self.line,
-                        message: "load needs a memory operand".into(),
-                    })?;
+                    let m = ops
+                        .get(1)
+                        .and_then(|t| parse_mem(t))
+                        .ok_or_else(|| AsmError {
+                            file: self.file.clone(),
+                            line: self.line,
+                            message: "load needs a memory operand".into(),
+                        })?;
                     match m.idx {
                         None => self.emit(Instr::Ld {
                             size,
@@ -629,11 +634,14 @@ impl<'a> Assembler<'a> {
                         }),
                     }
                 } else if let Some(size) = mnem.strip_prefix("st").and_then(mem_size) {
-                    let m = ops.first().and_then(|t| parse_mem(t)).ok_or_else(|| AsmError {
-                        file: self.file.clone(),
-                        line: self.line,
-                        message: "store needs a memory operand first".into(),
-                    })?;
+                    let m = ops
+                        .first()
+                        .and_then(|t| parse_mem(t))
+                        .ok_or_else(|| AsmError {
+                            file: self.file.clone(),
+                            line: self.line,
+                            message: "store needs a memory operand first".into(),
+                        })?;
                     let rs = reg_at(1)?;
                     match m.idx {
                         None => self.emit(Instr::St {
@@ -722,7 +730,11 @@ pub fn assemble(file: &str, source: &str, opts: &AsmOptions) -> Result<Object, A
     let fixups = std::mem::take(&mut a.fixups);
     for f in fixups {
         match a.labels.get(&f.symbol) {
-            Some(&(sec, target)) if sec == f.section && f.kind != RelocKind::Abs64 && f.kind != RelocKind::GotPc32 => {
+            Some(&(sec, target))
+                if sec == f.section
+                    && f.kind != RelocKind::Abs64
+                    && f.kind != RelocKind::GotPc32 =>
+            {
                 // Same-section PC-relative reference: patch directly.
                 let p = f.offset + 4;
                 let rel = target as i64 - p as i64;
@@ -741,10 +753,7 @@ pub fn assemble(file: &str, source: &str, opts: &AsmOptions) -> Result<Object, A
                     return Err(AsmError {
                         file: a.file.clone(),
                         line: f.line,
-                        message: format!(
-                            "conditional branch to undefined symbol `{}`",
-                            f.symbol
-                        ),
+                        message: format!("conditional branch to undefined symbol `{}`", f.symbol),
                     });
                 }
                 relocs.push(Reloc {
@@ -765,7 +774,10 @@ pub fn assemble(file: &str, source: &str, opts: &AsmOptions) -> Result<Object, A
     let mut per_section: std::collections::BTreeMap<SectionKind, Vec<(String, u64)>> =
         std::collections::BTreeMap::new();
     for (name, sec, off) in &a.label_order {
-        per_section.entry(*sec).or_default().push((name.clone(), *off));
+        per_section
+            .entry(*sec)
+            .or_default()
+            .push((name.clone(), *off));
     }
     for (sec, mut labels) in per_section {
         labels.sort_by_key(|(_, off)| *off);
@@ -802,7 +814,11 @@ pub fn assemble(file: &str, source: &str, opts: &AsmOptions) -> Result<Object, A
             };
             obj.symbols.push(Symbol {
                 name: name.clone(),
-                kind: if sec.is_code() { SymKind::Func } else { SymKind::Object },
+                kind: if sec.is_code() {
+                    SymKind::Func
+                } else {
+                    SymKind::Object
+                },
                 bind,
                 section: Some(sec),
                 value: *off,
@@ -827,7 +843,8 @@ pub fn assemble(file: &str, source: &str, opts: &AsmOptions) -> Result<Object, A
     for (kind, buf) in a.sections {
         if kind == SectionKind::Bss {
             if buf.bss_size > 0 {
-                obj.sections.push(Section::zeroed(SectionKind::Bss, buf.bss_size));
+                obj.sections
+                    .push(Section::zeroed(SectionKind::Bss, buf.bss_size));
             }
         } else if !buf.data.is_empty() {
             obj.sections.push(Section::new(kind, buf.data));

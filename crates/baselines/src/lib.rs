@@ -21,9 +21,7 @@
 //!   stack-passed callbacks (qsort comparators) raise false positives —
 //!   the soundness failure of paper §6.2.2.
 
-use janitizer_core::{
-    Probe, ProbeResult, ProbeRun, Report, SecurityPlugin, StaticContext,
-};
+use janitizer_core::{Probe, ProbeResult, ProbeRun, Report, SecurityPlugin, StaticContext};
 use janitizer_dbt::{
     CostModel, DecodedBlock, ProbeClass, ProbeSite, SiteOrigin, TbItem, ViolationKind,
 };
@@ -160,8 +158,7 @@ impl SecurityPlugin for Memcheck {
                         }),
                         cost: MEMCHECK_CHECK_COST,
                         run: ProbeRun::custom(move |p: &mut Process| {
-                            let mut addr =
-                                p.cpu.reg(m.base).wrapping_add(m.disp as i64 as u64);
+                            let mut addr = p.cpu.reg(m.base).wrapping_add(m.disp as i64 as u64);
                             if let Some(idx) = m.idx {
                                 addr = addr.wrapping_add(p.cpu.reg(idx) << m.scale);
                             }
@@ -431,7 +428,10 @@ impl CfiBaseline {
     }
 
     fn has_shadow_stack(&self) -> bool {
-        matches!(self.policy, CfiPolicy::LockdownStrong | CfiPolicy::LockdownWeak)
+        matches!(
+            self.policy,
+            CfiPolicy::LockdownStrong | CfiPolicy::LockdownWeak
+        )
     }
 
     /// Profiler identity of one baseline check site. These baselines are
@@ -498,16 +498,15 @@ impl CfiBaseline {
                     CfiPolicy::LockdownStrong | CfiPolicy::LockdownWeak => {
                         let weak = policy == CfiPolicy::LockdownWeak;
                         let intra = caller_mid.is_some() && caller_mid == target_mid;
-                        let info = target_mid.and_then(|id| st.infos.get(id).and_then(|i| i.as_ref()));
+                        let info =
+                            target_mid.and_then(|id| st.infos.get(id).and_then(|i| i.as_ref()));
                         let ok = match info {
                             None => p.mem.region_label(target) == Some("jit"),
                             Some(i) => {
                                 if intra {
-                                    i.functions.contains(&target)
-                                        || i.plt_stubs.contains(&target)
+                                    i.functions.contains(&target) || i.plt_stubs.contains(&target)
                                 } else if weak {
-                                    i.exported.contains(&target)
-                                        || i.functions.contains(&target)
+                                    i.exported.contains(&target) || i.functions.contains(&target)
                                 } else {
                                     // Strong: exported by callee AND
                                     // imported by caller. Stack-passed
@@ -590,8 +589,8 @@ impl CfiBaseline {
                             .map(|(lo, hi)| target >= lo && target < hi)
                             .unwrap_or(true)
                             || i.functions.contains(&target);
-                        let count = range.map(|(lo, hi)| hi - lo).unwrap_or(1)
-                            + i.functions.len() as u64;
+                        let count =
+                            range.map(|(lo, hi)| hi - lo).unwrap_or(1) + i.functions.len() as u64;
                         (ok, count)
                     }
                 };
@@ -699,7 +698,11 @@ impl CfiBaseline {
         })
     }
 
-    fn instrument_common(&mut self, block: &DecodedBlock, info: Option<&CfiModuleInfo>) -> Vec<TbItem> {
+    fn instrument_common(
+        &mut self,
+        block: &DecodedBlock,
+        info: Option<&CfiModuleInfo>,
+    ) -> Vec<TbItem> {
         let mut items = Vec::new();
         for &(pc, insn, next) in &block.insns {
             match insn {
@@ -725,9 +728,7 @@ impl CfiBaseline {
                     // Resolver rets: Lockdown ships a custom secure loader
                     // and BinCFI patches ld.so outright (paper 4.2.3), so
                     // both exempt the resolver idiom; we model the same.
-                    let is_resolver = info
-                        .map(|i| i.resolver_rets.contains(&pc))
-                        .unwrap_or(false);
+                    let is_resolver = info.map(|i| i.resolver_rets.contains(&pc)).unwrap_or(false);
                     if !is_resolver {
                         items.push(self.ret_probe(pc));
                     }
@@ -753,18 +754,20 @@ impl SecurityPlugin for CfiBaseline {
         // Baselines are driven entirely by module metadata; the only use
         // of the static pass is to precompute and stash it (BinCFI's
         // offline phase / Lockdown computes it at load).
-        self.static_info
-            .borrow_mut()
-            .insert(image.name.clone(), CfiModuleInfo::from_image(image, Some(&ctx.cfg)));
+        self.static_info.borrow_mut().insert(
+            image.name.clone(),
+            CfiModuleInfo::from_image(image, Some(&ctx.cfg)),
+        );
         Vec::new()
     }
 
     fn on_rules_cached(&self, image: &Image, ctx: &StaticContext) {
         // Replay the `static_pass` stash on cache hits so cached runs see
         // the same precomputed module metadata as fresh ones.
-        self.static_info
-            .borrow_mut()
-            .insert(image.name.clone(), CfiModuleInfo::from_image(image, Some(&ctx.cfg)));
+        self.static_info.borrow_mut().insert(
+            image.name.clone(),
+            CfiModuleInfo::from_image(image, Some(&ctx.cfg)),
+        );
     }
 
     fn on_module_load(

@@ -119,7 +119,11 @@ fn memcheck_misses_heap_to_stack_overflow() {
     let _ = src;
     let store = c_store(src2, &emit_start(), false);
     let run = run_hybrid(&store, "prog", Memcheck::new(), &memcheck_opts()).unwrap();
-    assert_eq!(run.outcome.code(), Some(9), "stack accesses are never flagged");
+    assert_eq!(
+        run.outcome.code(),
+        Some(9),
+        "stack accesses are never flagged"
+    );
 }
 
 #[test]
@@ -196,7 +200,13 @@ fn retrowrite_fast_but_blind_to_jit_code() {
          call r8\n mov r0, 0\n ret\n";
     let obj = assemble("jit.s", src, &AsmOptions { pic: true }).unwrap();
     let mut store = ModuleStore::new();
-    store.add(link(&[obj], &LinkOptions::pie("prog").needs(janitizer_jasan::RT_MODULE)).unwrap());
+    store.add(
+        link(
+            &[obj],
+            &LinkOptions::pie("prog").needs(janitizer_jasan::RT_MODULE),
+        )
+        .unwrap(),
+    );
     store.add(build_ld_so());
     store.add(janitizer_jasan::runtime_module());
 
@@ -209,7 +219,12 @@ fn retrowrite_fast_but_blind_to_jit_code() {
         ..HybridOptions::default()
     };
     let rw = run_hybrid(&store, "prog", Retrowrite::new(), &rw_opts).unwrap();
-    assert_eq!(rw.outcome.code(), Some(0), "retrowrite misses the JIT overflow: {:?}", rw.outcome);
+    assert_eq!(
+        rw.outcome.code(),
+        Some(0),
+        "retrowrite misses the JIT overflow: {:?}",
+        rw.outcome
+    );
 
     let ja = run_hybrid(&store, "prog", Jasan::hybrid(), &HybridOptions::default()).unwrap();
     assert!(
@@ -239,7 +254,13 @@ fn bincfi_allows_return_to_any_call_site() {
         },
         ..HybridOptions::default()
     };
-    let bc = run_hybrid(&store, "prog", CfiBaseline::new(CfiPolicy::BinCfi), &bincfi_opts).unwrap();
+    let bc = run_hybrid(
+        &store,
+        "prog",
+        CfiBaseline::new(CfiPolicy::BinCfi),
+        &bincfi_opts,
+    )
+    .unwrap();
     assert_eq!(
         bc.outcome.code(),
         Some(33),

@@ -4,12 +4,12 @@
 //! metric the paper's claims are about).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
 use janitizer_core::{run_hybrid, HybridOptions};
 use janitizer_jasan::{Jasan, JasanOptions, RT_MODULE};
 use janitizer_vm::{LoadOptions, ModuleStore};
 use janitizer_workloads::{build_world, BuildOptions};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 struct Setup {
     store: ModuleStore,

@@ -165,13 +165,15 @@ fn bench_execution(c: &mut Criterion) {
         p
     };
     let insns = native(load()).insns;
-    assert_eq!(null_client(load()).insns, insns, "both run the same guest code");
+    assert_eq!(
+        null_client(load()).insns,
+        insns,
+        "both run the same guest code"
+    );
     let mut g = c.benchmark_group("execution");
     g.sample_size(20);
     g.bench_function("hybrid_jasan", |b| {
-        b.iter(|| {
-            run_hybrid(&store, "bench", Jasan::hybrid(), &HybridOptions::default()).unwrap()
-        })
+        b.iter(|| run_hybrid(&store, "bench", Jasan::hybrid(), &HybridOptions::default()).unwrap())
     });
     // Guest instructions per second from here on: 1e9 divided by it is
     // the host ns per guest instruction of each loop.

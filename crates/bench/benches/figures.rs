@@ -8,9 +8,9 @@
 //! command and tracking harness performance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
 use janitizer_eval::*;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 const SCALE: f64 = 0.05;
 
@@ -20,7 +20,11 @@ fn world() -> &'static EvalWorld {
 }
 
 fn show(fig: &FigResult) {
-    let means = if fig.use_mean { fig.mean() } else { fig.geomean() };
+    let means = if fig.use_mean {
+        fig.mean()
+    } else {
+        fig.geomean()
+    };
     let cells: Vec<String> = fig
         .columns
         .iter()
@@ -85,9 +89,12 @@ fn bench_fig10(c: &mut Criterion) {
                     },
                     ..Default::default()
                 };
-                if let Ok(run) =
-                    janitizer_core::run_hybrid(&store, "case", janitizer_jasan::Jasan::hybrid(), &opts)
-                {
+                if let Ok(run) = janitizer_core::run_hybrid(
+                    &store,
+                    "case",
+                    janitizer_jasan::Jasan::hybrid(),
+                    &opts,
+                ) {
                     if matches!(run.outcome, janitizer_core::RunOutcome::Violation(_)) {
                         flagged += 1;
                     }

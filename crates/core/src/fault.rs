@@ -89,7 +89,9 @@ pub struct Mutator {
 impl Mutator {
     /// Creates a mutator from a seed.
     pub fn new(seed: u64) -> Mutator {
-        Mutator { rng: SplitMix64::new(seed) }
+        Mutator {
+            rng: SplitMix64::new(seed),
+        }
     }
 
     /// Applies one randomly chosen corruption to `bytes` in place,

@@ -331,7 +331,12 @@ pub trait SecurityPlugin {
     /// for it (statically analyzed) and absent for e.g. `dlopen`ed
     /// plugins with no rules, in which case the plugin may run its own
     /// load-time analysis (JCFI's §4.2.2 fallback scan).
-    fn on_module_load(&mut self, _proc: &mut Process, _module_id: usize, _rules: Option<&RuleTable>) {
+    fn on_module_load(
+        &mut self,
+        _proc: &mut Process,
+        _module_id: usize,
+        _rules: Option<&RuleTable>,
+    ) {
     }
 
     /// Instruments a statically-seen block by interpreting its rewrite
@@ -390,7 +395,12 @@ pub fn rules_from_disasm(
     disasm: analysis::DisasmResult,
     plugin: &dyn SecurityPlugin,
 ) -> RuleFile {
-    emit_rules(image, &StaticContext::from_disasm(image, disasm), plugin, true)
+    emit_rules(
+        image,
+        &StaticContext::from_disasm(image, disasm),
+        plugin,
+        true,
+    )
 }
 
 /// The rule-emission half of the static pipeline: runs the plugin's
@@ -503,7 +513,10 @@ pub enum FillSource {
 impl std::fmt::Debug for RuleCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleCache")
-            .field("modules", &self.modules.lock().unwrap_or_else(|e| e.into_inner()).len())
+            .field(
+                "modules",
+                &self.modules.lock().unwrap_or_else(|e| e.into_inner()).len(),
+            )
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
             .finish()
@@ -772,7 +785,9 @@ pub fn dependency_closure(store: &ModuleStore, roots: &[String]) -> Vec<String> 
     while qi < queue.len() {
         let name = queue[qi].clone();
         qi += 1;
-        let Some(image) = store.get(&name) else { continue };
+        let Some(image) = store.get(&name) else {
+            continue;
+        };
         for dep in &image.needed {
             if enqueued.insert(dep.clone()) {
                 queue.push(dep.clone());
@@ -961,8 +976,7 @@ impl<P: SecurityPlugin> Tool for JanitizerTool<P> {
             // Pre-group per-instruction rules once across the (possibly
             // merged) translation-time block, handing the plugin borrowed
             // slices into the rule tables — no per-instruction cloning.
-            let mut entries: Vec<(u64, &[RewriteRule])> =
-                Vec::with_capacity(block.insns.len());
+            let mut entries: Vec<(u64, &[RewriteRule])> = Vec::with_capacity(block.insns.len());
             for &(pc, _, _) in &block.insns {
                 let rules = Self::table_for_addr(&self.tables, proc, pc)
                     .map(|t| t.lookup_instr(pc))
@@ -982,7 +996,9 @@ impl<P: SecurityPlugin> Tool for JanitizerTool<P> {
                     .module_containing(block.start)
                     .and_then(|m| {
                         let rel = block.start.wrapping_sub(m.base);
-                        self.degraded_regions.get(&m.image.name).map(|r| r.contains(rel))
+                        self.degraded_regions
+                            .get(&m.image.name)
+                            .map(|r| r.contains(rel))
                     })
                     .unwrap_or(false);
                 if in_region {
@@ -1089,8 +1105,7 @@ impl HybridOptions {
 /// integrity-checked decode, then the build-fingerprint comparison. `Ok`
 /// is the decoded, trusted file; `Err` is the degradation cause.
 fn verify_rule_bytes(image: &Image, bytes: &[u8]) -> Result<RuleFile, DegradationReason> {
-    let file =
-        RuleFile::from_bytes(bytes).map_err(|e| DegradationReason::from_decode_error(&e))?;
+    let file = RuleFile::from_bytes(bytes).map_err(|e| DegradationReason::from_decode_error(&e))?;
     if file.module != image.name || file.fingerprint != image.fingerprint() {
         return Err(DegradationReason::FingerprintMismatch);
     }
@@ -1129,7 +1144,9 @@ pub fn run_hybrid<P: SecurityPlugin>(
         roots.extend(opts.analyze_extra.iter().cloned());
         roots.push("ld.so".into());
         for name in dependency_closure(store, &roots) {
-            let Some(image) = store.get(&name) else { continue };
+            let Some(image) = store.get(&name) else {
+                continue;
+            };
             // A module's rules come either from an explicit override (an
             // "on-disk" serialized rule file) or from the static pipeline.
             let override_bytes = opts.rule_overrides.get(&name);
@@ -1173,7 +1190,10 @@ pub fn run_hybrid<P: SecurityPlugin>(
                             r.len,
                         );
                     }
-                    degraded.push(ModuleDegradation { module: name.clone(), reason });
+                    degraded.push(ModuleDegradation {
+                        module: name.clone(),
+                        reason,
+                    });
                 }
                 if !ctx.degraded_regions.is_empty() {
                     region_map.insert(
@@ -1220,7 +1240,10 @@ pub fn run_hybrid<P: SecurityPlugin>(
                         let id = janitizer_telemetry::flight::intern_module(&name);
                         janitizer_telemetry::flight::trip("module-degraded", id, 0, 0);
                     }
-                    degraded.push(ModuleDegradation { module: name.clone(), reason });
+                    degraded.push(ModuleDegradation {
+                        module: name.clone(),
+                        reason,
+                    });
                 }
             }
         }
@@ -1232,7 +1255,11 @@ pub fn run_hybrid<P: SecurityPlugin>(
     let mut engine_opts = opts.engine.clone();
     engine_opts.profile |= opts.profile;
     let mut engine = Engine::new(engine_opts);
-    let fuel = if opts.fuel == 0 { 2_000_000_000 } else { opts.fuel };
+    let fuel = if opts.fuel == 0 {
+        2_000_000_000
+    } else {
+        opts.fuel
+    };
     let outcome = engine.run(&mut proc, &mut tool, fuel);
     // Like forensics below, the profile is symbolized while the process
     // (load map, symbol tables) is still alive.
@@ -1469,8 +1496,7 @@ mod tests {
         };
         let file = analyze_statically(&image, &plugin);
         let cfg = analysis::analyze_module(&image);
-        let marked: std::collections::HashSet<u64> =
-            file.rules.iter().map(|r| r.bb_addr).collect();
+        let marked: std::collections::HashSet<u64> = file.rules.iter().map(|r| r.bb_addr).collect();
         for start in cfg.blocks.keys() {
             assert!(marked.contains(start), "block {start:#x} unmarked");
         }
@@ -1572,7 +1598,10 @@ mod tests {
         };
         let run = run_hybrid(&store, "t", plugin, &opts).unwrap();
         assert_eq!(run.outcome.code(), Some(2));
-        assert_eq!(run.degraded[0].reason, DegradationReason::FingerprintMismatch);
+        assert_eq!(
+            run.degraded[0].reason,
+            DegradationReason::FingerprintMismatch
+        );
     }
 
     #[test]
@@ -1649,7 +1678,11 @@ mod tests {
                     .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
                     .collect()
             }
-            fn instrument_dynamic(&mut self, _p: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_dynamic(
+                &mut self,
+                _p: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 block
                     .insns
                     .iter()

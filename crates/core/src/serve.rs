@@ -247,18 +247,15 @@ impl AnalysisService {
         let arrived = Instant::now();
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let waiting = self.metrics.queue_waiting.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.queue_peak.fetch_max(waiting, Ordering::Relaxed);
+        self.metrics
+            .queue_peak
+            .fetch_max(waiting, Ordering::Relaxed);
         janitizer_telemetry::gauge_add("serve.queue_depth", 1);
         let _permit = self.gate.acquire();
         self.metrics.queue_waiting.fetch_sub(1, Ordering::Relaxed);
         janitizer_telemetry::gauge_add("serve.queue_depth", -1);
         let queue_wait_ns = arrived.elapsed().as_nanos() as u64;
-        flight::record(
-            "serve.admit",
-            flight::NO_MODULE,
-            queue_wait_ns,
-            waiting,
-        );
+        flight::record("serve.admit", flight::NO_MODULE, queue_wait_ns, waiting);
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_in_flight.fetch_max(now, Ordering::Relaxed);
         let (reply, analyze_units) = self.request_admitted(image, plugin, emit_noop_rules);
@@ -276,7 +273,9 @@ impl AnalysisService {
                 self.metrics.src_analyzed.fetch_add(1, Ordering::Relaxed);
                 janitizer_telemetry::counter_add("serve.src.analyzed", 1);
                 if store_failed {
-                    self.metrics.src_store_failed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .src_store_failed
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 // Deterministic cost sample: work units the fresh
                 // analysis consumed (module-dependent, never
@@ -341,7 +340,8 @@ impl AnalysisService {
         loop {
             budget::set_budget(self.opts.budget_units);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.cache.get_or_analyze_traced(image, plugin, emit_noop_rules)
+                self.cache
+                    .get_or_analyze_traced(image, plugin, emit_noop_rules)
             }));
             let timed_out = budget::overrun();
             let spent_units = budget::spent();
@@ -446,15 +446,24 @@ impl AnalysisService {
     pub fn metrics_registry(&self) -> Registry {
         let mut r = Registry::new();
         let s = self.stats();
-        r.counter_add("serve.requests", self.metrics.requests.load(Ordering::Relaxed));
+        r.counter_add(
+            "serve.requests",
+            self.metrics.requests.load(Ordering::Relaxed),
+        );
         r.counter_add("serve.served", s.served);
         r.counter_add("serve.degraded", s.degraded);
         r.counter_add("serve.timeouts", s.timeouts);
         r.counter_add("serve.panics_isolated", s.panics_isolated);
         r.counter_add("serve.retries", s.retries);
         r.counter_add("serve.store_failures", s.store_failures);
-        r.counter_add("serve.src.memory", self.metrics.src_memory.load(Ordering::Relaxed));
-        r.counter_add("serve.src.store", self.metrics.src_store.load(Ordering::Relaxed));
+        r.counter_add(
+            "serve.src.memory",
+            self.metrics.src_memory.load(Ordering::Relaxed),
+        );
+        r.counter_add(
+            "serve.src.store",
+            self.metrics.src_store.load(Ordering::Relaxed),
+        );
         r.counter_add(
             "serve.src.analyzed",
             self.metrics.src_analyzed.load(Ordering::Relaxed),
@@ -567,7 +576,10 @@ impl AnalysisService {
             .clone();
         Json::obj([
             ("schema", Json::str("janitizer.serve-metrics/v1")),
-            ("requests", Json::U64(self.metrics.requests.load(Ordering::Relaxed))),
+            (
+                "requests",
+                Json::U64(self.metrics.requests.load(Ordering::Relaxed)),
+            ),
             ("served", Json::U64(s.served)),
             ("degraded", Json::U64(s.degraded)),
             ("timeouts", Json::U64(s.timeouts)),
@@ -595,17 +607,19 @@ impl AnalysisService {
                     ),
                 ]),
             ),
-            ("analyze_units", janitizer_telemetry::export::histogram_json(&h)),
+            (
+                "analyze_units",
+                janitizer_telemetry::export::histogram_json(&h),
+            ),
             (
                 // Quarantine growth is operator-visible here so a store
                 // accumulating corrupt entries is caught before the disk
                 // is. Null when the cache has no persistent store.
                 "store_quarantine",
                 match self.cache.store().map(|s| s.quarantine_usage()) {
-                    Some((files, bytes)) => Json::obj([
-                        ("entries", Json::U64(files)),
-                        ("bytes", Json::U64(bytes)),
-                    ]),
+                    Some((files, bytes)) => {
+                        Json::obj([("entries", Json::U64(files)), ("bytes", Json::U64(bytes))])
+                    }
                     None => Json::Null,
                 },
             ),
@@ -624,9 +638,18 @@ impl AnalysisService {
                 ("window", Json::U64(w.window_len() as u64)),
                 ("count", Json::U64(w.total.count)),
                 ("mean_ns", Json::F64(w.total.mean())),
-                ("p50_ns", w.quantile(0.50).map(Json::U64).unwrap_or(Json::Null)),
-                ("p90_ns", w.quantile(0.90).map(Json::U64).unwrap_or(Json::Null)),
-                ("p99_ns", w.quantile(0.99).map(Json::U64).unwrap_or(Json::Null)),
+                (
+                    "p50_ns",
+                    w.quantile(0.50).map(Json::U64).unwrap_or(Json::Null),
+                ),
+                (
+                    "p90_ns",
+                    w.quantile(0.90).map(Json::U64).unwrap_or(Json::Null),
+                ),
+                (
+                    "p99_ns",
+                    w.quantile(0.99).map(Json::U64).unwrap_or(Json::Null),
+                ),
                 ("max_ns", Json::U64(w.total.max)),
             ])
         };
@@ -724,7 +747,11 @@ mod tests {
         ) -> Vec<TbItem> {
             Vec::new()
         }
-        fn instrument_dynamic(&mut self, _proc: &mut Process, _block: &DecodedBlock) -> Vec<TbItem> {
+        fn instrument_dynamic(
+            &mut self,
+            _proc: &mut Process,
+            _block: &DecodedBlock,
+        ) -> Vec<TbItem> {
             Vec::new()
         }
     }
@@ -760,7 +787,12 @@ mod tests {
         assert!(reply.degradation.is_none());
         let rules = reply.rules.expect("served");
         assert!(!rules.rules.is_empty());
-        assert_eq!(reply.source, Some(FillSource::Analyzed { store_failed: false }));
+        assert_eq!(
+            reply.source,
+            Some(FillSource::Analyzed {
+                store_failed: false
+            })
+        );
         // Second request is a memory hit with identical bytes.
         let again = svc.request(&image, &ToyPlugin::new("toy"), true);
         assert_eq!(again.source, Some(FillSource::Memory));
@@ -774,7 +806,10 @@ mod tests {
         let svc = AnalysisService::new(
             Arc::new(RuleCache::new()),
             ServiceOptions {
-                retry: RetryPolicy { attempts: 2, seed: 5 },
+                retry: RetryPolicy {
+                    attempts: 2,
+                    seed: 5,
+                },
                 ..ServiceOptions::default()
             },
         );
@@ -782,7 +817,10 @@ mod tests {
         let plugin = ToyPlugin::new("toy");
         plugin.panics_left.set(1);
         let reply = with_quiet_panics(|| svc.request(&image, &plugin, true));
-        assert!(reply.rules.is_some(), "retry after the isolated panic served");
+        assert!(
+            reply.rules.is_some(),
+            "retry after the isolated panic served"
+        );
         assert!(reply.degradation.is_none());
         let s = svc.stats();
         assert_eq!((s.panics_isolated, s.retries), (1, 1));
@@ -793,7 +831,10 @@ mod tests {
         let svc = AnalysisService::new(
             Arc::new(RuleCache::new()),
             ServiceOptions {
-                retry: RetryPolicy { attempts: 2, seed: 5 },
+                retry: RetryPolicy {
+                    attempts: 2,
+                    seed: 5,
+                },
                 ..ServiceOptions::default()
             },
         );
@@ -830,7 +871,12 @@ mod tests {
         // re-analyzes and serves fine.
         let svc2 = AnalysisService::new(cache, ServiceOptions::default());
         let ok = svc2.request(&image, &ToyPlugin::new("toy"), true);
-        assert_eq!(ok.source, Some(FillSource::Analyzed { store_failed: false }));
+        assert_eq!(
+            ok.source,
+            Some(FillSource::Analyzed {
+                store_failed: false
+            })
+        );
         assert!(ok.rules.is_some());
     }
 
@@ -839,7 +885,10 @@ mod tests {
         let dir = janitizer_store::scratch_dir("serve-storefail");
         let store = janitizer_store::RuleStore::open_with(
             &dir,
-            RetryPolicy { attempts: 0, seed: 0 },
+            RetryPolicy {
+                attempts: 0,
+                seed: 0,
+            },
             janitizer_store::FailurePlan {
                 transient_write_failures: u64::MAX / 2,
                 crash_after_commits: None,
@@ -879,8 +928,7 @@ mod tests {
                 let svc = Arc::clone(&svc);
                 scope.spawn(move || {
                     // Distinct plugin keys force real (non-memoized) work.
-                    let name: &'static str =
-                        Box::leak(format!("toy{i}").into_boxed_str());
+                    let name: &'static str = Box::leak(format!("toy{i}").into_boxed_str());
                     let image = toy_image();
                     let reply = svc.request(&image, &ToyPlugin::new(name), true);
                     assert!(reply.rules.is_some());
@@ -889,6 +937,10 @@ mod tests {
         });
         let s = svc.stats();
         assert_eq!(s.served, 8);
-        assert!(s.peak_in_flight <= 2, "gate held: peak {}", s.peak_in_flight);
+        assert!(
+            s.peak_in_flight <= 2,
+            "gate held: peak {}",
+            s.peak_in_flight
+        );
     }
 }

@@ -914,11 +914,7 @@ impl Engine {
     }
 
     /// Builds (but does not cache) the decoded block starting at `pc`.
-    fn build_block(
-        &self,
-        proc: &mut Process,
-        pc: u64,
-    ) -> Result<DecodedBlock, Fault> {
+    fn build_block(&self, proc: &mut Process, pc: u64) -> Result<DecodedBlock, Fault> {
         let ops = proc.decode_block(pc, self.opts.max_block)?;
         Ok(DecodedBlock {
             start: pc,
@@ -1018,7 +1014,9 @@ impl Engine {
             // oversized).
             let (slot, mut cached, cacheable) = match self.index.get(&pc) {
                 Some(&s) => {
-                    let b = self.slots[s as usize].take().expect("indexed slot occupied");
+                    let b = self.slots[s as usize]
+                        .take()
+                        .expect("indexed slot occupied");
                     (Some(s), b, true)
                 }
                 None => match self.translate(proc, tool, pc) {
@@ -1179,11 +1177,7 @@ impl Engine {
                 }
                 ProbeResult::Violation(r) => {
                     violated = true;
-                    janitizer_telemetry::event!(
-                        "dbt.violation",
-                        kind = r.kind.as_str(),
-                        pc = r.pc,
-                    );
+                    janitizer_telemetry::event!("dbt.violation", kind = r.kind.as_str(), pc = r.pc,);
                     janitizer_telemetry::flight::record(
                         "dbt.violation",
                         janitizer_telemetry::flight::NO_MODULE,
@@ -1251,7 +1245,12 @@ impl Engine {
         let ended_indirect = outcome.is_none() && cached.ends_indirect;
         let ended_ret = outcome.is_none() && cached.ends_ret;
         if let Some(prof) = &mut self.profile {
-            let EngineProfile { blocks, sites, elided, .. } = prof;
+            let EngineProfile {
+                blocks,
+                sites,
+                elided,
+                ..
+            } = prof;
             let bp = blocks.entry(pc).or_default();
             bp.execs += 1;
             bp.guest_insns += prof_guest_insns;
@@ -1264,7 +1263,12 @@ impl Engine {
                 }
             }
         }
-        ExecRes { outcome, next_pc, ended_indirect, ended_ret }
+        ExecRes {
+            outcome,
+            next_pc,
+            ended_indirect,
+            ended_ret,
+        }
     }
 
     /// Charges the modeled dispatch cost of a completed block execution
@@ -1272,7 +1276,13 @@ impl Engine {
     /// through the block's inlined single-entry target cache: a repeat
     /// target pays [`CostModel::chain_hit`], a new target pays the full
     /// [`CostModel::indirect_lookup`] and installs itself.
-    fn finish_transfer(&mut self, proc: &mut Process, cached: &mut CachedBlock, pc: u64, res: &ExecRes) {
+    fn finish_transfer(
+        &mut self,
+        proc: &mut Process,
+        cached: &mut CachedBlock,
+        pc: u64,
+        res: &ExecRes,
+    ) {
         if res.ended_indirect {
             self.stats.indirect_transfers += 1;
             let cost = if cached.itarget == res.next_pc {
@@ -1393,7 +1403,10 @@ mod tests {
         // The default budget never triggers for ordinary programs.
         let mut p2 = proc_from(LOOP_SUM);
         let mut engine2 = Engine::new(EngineOptions::default());
-        assert_eq!(engine2.run(&mut p2, &mut NullTool, 1_000_000).code(), Some(55));
+        assert_eq!(
+            engine2.run(&mut p2, &mut NullTool, 1_000_000).code(),
+            Some(55)
+        );
         assert_eq!(engine2.stats.oversized_blocks, 0);
         assert!(engine2.cached_blocks() > 0);
     }
@@ -1436,7 +1449,11 @@ mod tests {
             fn name(&self) -> &str {
                 "count"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 let mut items = Vec::new();
                 let c = self.count.clone();
                 items.push(TbItem::Probe(Probe::new(
@@ -1456,7 +1473,9 @@ mod tests {
             }
         }
         let count = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut tool = CountingTool { count: count.clone() };
+        let mut tool = CountingTool {
+            count: count.clone(),
+        };
         let mut engine = Engine::new(EngineOptions::default());
         let out = engine.run(&mut p, &mut tool, 1_000_000);
         assert_eq!(out.code(), Some(55));
@@ -1475,7 +1494,11 @@ mod tests {
             fn name(&self) -> &str {
                 "violator"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 let mut items: Vec<TbItem> = vec![TbItem::Probe(Probe::new(
                     1,
                     Box::new(|p| {
@@ -1486,7 +1509,12 @@ mod tests {
                         })
                     }),
                 ))];
-                items.extend(block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)));
+                items.extend(
+                    block
+                        .insns
+                        .iter()
+                        .map(|&(pc, i, n)| TbItem::Guest(pc, i, n)),
+                );
                 items
             }
         }
@@ -1520,7 +1548,11 @@ mod tests {
             fn name(&self) -> &str {
                 "violator"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 let mut items: Vec<TbItem> = vec![TbItem::Probe(Probe::new(
                     1,
                     Box::new(|p| {
@@ -1531,7 +1563,12 @@ mod tests {
                         })
                     }),
                 ))];
-                items.extend(block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)));
+                items.extend(
+                    block
+                        .insns
+                        .iter()
+                        .map(|&(pc, i, n)| TbItem::Guest(pc, i, n)),
+                );
                 items
             }
         }
@@ -1544,7 +1581,11 @@ mod tests {
         let out = engine.run(&mut p, &mut Violator, 1_000_000);
         assert_eq!(out.code(), Some(55));
         assert_eq!(engine.stats.reports.len(), 3, "reports capped");
-        assert_eq!(engine.stats.contexts.len(), 3, "contexts capped with reports");
+        assert_eq!(
+            engine.stats.contexts.len(),
+            3,
+            "contexts capped with reports"
+        );
         assert!(engine.stats.reports_dropped > 0, "overflow counted");
 
         // The cap does not change guest-visible execution: an uncapped
@@ -1554,7 +1595,10 @@ mod tests {
             halt_on_violation: false,
             ..EngineOptions::default()
         });
-        assert_eq!(engine2.run(&mut p2, &mut Violator, 1_000_000).code(), Some(55));
+        assert_eq!(
+            engine2.run(&mut p2, &mut Violator, 1_000_000).code(),
+            Some(55)
+        );
         assert_eq!(p.cycles, p2.cycles, "capture is observation-only");
     }
 
@@ -1565,9 +1609,16 @@ mod tests {
             fn name(&self) -> &str {
                 "violator"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
-                let mut items: Vec<TbItem> =
-                    block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)).collect();
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
+                let mut items: Vec<TbItem> = block
+                    .insns
+                    .iter()
+                    .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
+                    .collect();
                 // Violate at the end of the block so several loop
                 // iterations land in the trail first.
                 items.push(TbItem::Probe(Probe::new(
@@ -1627,7 +1678,9 @@ mod tests {
         let mut p = proc_from(src);
         let mut engine = Engine::new(EngineOptions::default());
         let out = engine.run(&mut p, &mut NullTool, 1_000_000);
-        let RunOutcome::Fault(f) = out else { panic!("expected fault: {out:?}") };
+        let RunOutcome::Fault(f) = out else {
+            panic!("expected fault: {out:?}")
+        };
         assert!(matches!(f.kind, FaultKind::Mem(_)));
     }
 
@@ -1636,7 +1689,10 @@ mod tests {
         let src = ".section text\n.global _start\n_start:\nspin:\n jmp spin\n";
         let mut p = proc_from(src);
         let mut engine = Engine::new(EngineOptions::default());
-        assert_eq!(engine.run(&mut p, &mut NullTool, 5_000), RunOutcome::OutOfFuel);
+        assert_eq!(
+            engine.run(&mut p, &mut NullTool, 5_000),
+            RunOutcome::OutOfFuel
+        );
     }
 
     #[test]
@@ -1669,7 +1725,11 @@ mod tests {
                     .borrow_mut()
                     .push(proc.modules[id].image.name.clone());
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 block
                     .insns
                     .iter()
@@ -1678,13 +1738,18 @@ mod tests {
             }
         }
         let loads = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut tool = LoadLog { loads: loads.clone() };
+        let mut tool = LoadLog {
+            loads: loads.clone(),
+        };
         let mut engine = Engine::new(EngineOptions::default());
         let out = engine.run(&mut p, &mut tool, 10_000_000);
         assert_eq!(out.code(), Some(9));
         let seen = loads.borrow();
         assert!(seen.contains(&"e".to_string()), "static module event");
-        assert!(seen.contains(&"lib.so".to_string()), "dlopen event: {seen:?}");
+        assert!(
+            seen.contains(&"lib.so".to_string()),
+            "dlopen event: {seen:?}"
+        );
     }
 
     #[test]
@@ -1698,7 +1763,11 @@ mod tests {
             fn name(&self) -> &str {
                 "clobber"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 let mut items = Vec::new();
                 for &(pc, i, n) in &block.insns {
                     if matches!(i, Instr::Nop) {
@@ -1717,7 +1786,11 @@ mod tests {
         }
         let mut engine = Engine::new(EngineOptions::default());
         let out = engine.run(&mut p, &mut Clobber, 1_000_000);
-        assert_eq!(out.code(), Some(0xbad), "probe clobber is architecturally real");
+        assert_eq!(
+            out.code(),
+            Some(0xbad),
+            "probe clobber is architecturally real"
+        );
     }
 
     #[test]
@@ -1772,7 +1845,11 @@ mod tests {
             fn name(&self) -> &str {
                 "tagger"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 let mut items = vec![
                     TbItem::Probe(Probe {
                         cost: 7,
@@ -1793,7 +1870,12 @@ mod tests {
                         origin: SiteOrigin::Static,
                     }),
                 ];
-                items.extend(block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)));
+                items.extend(
+                    block
+                        .insns
+                        .iter()
+                        .map(|&(pc, i, n)| TbItem::Guest(pc, i, n)),
+                );
                 items
             }
         }
@@ -1801,7 +1883,10 @@ mod tests {
         // Notes must not change execution at all, profiling or not.
         let mut p_plain = proc_from(LOOP_SUM);
         let mut e_plain = Engine::new(EngineOptions::default());
-        assert_eq!(e_plain.run(&mut p_plain, &mut Tagger, 1_000_000).code(), Some(55));
+        assert_eq!(
+            e_plain.run(&mut p_plain, &mut Tagger, 1_000_000).code(),
+            Some(55)
+        );
 
         let mut p = proc_from(LOOP_SUM);
         let mut engine = Engine::new(EngineOptions {
@@ -1823,10 +1908,17 @@ mod tests {
                     origin: SiteOrigin::Static,
                 })
                 .expect("tagged probe recorded");
-            assert_eq!(entry.execs, bp.execs, "one probe execution per block execution");
+            assert_eq!(
+                entry.execs, bp.execs,
+                "one probe execution per block execution"
+            );
             assert_eq!(entry.cycles, bp.execs * 7);
             assert_eq!(entry.violations, 0);
-            assert_eq!(bp.clean_call_cycles, bp.execs * 7, "clean-call class attribution");
+            assert_eq!(
+                bp.clean_call_cycles,
+                bp.execs * 7,
+                "clean-call class attribution"
+            );
             let elided = prof
                 .sites
                 .get(&ProbeSite {
@@ -1841,7 +1933,10 @@ mod tests {
             assert_eq!(elided.execs, 0);
         }
         let site_cycles: u64 = prof.sites.values().map(|s| s.cycles).sum();
-        assert_eq!(site_cycles, engine.stats.probe_cycles, "site cycles cover all probes");
+        assert_eq!(
+            site_cycles, engine.stats.probe_cycles,
+            "site cycles cover all probes"
+        );
     }
 
     /// A hot call loop: direct transfers plus an indirect leaf return
@@ -1887,9 +1982,16 @@ mod tests {
             fn name(&self) -> &str {
                 "violator"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
-                let mut items: Vec<TbItem> =
-                    block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)).collect();
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
+                let mut items: Vec<TbItem> = block
+                    .insns
+                    .iter()
+                    .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
+                    .collect();
                 items.push(TbItem::Probe(Probe::new(
                     2,
                     Box::new(|p| {
@@ -2005,12 +2107,21 @@ mod tests {
             fn name(&self) -> &str {
                 "hoist"
             }
-            fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
+            fn instrument_block(
+                &mut self,
+                _proc: &mut Process,
+                block: &DecodedBlock,
+            ) -> Vec<TbItem> {
                 let mut items = vec![
                     TbItem::Probe(Probe::new(5, Box::new(|_| ProbeResult::Ok))),
                     TbItem::Probe(Probe::new(0, Box::new(|_| ProbeResult::Hoisted))),
                 ];
-                items.extend(block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)));
+                items.extend(
+                    block
+                        .insns
+                        .iter()
+                        .map(|&(pc, i, n)| TbItem::Guest(pc, i, n)),
+                );
                 items
             }
         }
@@ -2021,8 +2132,15 @@ mod tests {
         let s = &engine.stats;
         assert!(s.checks_hoisted > 0);
         assert_eq!(s.checks_fused, 0, "fusion is retired");
-        assert_eq!(s.probe_runs, s.checks_hoisted, "hoisted hits are not probe runs");
-        assert_eq!(s.probe_cycles, 5 * s.probe_runs, "hoisted probes charge nothing");
+        assert_eq!(
+            s.probe_runs, s.checks_hoisted,
+            "hoisted hits are not probe runs"
+        );
+        assert_eq!(
+            s.probe_cycles,
+            5 * s.probe_runs,
+            "hoisted probes charge nothing"
+        );
     }
 
     #[test]

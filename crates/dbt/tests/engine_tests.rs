@@ -23,7 +23,11 @@ fn code_cache_reuses_blocks_across_iterations() {
     let out = engine.run(&mut p, &mut NullTool, 100_000_000);
     assert!(matches!(out, RunOutcome::Exited(_)));
     // 1000 iterations but only a handful of blocks translated.
-    assert!(engine.stats.blocks_translated < 12, "{}", engine.stats.blocks_translated);
+    assert!(
+        engine.stats.blocks_translated < 12,
+        "{}",
+        engine.stats.blocks_translated
+    );
     assert!(engine.cached_blocks() > 0);
     engine.flush_cache();
     assert_eq!(engine.cached_blocks(), 0);
@@ -65,8 +69,14 @@ fn indirect_transfers_pay_dispatch_every_time() {
     assert!(engine.stats.indirect_transfers >= 100);
     let s = &engine.stats;
     let c = EngineOptions::default().costs;
-    assert!(s.indirect_chain_hits > 0, "repeat ret targets hit the inlined target cache");
-    assert!(s.indirect_chain_hits < s.indirect_transfers, "first sighting always misses");
+    assert!(
+        s.indirect_chain_hits > 0,
+        "repeat ret targets hit the inlined target cache"
+    );
+    assert!(
+        s.indirect_chain_hits < s.indirect_transfers,
+        "first sighting always misses"
+    );
     assert_eq!(
         s.dispatch_cycles,
         (s.indirect_transfers - s.indirect_chain_hits) * c.indirect_lookup
@@ -158,13 +168,19 @@ fn indexed_cache_is_equivalent_across_engines_and_reruns() {
     let mut p3 = proc_from(src);
     let o3 = e1.run(&mut p3, &mut NullTool, 100_000_000);
     assert_eq!(o3.code(), o1.code());
-    assert_eq!(e1.stats.blocks_translated, translated_cold, "warm cache retranslates nothing");
+    assert_eq!(
+        e1.stats.blocks_translated, translated_cold,
+        "warm cache retranslates nothing"
+    );
     assert_eq!(e1.cached_blocks(), cached);
     // Warm blocks keep their inlined indirect-target caches, so the warm
     // run saves exactly the translation cycles plus the dispatch delta
     // from first-sighting lookups that are now chain hits.
     let dispatch_warm = e1.stats.dispatch_cycles - dispatch_cold;
-    assert!(e1.stats.indirect_chain_hits - hits_cold >= hits_cold, "warm targets only add hits");
+    assert!(
+        e1.stats.indirect_chain_hits - hits_cold >= hits_cold,
+        "warm targets only add hits"
+    );
     assert_eq!(
         p3.cycles,
         p1.cycles - e2.stats.translation_cycles - (dispatch_cold - dispatch_warm),

@@ -176,7 +176,12 @@ pub fn capture_reports(
         let ctx = stats.contexts.get(i).unwrap_or(&fallback);
         let tool_ctx = tool_ctxs.get(i).cloned().unwrap_or_default();
         let id = format!("{tool}-{exe}-{i:04}-{:x}", r.pc);
-        janitizer_telemetry::event!("diag.report", id = id.as_str(), kind = r.kind.as_str(), pc = r.pc);
+        janitizer_telemetry::event!(
+            "diag.report",
+            id = id.as_str(),
+            kind = r.kind.as_str(),
+            pc = r.pc
+        );
         out.push(ViolationReport {
             id,
             tool: tool.to_string(),

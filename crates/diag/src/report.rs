@@ -209,16 +209,28 @@ fn context_json(ctx: &ToolContext) -> Json {
             ("actual", Json::str(addr_str(j.actual))),
             (
                 "expected",
-                j.expected.map(|e| Json::str(addr_str(e))).unwrap_or(Json::Null),
+                j.expected
+                    .map(|e| Json::str(addr_str(e)))
+                    .unwrap_or(Json::Null),
             ),
             ("allowed_count", Json::U64(j.allowed_count)),
             (
                 "allowed_sample",
-                Json::Arr(j.allowed_sample.iter().map(|&a| Json::str(addr_str(a))).collect()),
+                Json::Arr(
+                    j.allowed_sample
+                        .iter()
+                        .map(|&a| Json::str(addr_str(a)))
+                        .collect(),
+                ),
             ),
             (
                 "shadow_stack",
-                Json::Arr(j.shadow_stack.iter().map(|&a| Json::str(addr_str(a))).collect()),
+                Json::Arr(
+                    j.shadow_stack
+                        .iter()
+                        .map(|&a| Json::str(addr_str(a)))
+                        .collect(),
+                ),
             ),
         ]),
     }

@@ -21,7 +21,9 @@ use janitizer_jcfi::{static_air, CtiKind, Jcfi};
 use janitizer_obj::Image;
 use janitizer_rules::RewriteRule;
 use janitizer_vm::{LoadOptions, ModuleStore, Process};
-use janitizer_workloads::{build_case, build_world, juliet_suite, BuildOptions, JulietCategory, World};
+use janitizer_workloads::{
+    build_case, build_world, juliet_suite, BuildOptions, JulietCategory, World,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -124,8 +126,7 @@ impl FigResult {
         if self.use_mean {
             let means: Vec<Option<f64>> = (0..self.columns.len())
                 .map(|c| {
-                    let vals: Vec<f64> =
-                        self.rows.iter().filter_map(|(_, vs)| vs[c]).collect();
+                    let vals: Vec<f64> = self.rows.iter().filter_map(|(_, vs)| vs[c]).collect();
                     if vals.is_empty() {
                         None
                     } else {
@@ -682,7 +683,10 @@ fn fig_over_workloads(
         .enumerate()
         .map(|(i, w)| {
             let start = i * configs.len();
-            (w.name.to_string(), vals[start..start + configs.len()].to_vec())
+            (
+                w.name.to_string(),
+                vals[start..start + configs.len()].to_vec(),
+            )
         })
         .collect();
     FigResult {
@@ -1126,7 +1130,7 @@ impl Default for ServeSimConfig {
 /// scheduling-dependent counters (peak in-flight — print them to
 /// stderr); the metrics snapshots come straight from the service.
 pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
-    use janitizer_core::{AnalysisService, FillSource, SplitMix64, ServiceOptions};
+    use janitizer_core::{AnalysisService, FillSource, ServiceOptions, SplitMix64};
 
     let mut modules: Vec<String> = ew
         .world
@@ -1391,7 +1395,11 @@ pub fn bench_trend(history: &str) -> String {
         let _ = writeln!(
             out,
             "{date}  threads={threads}  total {total:>12.1} ms  {delta}{}",
-            if figures.is_none() { "  (pre-schema)" } else { "" }
+            if figures.is_none() {
+                "  (pre-schema)"
+            } else {
+                ""
+            }
         );
         prev_total = Some(*total);
     }
@@ -1399,7 +1407,10 @@ pub fn bench_trend(history: &str) -> String {
     let with_figs: Vec<&BTreeMap<String, f64>> =
         rows.iter().filter_map(|(_, _, _, f)| f.as_ref()).collect();
     if with_figs.len() >= 2 {
-        let (prev, last) = (with_figs[with_figs.len() - 2], with_figs[with_figs.len() - 1]);
+        let (prev, last) = (
+            with_figs[with_figs.len() - 2],
+            with_figs[with_figs.len() - 1],
+        );
         let _ = writeln!(out, "-- last run per figure --");
         for (fig, ms) in last {
             match prev.get(fig) {
@@ -1505,7 +1516,10 @@ impl GauntletResult {
     /// Aligned table for stdout.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "== hostile-module gauntlet (analyzer vs no-evidence ablation) ==");
+        let _ = writeln!(
+            out,
+            "== hostile-module gauntlet (analyzer vs no-evidence ablation) =="
+        );
         let _ = writeln!(
             out,
             "{:<12}{:<12}{:>10}{:>12}{:>9}{:>9}{:>9}  {:<14}{:>7}{:>5}",
@@ -1541,7 +1555,11 @@ impl GauntletResult {
             out,
             "the analyzer strictly increases static coverage on {} class(es): {}",
             gains.len(),
-            if gains.is_empty() { "-".into() } else { gains.join(", ") }
+            if gains.is_empty() {
+                "-".into()
+            } else {
+                gains.join(", ")
+            }
         );
         out
     }
@@ -1692,7 +1710,8 @@ pub fn hostile_gauntlet() -> GauntletResult {
             };
             if ablation {
                 let rules = rules_from_disasm(&image, res, &Jasan::hybrid());
-                opts.rule_overrides.insert(name.to_string(), rules.to_bytes());
+                opts.rule_overrides
+                    .insert(name.to_string(), rules.to_bytes());
             }
             let mut store = janitizer_workloads::library_base();
             store.add(image);
@@ -1711,7 +1730,12 @@ pub fn hostile_gauntlet() -> GauntletResult {
                     };
                     let crashed = matches!(r.outcome, RunOutcome::Fault(_) | RunOutcome::OutOfFuel)
                         && !detected;
-                    (outcome, detected, r.coverage.region_fallback_blocks, crashed)
+                    (
+                        outcome,
+                        detected,
+                        r.coverage.region_fallback_blocks,
+                        crashed,
+                    )
                 }
                 Ok(Err(e)) => (format!("error: {e}"), false, 0, true),
                 Err(_) => ("panic".into(), false, 0, true),

@@ -95,7 +95,10 @@ fn write_bench(
                 per_figure
                     .iter()
                     .map(|(name, ms)| {
-                        Json::obj([("name", Json::str(name.clone())), ("wall_ms", Json::F64(*ms))])
+                        Json::obj([
+                            ("name", Json::str(name.clone())),
+                            ("wall_ms", Json::F64(*ms)),
+                        ])
                     })
                     .collect(),
             ),
@@ -119,7 +122,10 @@ fn write_bench(
             ]),
         ));
     }
-    write_atomic("BENCH_eval.json", Json::Obj(fields).render_pretty().as_bytes())
+    write_atomic(
+        "BENCH_eval.json",
+        Json::Obj(fields).render_pretty().as_bytes(),
+    )
 }
 
 /// Today's UTC date as `YYYY-MM-DD` (civil-from-days, no external deps).
@@ -277,15 +283,18 @@ fn write_explain_artifacts(
     let budgets = profile_bundle_budgets(top, profiles);
     let write_all = || -> std::io::Result<()> {
         std::fs::create_dir_all(out_dir)?;
-        write_atomic(&json_path, profile_bundle_json(target, top, profiles).as_bytes())?;
+        write_atomic(
+            &json_path,
+            profile_bundle_json(target, top, profiles).as_bytes(),
+        )?;
         write_atomic(&folded_path, profile_bundle_folded(profiles).as_bytes())?;
         write_atomic(&budget_path, budgets.as_bytes())?;
         Ok(())
     };
     match write_all() {
-        Ok(()) => eprintln!(
-            "explain artifacts written to {json_path}, {folded_path}, {budget_path}"
-        ),
+        Ok(()) => {
+            eprintln!("explain artifacts written to {json_path}, {folded_path}, {budget_path}")
+        }
         Err(e) => {
             eprintln!("error: failed to write explain artifacts under {out_dir}: {e}");
             *failures += 1;
@@ -460,11 +469,10 @@ fn main() {
             }
             "--serve-clients" => {
                 i += 1;
-                serve_cfg.clients =
-                    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--serve-clients needs a positive integer");
-                        std::process::exit(2);
-                    });
+                serve_cfg.clients = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--serve-clients needs a positive integer");
+                    std::process::exit(2);
+                });
             }
             "--serve-requests" => {
                 i += 1;
@@ -483,11 +491,10 @@ fn main() {
             }
             "--serve-budget" => {
                 i += 1;
-                serve_cfg.budget =
-                    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--serve-budget needs a work-unit count");
-                        std::process::exit(2);
-                    });
+                serve_cfg.budget = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--serve-budget needs a work-unit count");
+                    std::process::exit(2);
+                });
             }
             "--reports" => {
                 i += 1;
@@ -498,12 +505,11 @@ fn main() {
             }
             "--juliet-limit" => {
                 i += 1;
-                juliet_limit = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(
-                    || {
+                juliet_limit =
+                    Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                         eprintln!("--juliet-limit needs a positive integer");
                         std::process::exit(2);
-                    },
-                ));
+                    }));
             }
             "--inject-faults" => {
                 i += 1;
@@ -520,23 +526,17 @@ fn main() {
             }
             "--scale" => {
                 i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--scale needs a number");
-                        std::process::exit(2);
-                    });
+                scale = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--scale needs a number");
+                    std::process::exit(2);
+                });
             }
             "--threads" => {
                 i += 1;
-                threads_flag = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    });
+                threads_flag = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--threads needs a positive integer");
+                    std::process::exit(2);
+                });
             }
             "--trace" => {
                 i += 1;
@@ -608,15 +608,31 @@ fn main() {
     // Reject unknown flags and figure names up front, before the (slow)
     // guest world is built for nothing.
     const KNOWN: &[&str] = &[
-        "all", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "rules",
-        "soundness", "disasm", "report", "serve", "gauntlet",
+        "all",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "rules",
+        "soundness",
+        "disasm",
+        "report",
+        "serve",
+        "gauntlet",
     ];
     let mut prev_takes_arg = false;
     for w in &which {
         let is_subcmd_target =
             std::mem::replace(&mut prev_takes_arg, w == "disasm" || w == "report");
         if !is_subcmd_target && !KNOWN.contains(&w.as_str()) {
-            eprintln!("unknown argument `{w}` (expected one of: {})", KNOWN.join(", "));
+            eprintln!(
+                "unknown argument `{w}` (expected one of: {})",
+                KNOWN.join(", ")
+            );
             std::process::exit(2);
         }
     }
@@ -670,8 +686,7 @@ fn main() {
                          (recovered={recovered})"
                     );
                 }
-                ew.cache =
-                    std::sync::Arc::new(janitizer_core::RuleCache::with_store(st.clone()));
+                ew.cache = std::sync::Arc::new(janitizer_core::RuleCache::with_store(st.clone()));
                 rule_store = Some(st);
             }
             Err(e) => {
@@ -718,7 +733,8 @@ fn main() {
         }
         for name in ew.world.store.names() {
             let image = ew.world.store.get(name).expect("listed");
-            let file = janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid());
+            let file =
+                janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid());
             let bytes = file.to_bytes();
             total += file.rules.len();
             let path = format!("results/rules/{name}.jrul");
@@ -802,7 +818,9 @@ fn main() {
             Ok(())
         };
         match write_all() {
-            Ok(()) => eprintln!("gauntlet results written to results/hostile-gauntlet.{{csv,json}}"),
+            Ok(()) => {
+                eprintln!("gauntlet results written to results/hostile-gauntlet.{{csv,json}}")
+            }
             Err(e) => {
                 eprintln!("error: failed to write results/hostile-gauntlet.{{csv,json}}: {e}");
                 failures += 1;
@@ -838,8 +856,7 @@ fn main() {
         let parity_bad = run.summary.contains("MISMATCH");
         let json = serve_summary_json(&serve_cfg, &stats, &prov, parity_bad);
         let path = format!("{out_dir}/serve-summary.json");
-        match std::fs::create_dir_all(&out_dir)
-            .and_then(|()| write_atomic(&path, json.as_bytes()))
+        match std::fs::create_dir_all(&out_dir).and_then(|()| write_atomic(&path, json.as_bytes()))
         {
             Ok(()) => eprintln!("serve summary written to {path}"),
             Err(e) => {
@@ -861,7 +878,10 @@ fn main() {
                     format!("{dir}/serve-metrics-host.json"),
                     run.host_metrics_json.as_bytes(),
                 )?;
-                write_atomic(format!("{dir}/serve-metrics.om"), run.openmetrics.as_bytes())?;
+                write_atomic(
+                    format!("{dir}/serve-metrics.om"),
+                    run.openmetrics.as_bytes(),
+                )?;
                 Ok(())
             };
             match write_all() {
@@ -988,8 +1008,10 @@ fn main() {
         eprintln!("{}", janitizer_store::stats_line(&st.stats()));
         let (files, bytes) = st.quarantine_usage();
         if files > 0 || quarantine_limit.is_some() {
-            eprintln!("store quarantine: {files} entr{} ({bytes} bytes)",
-                if files == 1 { "y" } else { "ies" });
+            eprintln!(
+                "store quarantine: {files} entr{} ({bytes} bytes)",
+                if files == 1 { "y" } else { "ies" }
+            );
         }
         if let Some(limit) = quarantine_limit {
             let removed = st.prune_quarantine(limit);

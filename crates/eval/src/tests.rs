@@ -7,10 +7,7 @@ fn fig(rows: Vec<(&str, Vec<Option<f64>>)>) -> FigResult {
     FigResult {
         title: "test".into(),
         columns: vec!["a".into(), "b".into()],
-        rows: rows
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect(),
+        rows: rows.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
         higher_is_better: false,
         use_mean: false,
     }
@@ -137,7 +134,12 @@ fn inject_spec_parses_and_rejects() {
 fn empty_juliet_counts_are_zero() {
     let c = JulietCounts::default();
     assert_eq!(
-        (c.false_positives, c.true_negatives, c.true_positives, c.false_negatives),
+        (
+            c.false_positives,
+            c.true_negatives,
+            c.true_positives,
+            c.false_negatives
+        ),
         (0, 0, 0, 0)
     );
 }

@@ -20,7 +20,10 @@ fn benign_rule_bytes_identical_to_the_no_evidence_ablation() {
         let analyzer = analyze_statically(&image, &Jasan::hybrid()).to_bytes();
         let base = DisasmResult::untiered(analyze_module(&image));
         let ablation = rules_from_disasm(&image, base, &Jasan::hybrid()).to_bytes();
-        assert!(analyzer == ablation, "{name}: rule bytes diverged from the ablation");
+        assert!(
+            analyzer == ablation,
+            "{name}: rule bytes diverged from the ablation"
+        );
     }
 }
 
@@ -36,7 +39,10 @@ fn flight_records_one_disasm_degraded_event_per_low_confidence_region() {
         .iter()
         .filter(|r| r.cause == RegionCause::LowConfidence)
         .collect();
-    assert!(!low.is_empty(), "data-island must degrade at least one region");
+    assert!(
+        !low.is_empty(),
+        "data-island must degrade at least one region"
+    );
 
     flight::arm(flight::DEFAULT_CAPACITY);
     let mut store = janitizer_workloads::library_base();

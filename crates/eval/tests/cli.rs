@@ -17,8 +17,23 @@ fn help_names_every_subcommand() {
     assert_eq!(out.status.code(), Some(0));
     let help = String::from_utf8(out.stdout).expect("utf-8 help");
     for sub in [
-        "all", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "rules",
-        "soundness", "disasm", "report", "serve", "gauntlet", "explain", "explain diff",
+        "all",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "rules",
+        "soundness",
+        "disasm",
+        "report",
+        "serve",
+        "gauntlet",
+        "explain",
+        "explain diff",
         "explain trend",
     ] {
         assert!(help.contains(sub), "--help does not name `{sub}`:\n{help}");
@@ -29,8 +44,16 @@ fn help_names_every_subcommand() {
 fn rejects(args: &[&str], needle: &str) {
     let out = eval(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?} exited {:?}: {stderr}", out.status);
-    assert!(stderr.contains(needle), "{args:?}: stderr lacks `{needle}`: {stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{args:?} exited {:?}: {stderr}",
+        out.status
+    );
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: stderr lacks `{needle}`: {stderr}"
+    );
 }
 
 #[test]

@@ -11,7 +11,8 @@ use std::path::PathBuf;
 
 /// Fresh per-test scratch directory under the target-local temp root.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("janitizer-forensics-{}-{tag}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("janitizer-forensics-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -44,7 +45,11 @@ fn fig10_reports_are_observation_only_and_well_formed() {
         .filter(|p| p.extension().is_some_and(|e| e == "txt"))
         .count();
     assert!(!json_files.is_empty(), "at least one JSON report");
-    assert_eq!(json_files.len(), txt_count, "reports come in .txt/.json pairs");
+    assert_eq!(
+        json_files.len(),
+        txt_count,
+        "reports come in .txt/.json pairs"
+    );
 
     // Schema shape: the stable envelope keys are present in every file.
     for p in &json_files {
@@ -74,7 +79,11 @@ fn juliet_report_carries_full_forensic_context() {
     let rep = &reports[0];
 
     assert_eq!(rep.tool, "jasan");
-    assert!(rep.id.starts_with("jasan-case-0000-"), "stable id, got {}", rep.id);
+    assert!(
+        rep.id.starts_with("jasan-case-0000-"),
+        "stable id, got {}",
+        rep.id
+    );
 
     // Backtrace: at least one frame resolved to module!symbol+offset.
     assert!(
@@ -98,7 +107,10 @@ fn juliet_report_carries_full_forensic_context() {
 
     // Execution trail is present and symbolized.
     assert!(!rep.trail.is_empty(), "execution trail captured");
-    assert!(rep.trail.iter().all(|f| f.module.is_some()), "trail frames in modules");
+    assert!(
+        rep.trail.iter().all(|f| f.module.is_some()),
+        "trail frames in modules"
+    );
 
     // Text and JSON agree on every address: the pc and each backtrace
     // frame render through one shared formatter.
@@ -108,9 +120,15 @@ fn juliet_report_carries_full_forensic_context() {
     assert!(text.contains(&pc_str) && json.contains(&pc_str));
     for f in &rep.backtrace {
         let a = format!("{:#010x}", f.addr);
-        assert!(text.contains(&a) && json.contains(&a), "address {a} diverges");
+        assert!(
+            text.contains(&a) && json.contains(&a),
+            "address {a} diverges"
+        );
     }
-    assert!(text.starts_with("==janitizer== ERROR: heap-buffer-overflow"), "{text}");
+    assert!(
+        text.starts_with("==janitizer== ERROR: heap-buffer-overflow"),
+        "{text}"
+    );
     assert!(text.contains("Faulting instruction window:"));
     assert!(text.contains("JASan shadow map around"));
     assert!(text.contains("Execution trail (oldest block first):"));

@@ -37,10 +37,14 @@ fn serve_metrics_snapshot_is_deterministic_across_threads() {
             "snapshot carries its schema tag"
         );
         assert!(
-            run.host_metrics_json.contains("janitizer.serve-metrics-host/v1"),
+            run.host_metrics_json
+                .contains("janitizer.serve-metrics-host/v1"),
             "host snapshot carries its schema tag"
         );
-        assert!(run.openmetrics.ends_with("# EOF\n"), "exposition is terminated");
+        assert!(
+            run.openmetrics.ends_with("# EOF\n"),
+            "exposition is terminated"
+        );
         // Provenance totals are deterministic (exactly-once analysis per
         // key) and must account for every request.
         let total = run.provenance.memory + run.provenance.store + run.provenance.analyzed;
@@ -81,7 +85,12 @@ fn figures_are_byte_identical_with_flight_recorder_armed() {
                 "{} (threads {threads}): render diverged",
                 a.title
             );
-            assert_eq!(a.to_csv(), b.to_csv(), "{} (threads {threads}): CSV diverged", a.title);
+            assert_eq!(
+                a.to_csv(),
+                b.to_csv(),
+                "{} (threads {threads}): CSV diverged",
+                a.title
+            );
             assert_eq!(
                 a.to_json(),
                 b.to_json(),
@@ -96,14 +105,15 @@ fn figures_are_byte_identical_with_flight_recorder_armed() {
     for name in ew.world.store.names() {
         let image = ew.world.store.get(name).expect("listed");
         flight::arm(flight::DEFAULT_CAPACITY);
-        let armed =
-            janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid())
-                .to_bytes();
+        let armed = janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid())
+            .to_bytes();
         flight::disarm();
-        let plain =
-            janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid())
-                .to_bytes();
-        assert_eq!(armed, plain, "{name}: rule bytes diverged under the recorder");
+        let plain = janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid())
+            .to_bytes();
+        assert_eq!(
+            armed, plain,
+            "{name}: rule bytes diverged under the recorder"
+        );
     }
 }
 
@@ -140,8 +150,14 @@ fn explain_diff_reproduces_the_committed_dispatch_improvement() {
             cell.config
         );
     }
-    assert!(diff.worst_total_ratio() <= 1.0, "PR8 regressed no cell total");
-    assert!(report.contains("1408 -> 814"), "report shows the delta:\n{report}");
+    assert!(
+        diff.worst_total_ratio() <= 1.0,
+        "PR8 regressed no cell total"
+    );
+    assert!(
+        report.contains("1408 -> 814"),
+        "report shows the delta:\n{report}"
+    );
     assert!(report.contains("top improving functions"));
     // The reverse diff is a regression and would trip a 5% gate.
     let (reverse, _) = diff_bundles(&current, baseline, 5).expect("parse");
@@ -172,7 +188,13 @@ not json at all\n\
     assert!(out.contains("3 run(s)"), "{out}");
     assert!(out.contains("1 unparseable line(s) skipped"), "{out}");
     assert!(out.contains("(pre-schema)"), "{out}");
-    assert!(out.contains("-50.0%"), "total halved between the last runs:\n{out}");
+    assert!(
+        out.contains("-50.0%"),
+        "total halved between the last runs:\n{out}"
+    );
     assert!(out.contains("fig7"), "{out}");
-    assert!(out.contains("(new)"), "fig9 appears only in the last run:\n{out}");
+    assert!(
+        out.contains("(new)"),
+        "fig9 appears only in the last run:\n{out}"
+    );
 }

@@ -6,8 +6,8 @@
 
 use janitizer_core::{analyze_statically, RuleCache, SecurityPlugin};
 use janitizer_eval::{
-    build_eval_world, fig10, fig11, fig12, fig13, fig14, fig7, fig8, fig9, run_config,
-    set_threads, threads, EvalWorld, FigResult, ToolConfig,
+    build_eval_world, fig10, fig11, fig12, fig13, fig14, fig7, fig8, fig9, run_config, set_threads,
+    threads, EvalWorld, FigResult, ToolConfig,
 };
 use janitizer_jasan::Jasan;
 use std::sync::Mutex;
@@ -62,7 +62,10 @@ fn distinct_plugin_configurations_do_not_share_cache_slots() {
     let stats = cache.stats();
     assert_eq!(stats.misses, 2, "each config must run its own analysis");
     assert_eq!(stats.hits, 0, "different keys never alias");
-    assert_eq!(cache.analysis_count("libjc.so", &Jasan::hybrid().cache_key()), 1);
+    assert_eq!(
+        cache.analysis_count("libjc.so", &Jasan::hybrid().cache_key()),
+        1
+    );
     assert_eq!(
         cache.analysis_count("libjc.so", &Jasan::hybrid_base().cache_key()),
         1
@@ -138,7 +141,10 @@ fn parallel_and_serial_figures_are_byte_identical() {
     set_threads(4);
     let j_par = fig10(&ew_par.world.store);
     set_threads(0);
-    assert_eq!(j_serial.valgrind, j_par.valgrind, "fig10 Valgrind counts diverged");
+    assert_eq!(
+        j_serial.valgrind, j_par.valgrind,
+        "fig10 Valgrind counts diverged"
+    );
     assert_eq!(j_serial.jasan, j_par.jasan, "fig10 JASan counts diverged");
     assert_eq!(j_serial.render(), j_par.render());
 }

@@ -87,7 +87,10 @@ fn attribution_conserves_cycles_exactly() {
         // are not probe runs, so they must be covered by the sites'
         // elided sum).
         let e = &p.engine;
-        assert!(e.indirect_chain_hits <= e.indirect_transfers, "{workload}/{config}");
+        assert!(
+            e.indirect_chain_hits <= e.indirect_transfers,
+            "{workload}/{config}"
+        );
         assert!(e.checks_hoisted <= p.checks_elided(), "{workload}/{config}");
     }
     // The instrumented cells actually carry sites; the attribution is

@@ -25,8 +25,13 @@ fn cold_store_warmed_by_many_threads_analyzes_exactly_once() {
     let cache = Arc::new(RuleCache::with_store(Arc::clone(&store)));
 
     let module = {
-        let mut names: Vec<String> =
-            ew.world.store.names().into_iter().map(str::to_string).collect();
+        let mut names: Vec<String> = ew
+            .world
+            .store
+            .names()
+            .into_iter()
+            .map(str::to_string)
+            .collect();
         names.sort();
         names.into_iter().next().expect("eval world has modules")
     };
@@ -69,7 +74,10 @@ fn cold_store_warmed_by_many_threads_analyzes_exactly_once() {
     let cache2 = RuleCache::with_store(Arc::clone(&store2));
     let plugin = Jasan::hybrid();
     let (served, source) = cache2.get_or_analyze_traced(&image, &plugin, true);
-    assert!(matches!(source, FillSource::Store), "expected store hit, got {source:?}");
+    assert!(
+        matches!(source, FillSource::Store),
+        "expected store hit, got {source:?}"
+    );
     assert_eq!(&served.to_bytes(), first);
     assert_eq!(store2.stats().hits, 1);
     assert_eq!(cache2.analysis_count(&module, &plugin_key), 0);
@@ -82,8 +90,13 @@ fn golden_byte_parity_across_store_tiers() {
     let ew = build_eval_world(0.05);
     let dir = scratch_dir("eval-parity");
 
-    let mut modules: Vec<String> =
-        ew.world.store.names().into_iter().map(str::to_string).collect();
+    let mut modules: Vec<String> = ew
+        .world
+        .store
+        .names()
+        .into_iter()
+        .map(str::to_string)
+        .collect();
     modules.sort();
 
     // Tier 0: plain in-process analysis — the golden bytes.
@@ -103,7 +116,12 @@ fn golden_byte_parity_across_store_tiers() {
         for (m, want) in &golden {
             let image = ew.world.store.get(m).expect("listed module");
             let (file, source) = cache.get_or_analyze_traced(&image, &plugin, true);
-            assert!(matches!(source, FillSource::Analyzed { store_failed: false }));
+            assert!(matches!(
+                source,
+                FillSource::Analyzed {
+                    store_failed: false
+                }
+            ));
             assert_eq!(&file.to_bytes(), want, "{m}: cold fill diverged");
         }
     }
@@ -115,7 +133,10 @@ fn golden_byte_parity_across_store_tiers() {
         for (m, want) in &golden {
             let image = ew.world.store.get(m).expect("listed module");
             let (file, source) = cache.get_or_analyze_traced(&image, &plugin, true);
-            assert!(matches!(source, FillSource::Store), "{m}: expected store hit");
+            assert!(
+                matches!(source, FillSource::Store),
+                "{m}: expected store hit"
+            );
             assert_eq!(&file.to_bytes(), want, "{m}: warm store diverged");
         }
         assert_eq!(store.stats().hits as usize, golden.len());
@@ -144,18 +165,34 @@ fn golden_byte_parity_across_store_tiers() {
         let image = ew.world.store.get(&torn_module).expect("listed module");
         let (file, source) = cache.get_or_analyze_traced(&image, &plugin, true);
         assert!(
-            matches!(source, FillSource::Analyzed { store_failed: false }),
+            matches!(
+                source,
+                FillSource::Analyzed {
+                    store_failed: false
+                }
+            ),
             "torn entry must be quarantined and re-analyzed, got {source:?}"
         );
-        assert_eq!(&file.to_bytes(), &golden[0].1, "post-recovery bytes diverged");
-        assert_eq!(store.stats().corrupt, 1, "torn entry must be counted corrupt");
+        assert_eq!(
+            &file.to_bytes(),
+            &golden[0].1,
+            "post-recovery bytes diverged"
+        );
+        assert_eq!(
+            store.stats().corrupt,
+            1,
+            "torn entry must be counted corrupt"
+        );
 
         // And the repair is durable: the re-analysis re-persisted the
         // entry, so the next open serves it from disk again.
         let store2 = open_store(&dir);
         let cache2 = RuleCache::with_store(Arc::clone(&store2));
         let (file2, source2) = cache2.get_or_analyze_traced(&image, &plugin, true);
-        assert!(matches!(source2, FillSource::Store), "repaired entry not served");
+        assert!(
+            matches!(source2, FillSource::Store),
+            "repaired entry not served"
+        );
         assert_eq!(file2.to_bytes(), golden[0].1);
     }
 

@@ -11,7 +11,9 @@
 
 use janitizer_core::analyze_statically;
 use janitizer_faultz::{hostile_mutate, hostile_tiny_exe, tiny_exe, HostileMutation, MarkerPlugin};
-use janitizer_obj::{Image, Object, Reloc, RelocKind, Section, SectionKind, SymBind, SymKind, Symbol};
+use janitizer_obj::{
+    Image, Object, Reloc, RelocKind, Section, SectionKind, SymBind, SymKind, Symbol,
+};
 use std::path::Path;
 
 fn write(dir: &Path, name: &str, bytes: &[u8]) {
@@ -21,7 +23,8 @@ fn write(dir: &Path, name: &str, bytes: &[u8]) {
 
 fn tiny_object_bytes() -> Vec<u8> {
     let mut obj = Object::new("fx.o");
-    obj.sections.push(Section::new(SectionKind::Text, vec![0x6c]));
+    obj.sections
+        .push(Section::new(SectionKind::Text, vec![0x6c]));
     obj.symbols.push(Symbol {
         name: "_start".into(),
         kind: SymKind::Func,
@@ -51,7 +54,8 @@ fn main() {
     write(&dir, "obj_truncated.bin", &obj_ok[..10]);
 
     let mut obj = Object::new("fx.o");
-    obj.sections.push(Section::new(SectionKind::Text, vec![0x6c]));
+    obj.sections
+        .push(Section::new(SectionKind::Text, vec![0x6c]));
     obj.relocs.push(Reloc {
         section: SectionKind::Text,
         offset: janitizer_obj::MAX_IMAGE_SPAN + 1,
@@ -83,7 +87,8 @@ fn main() {
     write(&dir, "img_section_data.bin", &img.to_bytes());
 
     let mut img = Image::new("fx", false, false);
-    img.sections.push(Section::new(SectionKind::Text, vec![0x6c]));
+    img.sections
+        .push(Section::new(SectionKind::Text, vec![0x6c]));
     img.symbols.push(Symbol {
         name: "ghost".into(),
         kind: SymKind::Object,
@@ -121,9 +126,17 @@ fn main() {
     }
     .to_bytes();
 
-    write(&dir, "store_torn_journal.bin", &journal_ok[..journal_ok.len() / 2]);
+    write(
+        &dir,
+        "store_torn_journal.bin",
+        &journal_ok[..journal_ok.len() / 2],
+    );
 
-    write(&dir, "store_truncated_entry.bin", &entry_ok[..entry_ok.len() / 2]);
+    write(
+        &dir,
+        "store_truncated_entry.bin",
+        &entry_ok[..entry_ok.len() / 2],
+    );
 
     let mut b = entry_ok.clone();
     let at = b.len() - 3;

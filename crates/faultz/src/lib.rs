@@ -104,11 +104,19 @@ impl SecurityPlugin for MarkerPlugin {
         block: &DecodedBlock,
         _rules: &BlockRules<'_>,
     ) -> Vec<TbItem> {
-        block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)).collect()
+        block
+            .insns
+            .iter()
+            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
+            .collect()
     }
 
     fn instrument_dynamic(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
-        block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)).collect()
+        block
+            .insns
+            .iter()
+            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
+            .collect()
     }
 }
 
@@ -252,8 +260,12 @@ pub fn build_corpus() -> Vec<CorpusItem> {
         kind: ItemKind::Object,
         bytes: tiny_obj.to_bytes(),
     });
-    let crt0 = assemble("crt0.s", janitizer_workloads::CRT0, &AsmOptions { pic: true })
-        .expect("crt0 asm");
+    let crt0 = assemble(
+        "crt0.s",
+        janitizer_workloads::CRT0,
+        &AsmOptions { pic: true },
+    )
+    .expect("crt0 asm");
     corpus.push(CorpusItem {
         name: "obj:crt0",
         kind: ItemKind::Object,
@@ -365,7 +377,10 @@ pub struct HarnessOptions {
 
 impl Default for HarnessOptions {
     fn default() -> HarnessOptions {
-        HarnessOptions { seed: 1, iters: 500 }
+        HarnessOptions {
+            seed: 1,
+            iters: 500,
+        }
     }
 }
 

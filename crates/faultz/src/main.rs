@@ -14,12 +14,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |what: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("faultz: {what} requires an integer argument");
-                    std::process::exit(2);
-                })
+            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("faultz: {what} requires an integer argument");
+                std::process::exit(2);
+            })
         };
         match arg.as_str() {
             "--seed" => opts.seed = take("--seed"),

@@ -23,7 +23,9 @@ fn label(e: &FormatError) -> String {
 }
 
 fn fixture(name: &str) -> Vec<u8> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus").join(name);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("corpus")
+        .join(name);
     std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {name}: {e}"))
 }
 
@@ -50,19 +52,37 @@ fn every_fixture_fails_with_its_exact_typed_error() {
         ("obj_bad_magic.bin", "BadMagic"),
         ("obj_bad_version.bin", "BadVersion(99)"),
         ("obj_truncated.bin", "Truncated"),
-        ("obj_reloc_offset.bin", r#"Invalid { what: "relocation offset" }"#),
+        (
+            "obj_reloc_offset.bin",
+            r#"Invalid { what: "relocation offset" }"#,
+        ),
         ("img_bad_magic.bin", "BadMagic"),
         ("img_truncated.bin", "Truncated"),
-        ("img_section_span.bin", r#"Invalid { what: "section span" }"#),
-        ("img_section_data.bin", r#"Invalid { what: "section data size" }"#),
-        ("img_symbol_range.bin", r#"Invalid { what: "symbol range" }"#),
+        (
+            "img_section_span.bin",
+            r#"Invalid { what: "section span" }"#,
+        ),
+        (
+            "img_section_data.bin",
+            r#"Invalid { what: "section data size" }"#,
+        ),
+        (
+            "img_symbol_range.bin",
+            r#"Invalid { what: "symbol range" }"#,
+        ),
         ("rules_bad_magic.bin", "BadMagic"),
         ("rules_stale_v1.bin", "BadVersion(1)"),
-        ("rules_checksum.bin", r#"Invalid { what: "rule-file checksum" }"#),
+        (
+            "rules_checksum.bin",
+            r#"Invalid { what: "rule-file checksum" }"#,
+        ),
         ("rules_truncated.bin", "Truncated"),
         ("store_torn_journal.bin", "Truncated"),
         ("store_truncated_entry.bin", "Truncated"),
-        ("store_checksum_flip.bin", r#"Invalid { what: "store-entry checksum" }"#),
+        (
+            "store_checksum_flip.bin",
+            r#"Invalid { what: "store-entry checksum" }"#,
+        ),
     ];
     assert!(cases.len() >= 12, "corpus floor");
     for (name, expected) in cases {
@@ -132,7 +152,11 @@ fn hostile_fixtures_degrade_with_their_exact_outcome() {
     // still exits 0, and the analyzer records exactly a
     // low-confidence-region degradation for the spliced block.
     let run = run_hostile("hostile_data_splice.bin", Analyzer);
-    assert_eq!(run.outcome.code(), Some(0), "splice must still run benignly");
+    assert_eq!(
+        run.outcome.code(),
+        Some(0),
+        "splice must still run benignly"
+    );
     let reasons: Vec<DegradationReason> = run.degraded.iter().map(|d| d.reason).collect();
     assert_eq!(
         reasons,
@@ -160,14 +184,22 @@ fn hostile_fixtures_degrade_with_their_exact_outcome() {
     // are reached only through the dynamic fallback; the analyzer
     // recovers them statically.
     let run = run_hostile("hostile_symbol_strip.bin", Ablation);
-    assert_eq!(run.outcome.code(), Some(0), "stripped subject must still run");
+    assert_eq!(
+        run.outcome.code(),
+        Some(0),
+        "stripped subject must still run"
+    );
     assert!(run.degraded.is_empty(), "strip alone must not degrade");
     assert!(
         run.coverage.dynamic_blocks > 0,
         "stripped dispatch targets must fall back to dynamic translation"
     );
     let run = run_hostile("hostile_symbol_strip.bin", Analyzer);
-    assert_eq!(run.outcome.code(), Some(0), "stripped subject must still run");
+    assert_eq!(
+        run.outcome.code(),
+        Some(0),
+        "stripped subject must still run"
+    );
     assert!(run.degraded.is_empty(), "strip alone must not degrade");
     assert_eq!(
         run.coverage.dynamic_blocks, 0,

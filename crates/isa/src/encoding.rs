@@ -126,12 +126,22 @@ impl Instr {
                 out.push((rd.index() as u8) << 4 | base.index() as u8);
                 out.extend_from_slice(&disp.to_le_bytes());
             }
-            Instr::Ld { size, rd, base, disp } => {
+            Instr::Ld {
+                size,
+                rd,
+                base,
+                disp,
+            } => {
                 out.push(OP_LD_BASE + size.log2());
                 out.push((rd.index() as u8) << 4 | base.index() as u8);
                 out.extend_from_slice(&disp.to_le_bytes());
             }
-            Instr::St { size, rs, base, disp } => {
+            Instr::St {
+                size,
+                rs,
+                base,
+                disp,
+            } => {
                 out.push(OP_ST_BASE + size.log2());
                 out.push((rs.index() as u8) << 4 | base.index() as u8);
                 out.extend_from_slice(&disp.to_le_bytes());
@@ -501,13 +511,22 @@ mod tests {
             Instr::Nop,
             Instr::Halt,
             Instr::Trap,
-            Instr::MovRr { rd: Reg::R3, rs: Reg::R12 },
+            Instr::MovRr {
+                rd: Reg::R3,
+                rs: Reg::R12,
+            },
             Instr::MovI64 {
                 rd: Reg::R7,
                 imm: 0xdead_beef_cafe_f00d,
             },
-            Instr::MovI32 { rd: Reg::R0, imm: -1 },
-            Instr::LeaPc { rd: Reg::R5, disp: -0x1000 },
+            Instr::MovI32 {
+                rd: Reg::R0,
+                imm: -1,
+            },
+            Instr::LeaPc {
+                rd: Reg::R5,
+                disp: -0x1000,
+            },
             Instr::Lea {
                 rd: Reg::R1,
                 base: Reg::SP,
@@ -558,14 +577,23 @@ mod tests {
             Instr::PushF,
             Instr::PopF,
             Instr::Jmp { rel: 0 },
-            Instr::Jcc { cc: Cc::Ae, rel: -6 },
+            Instr::Jcc {
+                cc: Cc::Ae,
+                rel: -6,
+            },
             Instr::Call { rel: 0x1234 },
             Instr::CallInd { rs: Reg::R11 },
             Instr::JmpInd { rs: Reg::R10 },
             Instr::Ret,
             Instr::Syscall,
-            Instr::RdTls { rd: Reg::R6, off: 0x28 },
-            Instr::WrTls { rs: Reg::R6, off: 0x100 },
+            Instr::RdTls {
+                rd: Reg::R6,
+                off: 0x28,
+            },
+            Instr::WrTls {
+                rs: Reg::R6,
+                off: 0x100,
+            },
         ];
         for s in samples {
             roundtrip(s);
@@ -575,8 +603,16 @@ mod tests {
     #[test]
     fn all_alu_ops_and_ccs() {
         for op in AluOp::ALL {
-            roundtrip(Instr::AluRr { op, rd: Reg::R1, rs: Reg::R2 });
-            roundtrip(Instr::AluRi { op, rd: Reg::R1, imm: 7 });
+            roundtrip(Instr::AluRr {
+                op,
+                rd: Reg::R1,
+                rs: Reg::R2,
+            });
+            roundtrip(Instr::AluRi {
+                op,
+                rd: Reg::R1,
+                imm: 7,
+            });
         }
         for cc in Cc::ALL {
             roundtrip(Instr::Jcc { cc, rel: 100 });
@@ -601,18 +637,27 @@ mod tests {
     fn unknown_opcode_is_an_error() {
         assert_eq!(
             decode(&[0xff], 0),
-            Err(DecodeError::UnknownOpcode { opcode: 0xff, offset: 0 })
+            Err(DecodeError::UnknownOpcode {
+                opcode: 0xff,
+                offset: 0
+            })
         );
         assert_eq!(
             decode(&[0x0f], 0),
-            Err(DecodeError::UnknownOpcode { opcode: 0x0f, offset: 0 })
+            Err(DecodeError::UnknownOpcode {
+                opcode: 0x0f,
+                offset: 0
+            })
         );
     }
 
     #[test]
     fn truncated_operands_are_an_error() {
         // `mov rd, imm64` needs 9 operand bytes.
-        assert_eq!(decode(&[0x11, 0x00, 0x01], 0), Err(DecodeError::Truncated { offset: 0 }));
+        assert_eq!(
+            decode(&[0x11, 0x00, 0x01], 0),
+            Err(DecodeError::Truncated { offset: 0 })
+        );
         // Empty buffer.
         assert_eq!(decode(&[], 0), Err(DecodeError::Truncated { offset: 0 }));
     }

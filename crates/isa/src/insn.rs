@@ -157,7 +157,16 @@ pub enum Cc {
 
 impl Cc {
     /// All condition codes, indexed by encoding.
-    pub const ALL: [Cc; 8] = [Cc::Eq, Cc::Ne, Cc::Lt, Cc::Le, Cc::Gt, Cc::Ge, Cc::B, Cc::Ae];
+    pub const ALL: [Cc; 8] = [
+        Cc::Eq,
+        Cc::Ne,
+        Cc::Lt,
+        Cc::Le,
+        Cc::Gt,
+        Cc::Ge,
+        Cc::B,
+        Cc::Ae,
+    ];
 
     /// Decodes a condition-code index.
     pub fn from_u8(v: u8) -> Option<Cc> {
@@ -408,7 +417,10 @@ impl Instr {
     /// Whether this is an *indirect* control transfer (target unknown
     /// statically) — the instructions CFI instruments.
     pub fn is_indirect_cti(&self) -> bool {
-        matches!(self, Instr::CallInd { .. } | Instr::JmpInd { .. } | Instr::Ret)
+        matches!(
+            self,
+            Instr::CallInd { .. } | Instr::JmpInd { .. } | Instr::Ret
+        )
     }
 
     /// Whether this is a call of either kind.
@@ -420,7 +432,11 @@ impl Instr {
     pub fn sets_flags(&self) -> bool {
         matches!(
             self,
-            Instr::AluRr { .. } | Instr::AluRi { .. } | Instr::Neg { .. } | Instr::Not { .. } | Instr::PopF
+            Instr::AluRr { .. }
+                | Instr::AluRi { .. }
+                | Instr::Neg { .. }
+                | Instr::Not { .. }
+                | Instr::PopF
         )
     }
 
@@ -435,7 +451,9 @@ impl Instr {
     /// sanitizer which does not instrument its own spill traffic.
     pub fn mem_access(&self) -> Option<MemRef> {
         match *self {
-            Instr::Ld { size, base, disp, .. } => Some(MemRef {
+            Instr::Ld {
+                size, base, disp, ..
+            } => Some(MemRef {
                 base,
                 idx: None,
                 scale: 0,
@@ -443,7 +461,9 @@ impl Instr {
                 size,
                 is_store: false,
             }),
-            Instr::St { size, base, disp, .. } => Some(MemRef {
+            Instr::St {
+                size, base, disp, ..
+            } => Some(MemRef {
                 base,
                 idx: None,
                 scale: 0,
@@ -505,7 +525,12 @@ impl Instr {
             Instr::WrTls { rs, .. } => rs.bit(),
             // Syscalls read the number and up to five arguments.
             Instr::Syscall => {
-                Reg::R0.bit() | Reg::R1.bit() | Reg::R2.bit() | Reg::R3.bit() | Reg::R4.bit() | Reg::R5.bit()
+                Reg::R0.bit()
+                    | Reg::R1.bit()
+                    | Reg::R2.bit()
+                    | Reg::R3.bit()
+                    | Reg::R4.bit()
+                    | Reg::R5.bit()
             }
             _ => 0,
         }
@@ -598,7 +623,13 @@ impl fmt::Display for Instr {
                 write!(f, "[{base}-{:#x}]", -(disp as i64))
             }
         }
-        fn memx(f: &mut fmt::Formatter<'_>, base: Reg, idx: Reg, scale: u8, disp: i32) -> fmt::Result {
+        fn memx(
+            f: &mut fmt::Formatter<'_>,
+            base: Reg,
+            idx: Reg,
+            scale: u8,
+            disp: i32,
+        ) -> fmt::Result {
             write!(f, "[{base}+{idx}*{}", 1u32 << scale)?;
             if disp > 0 {
                 write!(f, "+{disp:#x}")?;
@@ -636,11 +667,21 @@ impl fmt::Display for Instr {
                 write!(f, "lea {rd}, ")?;
                 mem(f, base, disp)
             }
-            Instr::Ld { size, rd, base, disp } => {
+            Instr::Ld {
+                size,
+                rd,
+                base,
+                disp,
+            } => {
                 write!(f, "ld{} {rd}, ", sz(size))?;
                 mem(f, base, disp)
             }
-            Instr::St { size, rs, base, disp } => {
+            Instr::St {
+                size,
+                rs,
+                base,
+                disp,
+            } => {
                 write!(f, "st{} ", sz(size))?;
                 mem(f, base, disp)?;
                 write!(f, ", {rs}")
@@ -721,7 +762,11 @@ mod tests {
             rs: Reg::R1
         }
         .sets_flags());
-        assert!(!Instr::MovRr { rd: Reg::R0, rs: Reg::R1 }.sets_flags());
+        assert!(!Instr::MovRr {
+            rd: Reg::R0,
+            rs: Reg::R1
+        }
+        .sets_flags());
         assert!(Instr::Jcc { cc: Cc::Eq, rel: 0 }.reads_flags());
         assert!(!Instr::Jmp { rel: 0 }.reads_flags());
     }
@@ -739,7 +784,12 @@ mod tests {
         assert_eq!(m.base, Reg::R2);
         assert_eq!(m.size.bytes(), 8);
         assert!(Instr::Push { rs: Reg::R0 }.mem_access().is_none());
-        assert!(Instr::RdTls { rd: Reg::R0, off: 0 }.mem_access().is_none());
+        assert!(Instr::RdTls {
+            rd: Reg::R0,
+            off: 0
+        }
+        .mem_access()
+        .is_none());
     }
 
     #[test]
@@ -782,6 +832,15 @@ mod tests {
             ),
             "ld8 r1, [sp+0x8]"
         );
-        assert_eq!(format!("{}", Instr::Jcc { cc: Cc::Ne, rel: -5 }), "jne pc-0x5");
+        assert_eq!(
+            format!(
+                "{}",
+                Instr::Jcc {
+                    cc: Cc::Ne,
+                    rel: -5
+                }
+            ),
+            "jne pc-0x5"
+        );
     }
 }

@@ -37,31 +37,59 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
         (arb_reg(), any::<u64>()).prop_map(|(rd, imm)| Instr::MovI64 { rd, imm }),
         (arb_reg(), any::<i32>()).prop_map(|(rd, imm)| Instr::MovI32 { rd, imm }),
         (arb_reg(), any::<i32>()).prop_map(|(rd, disp)| Instr::LeaPc { rd, disp }),
-        (arb_reg(), arb_reg(), any::<i32>()).prop_map(|(rd, base, disp)| Instr::Lea { rd, base, disp }),
-        (arb_size(), arb_reg(), arb_reg(), any::<i32>())
-            .prop_map(|(size, rd, base, disp)| Instr::Ld { size, rd, base, disp }),
-        (arb_size(), arb_reg(), arb_reg(), any::<i32>())
-            .prop_map(|(size, rs, base, disp)| Instr::St { size, rs, base, disp }),
-        (arb_size(), arb_reg(), arb_reg(), arb_reg(), 0u8..4, any::<i32>()).prop_map(
-            |(size, rd, base, idx, scale, disp)| Instr::LdIdx {
+        (arb_reg(), arb_reg(), any::<i32>()).prop_map(|(rd, base, disp)| Instr::Lea {
+            rd,
+            base,
+            disp
+        }),
+        (arb_size(), arb_reg(), arb_reg(), any::<i32>()).prop_map(|(size, rd, base, disp)| {
+            Instr::Ld {
+                size,
+                rd,
+                base,
+                disp,
+            }
+        }),
+        (arb_size(), arb_reg(), arb_reg(), any::<i32>()).prop_map(|(size, rs, base, disp)| {
+            Instr::St {
+                size,
+                rs,
+                base,
+                disp,
+            }
+        }),
+        (
+            arb_size(),
+            arb_reg(),
+            arb_reg(),
+            arb_reg(),
+            0u8..4,
+            any::<i32>()
+        )
+            .prop_map(|(size, rd, base, idx, scale, disp)| Instr::LdIdx {
                 size,
                 rd,
                 base,
                 idx,
                 scale,
                 disp
-            }
-        ),
-        (arb_size(), arb_reg(), arb_reg(), arb_reg(), 0u8..4, any::<i32>()).prop_map(
-            |(size, rs, base, idx, scale, disp)| Instr::StIdx {
+            }),
+        (
+            arb_size(),
+            arb_reg(),
+            arb_reg(),
+            arb_reg(),
+            0u8..4,
+            any::<i32>()
+        )
+            .prop_map(|(size, rs, base, idx, scale, disp)| Instr::StIdx {
                 size,
                 rs,
                 base,
                 idx,
                 scale,
                 disp
-            }
-        ),
+            }),
         (arb_alu(), arb_reg(), arb_reg()).prop_map(|(op, rd, rs)| Instr::AluRr { op, rd, rs }),
         (arb_alu(), arb_reg(), any::<i32>()).prop_map(|(op, rd, imm)| Instr::AluRi { op, rd, imm }),
         arb_reg().prop_map(|rd| Instr::Neg { rd }),

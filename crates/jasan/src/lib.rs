@@ -344,7 +344,10 @@ impl SecurityPlugin for Jasan {
         let exempt = janitizer_analysis::canary_exempt_addrs(&ctx.canaries);
         // instr_addr -> invariant in a *counted* loop (hoistable).
         let invariant: std::collections::HashMap<u64, bool> = if self.opts.cached_checks {
-            ctx.invariants.iter().map(|i| (i.instr_addr, i.counted)).collect()
+            ctx.invariants
+                .iter()
+                .map(|i| (i.instr_addr, i.counted))
+                .collect()
         } else {
             Default::default()
         };

@@ -137,7 +137,10 @@ mod tests {
                     &janitizer_asm::AsmOptions::default(),
                 )
                 .unwrap();
-                s.add(janitizer_link::link(&[o], &janitizer_link::LinkOptions::executable("t")).unwrap());
+                s.add(
+                    janitizer_link::link(&[o], &janitizer_link::LinkOptions::executable("t"))
+                        .unwrap(),
+                );
                 s
             },
             "t",
@@ -171,12 +174,24 @@ mod tests {
     fn poison_detects_and_classifies() {
         let mut p = blank_process();
         poison_range(&mut p, 0x20_0100, 32, POISON_HEAP_REDZONE);
-        assert_eq!(check_access(&mut p, 0x20_0100, 1), Some(ViolationKind::HeapBufferOverflow));
-        assert_eq!(check_access(&mut p, 0x20_011f, 8), Some(ViolationKind::HeapBufferOverflow));
+        assert_eq!(
+            check_access(&mut p, 0x20_0100, 1),
+            Some(ViolationKind::HeapBufferOverflow)
+        );
+        assert_eq!(
+            check_access(&mut p, 0x20_011f, 8),
+            Some(ViolationKind::HeapBufferOverflow)
+        );
         poison_range(&mut p, 0x20_0200, 8, POISON_HEAP_FREED);
-        assert_eq!(check_access(&mut p, 0x20_0200, 4), Some(ViolationKind::HeapUseAfterFree));
+        assert_eq!(
+            check_access(&mut p, 0x20_0200, 4),
+            Some(ViolationKind::HeapUseAfterFree)
+        );
         poison_range(&mut p, 0x20_0300, 8, POISON_STACK_CANARY);
-        assert_eq!(check_access(&mut p, 0x20_0304, 2), Some(ViolationKind::StackBufferOverflow));
+        assert_eq!(
+            check_access(&mut p, 0x20_0304, 2),
+            Some(ViolationKind::StackBufferOverflow)
+        );
     }
 
     #[test]
@@ -185,7 +200,11 @@ mod tests {
         poison_range(&mut p, 0x20_0400, 64, POISON_HEAP_REDZONE);
         unpoison_range(&mut p, 0x20_0400, 13); // 8 full + 5 partial
         assert_eq!(check_access(&mut p, 0x20_0400, 8), None);
-        assert_eq!(check_access(&mut p, 0x20_0408, 5), None, "first 5 of granule ok");
+        assert_eq!(
+            check_access(&mut p, 0x20_0408, 5),
+            None,
+            "first 5 of granule ok"
+        );
         assert_eq!(
             check_access(&mut p, 0x20_0408, 8),
             Some(ViolationKind::HeapBufferOverflow),

@@ -22,7 +22,13 @@ fn store_for(src: &str, copts: &CompileOptions) -> ModuleStore {
         &AsmOptions::default(),
     )
     .unwrap();
-    store.add(link(&[obj, crt], &LinkOptions::executable("prog").needs("libjc0.so")).unwrap());
+    store.add(
+        link(
+            &[obj, crt],
+            &LinkOptions::executable("prog").needs("libjc0.so"),
+        )
+        .unwrap(),
+    );
     // A tiny libc providing plain malloc/free (used in native runs where
     // the sanitizer runtime is not preloaded).
     let libc_src = "long malloc(long n) { return __sys_sbrk2((n + 7) / 8 * 8); } \
@@ -140,12 +146,20 @@ fn unaligned_partial_granule_tail_detected() {
     let src = "long main() { long p = malloc(13); char *c = p; return c[13]; }";
     let store = store_for(src, &emit_start());
     let run = run_hybrid(&store, "prog", Jasan::hybrid(), &sanitized_opts()).unwrap();
-    assert!(matches!(&run.outcome, RunOutcome::Violation(_)), "{:?}", run.outcome);
+    assert!(
+        matches!(&run.outcome, RunOutcome::Violation(_)),
+        "{:?}",
+        run.outcome
+    );
     // In-bounds tail byte is fine.
     let src_ok = "long main() { long p = malloc(13); char *c = p; return c[12]; }";
     let store = store_for(src_ok, &emit_start());
     let run = run_hybrid(&store, "prog", Jasan::hybrid(), &sanitized_opts()).unwrap();
-    assert!(matches!(run.outcome, RunOutcome::Exited(_)), "{:?}", run.outcome);
+    assert!(
+        matches!(run.outcome, RunOutcome::Exited(_)),
+        "{:?}",
+        run.outcome
+    );
 }
 
 #[test]
@@ -178,7 +192,8 @@ fn clean_canary_function_has_no_false_positive() {
         canary: CanaryMode::All,
         ..CompileOptions::default()
     };
-    let src = "long fill(long *a, long n) { for (long i = 0; i < n; i++) a[i] = i; return a[n-1]; }\
+    let src =
+        "long fill(long *a, long n) { for (long i = 0; i < n; i++) a[i] = i; return a[n-1]; }\
                long main() { long v[8]; return fill(v, 8) + fill(v, 8); }";
     let store = store_for(src, &copts);
     let run = run_hybrid(&store, "prog", Jasan::hybrid(), &sanitized_opts()).unwrap();
@@ -230,7 +245,12 @@ fn overhead_ordering_native_hybrid_dyn() {
     .unwrap();
 
     for (name, run) in [("full", &full), ("base", &base), ("dyn", &dynamic)] {
-        assert_eq!(run.outcome.code(), Some(native_code), "{name}: {:?}", run.outcome);
+        assert_eq!(
+            run.outcome.code(),
+            Some(native_code),
+            "{name}: {:?}",
+            run.outcome
+        );
     }
     assert!(full.cycles > nproc.cycles);
     assert!(
@@ -279,7 +299,12 @@ fn ipa_ra_hazard_breaks_without_interprocedural_fix() {
 
     // Fixed configuration.
     let run_fixed = run_hybrid(&store, "prog", Jasan::hybrid(), &sanitized_opts()).unwrap();
-    assert_eq!(run_fixed.outcome.code(), Some(42), "{:?}", run_fixed.outcome);
+    assert_eq!(
+        run_fixed.outcome.code(),
+        Some(42),
+        "{:?}",
+        run_fixed.outcome
+    );
 }
 
 #[test]
@@ -346,7 +371,13 @@ fn adjacent_access_store(object_size: i64, top_disp: i64) -> ModuleStore {
     )
     .unwrap();
     let mut store = ModuleStore::new();
-    store.add(link(&[obj, crt], &LinkOptions::executable("prog").needs("libjc0.so")).unwrap());
+    store.add(
+        link(
+            &[obj, crt],
+            &LinkOptions::executable("prog").needs("libjc0.so"),
+        )
+        .unwrap(),
+    );
     let libc_src = "long malloc(long n) { return __sys_sbrk2((n + 7) / 8 * 8); } \
                     long free(long p) { return 0; }";
     let libc_c = compile(libc_src, &CompileOptions::default()).unwrap();
@@ -420,7 +451,10 @@ fn hoisted_invariant_checks_cut_counted_loop_cost() {
         hoisted.cycles,
         cached_only.cycles
     );
-    assert!(hoisted.engine.checks_hoisted > 0, "hoisted fast path engaged");
+    assert!(
+        hoisted.engine.checks_hoisted > 0,
+        "hoisted fast path engaged"
+    );
     assert_eq!(cached_only.engine.checks_hoisted, 0);
     assert!(hoisted.engine.reports.is_empty());
 }
@@ -443,7 +477,13 @@ fn hoisted_check_still_reports_violations() {
     )
     .unwrap();
     let mut store = ModuleStore::new();
-    store.add(link(&[obj, crt], &LinkOptions::executable("prog").needs("libjc0.so")).unwrap());
+    store.add(
+        link(
+            &[obj, crt],
+            &LinkOptions::executable("prog").needs("libjc0.so"),
+        )
+        .unwrap(),
+    );
     let libc_src = "long malloc(long n) { return __sys_sbrk2((n + 7) / 8 * 8); } \
                     long free(long p) { return 0; }";
     let libc_c = compile(libc_src, &CompileOptions::default()).unwrap();

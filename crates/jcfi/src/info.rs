@@ -77,8 +77,7 @@ impl CfiModuleInfo {
             address_taken: scan.at_func_entry.clone(),
             boundaries: cfg.insn_boundaries.iter().copied().collect(),
             plt_stubs: {
-                let mut stubs: BTreeSet<u64> =
-                    image.plt.iter().map(|p| p.plt_offset).collect();
+                let mut stubs: BTreeSet<u64> = image.plt.iter().map(|p| p.plt_offset).collect();
                 // The plt0 lazy trampoline is a legal target of every PLT
                 // stub's jump.
                 if let Some(plt) = image.section(SectionKind::Plt) {
@@ -86,9 +85,7 @@ impl CfiModuleInfo {
                 }
                 stubs
             },
-            plt_range: image
-                .section(SectionKind::Plt)
-                .map(|s| (s.addr, s.end())),
+            plt_range: image.section(SectionKind::Plt).map(|s| (s.addr, s.end())),
             resolver_rets: BTreeSet::new(),
             call_preceded: BTreeSet::new(),
             allowlist: scan

@@ -851,8 +851,7 @@ pub fn static_air(images: &[&Image]) -> f64 {
             .filter(|(i, _)| *i != mi)
             .map(|(_, o)| o.exported.union(&o.address_taken).count() as u64)
             .sum();
-        let own =
-            (info.functions.len() + info.plt_stubs.len() + info.address_taken.len()) as u64;
+        let own = (info.functions.len() + info.plt_stubs.len() + info.address_taken.len()) as u64;
         for block in cfg.blocks.values() {
             for (addr, insn) in &block.insns {
                 let t = match insn {

@@ -51,7 +51,12 @@ fn jump_tables_pass() {
                long main() { long s = 0; for (long i = 0; i < 7; i++) s += f(i); return s; }";
     let store = c_store(src);
     let run = run_hybrid(&store, "t", Jcfi::hybrid(), &HybridOptions::default()).unwrap();
-    assert_eq!(run.outcome.code(), Some(5 + 6 + 7 + 8 + 9 + 1 + 1), "{:?}", run.outcome);
+    assert_eq!(
+        run.outcome.code(),
+        Some(5 + 6 + 7 + 8 + 9 + 1 + 1),
+        "{:?}",
+        run.outcome
+    );
     assert!(run.engine.reports.is_empty());
 }
 
@@ -191,7 +196,10 @@ fn cross_module_callback_is_allowed_via_address_taken_scan() {
     store.add(ld);
     let run = run_hybrid(&store, "t", Jcfi::hybrid(), &HybridOptions::default()).unwrap();
     assert_eq!(run.outcome.code(), Some(21), "{:?}", run.outcome);
-    assert!(run.engine.reports.is_empty(), "no FP on stack-passed callback");
+    assert!(
+        run.engine.reports.is_empty(),
+        "no FP on stack-passed callback"
+    );
 }
 
 #[test]

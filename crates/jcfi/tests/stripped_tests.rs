@@ -18,7 +18,11 @@ fn lib_src() -> &'static str {
 #[test]
 fn stripped_info_degrades_gracefully() {
     let o = assemble("lib.s", lib_src(), &AsmOptions { pic: true }).unwrap();
-    let full_img = link(std::slice::from_ref(&o), &LinkOptions::shared_object("lib.so")).unwrap();
+    let full_img = link(
+        std::slice::from_ref(&o),
+        &LinkOptions::shared_object("lib.so"),
+    )
+    .unwrap();
     let mut sopts = LinkOptions::shared_object("lib.so");
     sopts.strip = true;
     let stripped_img = link(&[o], &sopts).unwrap();
@@ -30,8 +34,7 @@ fn stripped_info_degrades_gracefully() {
     // Full symbols know both functions; stripped knows only the export.
     assert!(full.functions.len() >= 2);
     assert_eq!(
-        stripped.functions,
-        stripped.exported,
+        stripped.functions, stripped.exported,
         "stripped functions degrade to exports"
     );
     // The stripped address-taken set falls back to boundary constants, so

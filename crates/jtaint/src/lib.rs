@@ -344,7 +344,10 @@ mod tests {
     #[test]
     fn action_pack_roundtrip() {
         for insn in [
-            Instr::MovRr { rd: Reg::R1, rs: Reg::R2 },
+            Instr::MovRr {
+                rd: Reg::R1,
+                rs: Reg::R2,
+            },
             Instr::Ld {
                 size: janitizer_isa::MemSize::B8,
                 rd: Reg::R3,
@@ -374,7 +377,11 @@ mod tests {
         assert!(Action::of(&Instr::Nop).is_noop());
         assert!(Action::of(&Instr::Jmp { rel: 4 }).is_noop());
         assert!(!Action::of(&Instr::Syscall).is_noop());
-        assert!(!Action::of(&Instr::MovRr { rd: Reg::R0, rs: Reg::R1 }).is_noop());
+        assert!(!Action::of(&Instr::MovRr {
+            rd: Reg::R0,
+            rs: Reg::R1
+        })
+        .is_noop());
     }
 
     #[test]

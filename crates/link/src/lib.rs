@@ -164,7 +164,9 @@ impl std::error::Error for LinkError {}
 
 fn align_up(v: u64, a: u64) -> Result<u64, LinkError> {
     v.checked_next_multiple_of(a)
-        .ok_or(LinkError::ImageTooLarge { what: "section alignment" })
+        .ok_or(LinkError::ImageTooLarge {
+            what: "section alignment",
+        })
 }
 
 /// Links `objects` into a single [`Image`].
@@ -320,7 +322,9 @@ pub fn link(objects: &[Object], opts: &LinkOptions) -> Result<Image, LinkError> 
                 s.addr = addr;
                 addr = addr
                     .checked_add(bss_total)
-                    .ok_or(LinkError::ImageTooLarge { what: "bss placement" })?;
+                    .ok_or(LinkError::ImageTooLarge {
+                        what: "bss placement",
+                    })?;
                 out_sections.push(s);
                 continue;
             }
@@ -333,16 +337,17 @@ pub fn link(objects: &[Object], opts: &LinkOptions) -> Result<Image, LinkError> 
         sec_addr.insert(kind, addr);
         addr = addr
             .checked_add(bytes.len() as u64)
-            .ok_or(LinkError::ImageTooLarge { what: "section placement" })?;
+            .ok_or(LinkError::ImageTooLarge {
+                what: "section placement",
+            })?;
         section_bytes.insert(kind, bytes);
     }
 
     // `None` when the symbol's claimed section produced no output (a
     // hostile object can declare a symbol in a section it never defines)
     // or the address arithmetic would wrap.
-    let sym_addr = |sec: SectionKind, value: u64| -> Option<u64> {
-        sec_addr.get(&sec)?.checked_add(value)
-    };
+    let sym_addr =
+        |sec: SectionKind, value: u64| -> Option<u64> { sec_addr.get(&sec)?.checked_add(value) };
 
     // ---- 5. GOT layout & dynamic relocations.
     let got_base = sec_addr.get(&SectionKind::Got).copied();
@@ -386,7 +391,10 @@ pub fn link(objects: &[Object], opts: &LinkOptions) -> Result<Image, LinkError> 
                 // section): defer to the loader's symbol search.
                 DynTarget::Symbol(sym.clone())
             };
-            dyn_relocs.push(DynReloc { offset: slot, target });
+            dyn_relocs.push(DynReloc {
+                offset: slot,
+                target,
+            });
             slot += 8;
         }
     }
@@ -490,8 +498,7 @@ pub fn link(objects: &[Object], opts: &LinkOptions) -> Result<Image, LinkError> 
                                 target: DynTarget::Base(target),
                             });
                         } else {
-                            buf[patch_off..patch_off + 8]
-                                .copy_from_slice(&target.to_le_bytes());
+                            buf[patch_off..patch_off + 8].copy_from_slice(&target.to_le_bytes());
                         }
                     } else {
                         dyn_relocs.push(DynReloc {
@@ -560,7 +567,9 @@ pub fn link(objects: &[Object], opts: &LinkOptions) -> Result<Image, LinkError> 
         }
         // A symbol in a section that produced no output (hostile objects
         // can claim one) has no address; drop it rather than fabricate one.
-        let Some(value) = sym_addr(d.section, d.value) else { continue };
+        let Some(value) = sym_addr(d.section, d.value) else {
+            continue;
+        };
         img.symbols.push(Symbol {
             name,
             kind: d.kind,
@@ -621,13 +630,19 @@ mod tests {
             ".section text\n.global _start\n_start:\n call helper\n halt\n",
             false,
         );
-        let b = obj("b.s", ".section text\n.global helper\nhelper:\n ret\n", false);
+        let b = obj(
+            "b.s",
+            ".section text\n.global helper\nhelper:\n ret\n",
+            false,
+        );
         let img = link(&[a, b], &LinkOptions::executable("a.out")).unwrap();
         assert!(img.plt.is_empty(), "locally-defined calls bypass the PLT");
         // Decode the call and check it lands on `helper`.
         let text = img.section(SectionKind::Text).unwrap();
         let (call, next) = decode(&text.data, 0).unwrap();
-        let Instr::Call { rel } = call else { panic!("expected call") };
+        let Instr::Call { rel } = call else {
+            panic!("expected call")
+        };
         let target = (text.addr + next as u64).wrapping_add(rel as i64 as u64);
         assert_eq!(target, img.symbol("helper").unwrap().value);
     }
@@ -660,7 +675,14 @@ mod tests {
         let (i1, n1) = decode(&plt.data, off).unwrap();
         assert!(matches!(i1, Instr::LeaPc { rd: Reg::R7, .. }));
         let (i2, n2) = decode(&plt.data, n1).unwrap();
-        assert!(matches!(i2, Instr::Ld { rd: Reg::R6, base: Reg::R7, .. }));
+        assert!(matches!(
+            i2,
+            Instr::Ld {
+                rd: Reg::R6,
+                base: Reg::R7,
+                ..
+            }
+        ));
         let (i3, _) = decode(&plt.data, n2).unwrap();
         assert!(matches!(i3, Instr::JmpInd { rs: Reg::R6 }));
     }
@@ -685,16 +707,25 @@ mod tests {
         assert_eq!(off, helper - 1 - start);
         let (s, off) = img.nearest_symbol(helper).unwrap();
         assert_eq!((s.name.as_str(), off), ("helper", 0));
-        assert!(img.nearest_symbol(start.wrapping_sub(1)).is_none(), "before first symbol");
+        assert!(
+            img.nearest_symbol(start.wrapping_sub(1)).is_none(),
+            "before first symbol"
+        );
         // PLT stubs: every byte of the stub maps back to its entry.
         let e = img.plt[0].clone();
         let plt_sec = img.section(SectionKind::Plt).unwrap();
-        assert_eq!(img.plt_entry_containing(e.plt_offset).unwrap().symbol, "puts");
+        assert_eq!(
+            img.plt_entry_containing(e.plt_offset).unwrap().symbol,
+            "puts"
+        );
         assert_eq!(
             img.plt_entry_containing(plt_sec.end() - 1).unwrap().symbol,
             "puts"
         );
-        assert!(img.plt_entry_containing(e.plt_offset - 1).is_none(), "text is not PLT");
+        assert!(
+            img.plt_entry_containing(e.plt_offset - 1).is_none(),
+            "text is not PLT"
+        );
     }
 
     #[test]
@@ -709,7 +740,9 @@ mod tests {
         let plt = img.section(SectionKind::Plt).unwrap();
         let off = (e.plt_offset - plt.addr) as usize;
         let (i1, n1) = decode(&plt.data, off).unwrap();
-        let Instr::LeaPc { disp, .. } = i1 else { panic!() };
+        let Instr::LeaPc { disp, .. } = i1 else {
+            panic!()
+        };
         let lea_end = plt.addr + n1 as u64;
         assert_eq!(lea_end.wrapping_add(disp as i64 as u64), e.got_offset);
     }
@@ -762,10 +795,15 @@ mod tests {
         let img = link(&[a], &LinkOptions::shared_object("libdemo.so")).unwrap();
         assert!(img.pic && img.shared);
         let text = img.section(SectionKind::Text).unwrap();
-        assert!(text.addr < IMAGE_BASE, "PIC images are linked at low addresses");
+        assert!(
+            text.addr < IMAGE_BASE,
+            "PIC images are linked at low addresses"
+        );
         // PIC `la` resolves to LeaPc patched at link time.
         let (i1, n1) = decode(&text.data, 0).unwrap();
-        let Instr::LeaPc { disp, .. } = i1 else { panic!("got {i1}") };
+        let Instr::LeaPc { disp, .. } = i1 else {
+            panic!("got {i1}")
+        };
         let target = (text.addr + n1 as u64).wrapping_add(disp as i64 as u64);
         assert_eq!(target, img.symbol("value").unwrap().value);
     }
@@ -784,7 +822,9 @@ mod tests {
             .filter(|d| matches!(d.target, DynTarget::Base(_)))
             .collect();
         assert_eq!(base_relocs.len(), 2);
-        let DynTarget::Base(off) = base_relocs[0].target else { unreachable!() };
+        let DynTarget::Base(off) = base_relocs[0].target else {
+            unreachable!()
+        };
         assert_eq!(off, img.symbol("f").unwrap().value);
     }
 
@@ -812,7 +852,11 @@ mod tests {
             ".section text\n.global get\nget:\n lg r0, counter\n ld8 r0, [r0]\n ret\n",
             true,
         );
-        let img = link(&[a], &LinkOptions::shared_object("libg.so").needs("libjc.so")).unwrap();
+        let img = link(
+            &[a],
+            &LinkOptions::shared_object("libg.so").needs("libjc.so"),
+        )
+        .unwrap();
         // `counter` is imported: its GOT slot needs a symbol search.
         assert!(img
             .dyn_relocs
@@ -885,7 +929,8 @@ mod error_tests {
     #[test]
     fn reloc_into_missing_section_is_rejected() {
         let mut obj = Object::new("bad.o");
-        obj.sections.push(Section::new(SectionKind::Text, vec![0x6c]));
+        obj.sections
+            .push(Section::new(SectionKind::Text, vec![0x6c]));
         obj.symbols.push(Symbol {
             name: "_start".into(),
             kind: SymKind::Func,

@@ -124,7 +124,9 @@ fn scan_frame_size(stmts: &[Stmt]) -> i64 {
             }
             Stmt::If { t, e, .. } => total += scan_frame_size(t) + scan_frame_size(e),
             Stmt::While { body, .. } => total += scan_frame_size(body),
-            Stmt::For { init, step, body, .. } => {
+            Stmt::For {
+                init, step, body, ..
+            } => {
                 if let Some(i) = init {
                     total += scan_frame_size(std::slice::from_ref(i));
                 }
@@ -151,9 +153,16 @@ fn has_local_array(stmts: &[Stmt]) -> bool {
         Stmt::Decl { array, .. } => array.is_some(),
         Stmt::If { t, e, .. } => has_local_array(t) || has_local_array(e),
         Stmt::While { body, .. } => has_local_array(body),
-        Stmt::For { init, step, body, .. } => {
-            init.as_deref().map(|i| has_local_array(std::slice::from_ref(i))) == Some(true)
-                || step.as_deref().map(|s| has_local_array(std::slice::from_ref(s))) == Some(true)
+        Stmt::For {
+            init, step, body, ..
+        } => {
+            init.as_deref()
+                .map(|i| has_local_array(std::slice::from_ref(i)))
+                == Some(true)
+                || step
+                    .as_deref()
+                    .map(|s| has_local_array(std::slice::from_ref(s)))
+                    == Some(true)
                 || has_local_array(body)
         }
         Stmt::Switch { cases, default, .. } => {
@@ -177,7 +186,8 @@ fn used_regs_mask(text: &str) -> u16 {
             while j < bytes.len() && bytes[j].is_ascii_digit() {
                 j += 1;
             }
-            let after_ok = j >= bytes.len() || !(bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_');
+            let after_ok =
+                j >= bytes.len() || !(bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_');
             if j > i + 1 && after_ok {
                 if let Ok(n) = text[i + 1..j].parse::<u16>() {
                     if n < 16 {
@@ -483,8 +493,7 @@ impl<'a> FnCtx<'a> {
                 }
                 UnOp::Addr => match &**e {
                     Expr::Var(n)
-                        if self.lookup_local(n).is_none()
-                            && !self.gen.globals.contains_key(n) =>
+                        if self.lookup_local(n).is_none() && !self.gen.globals.contains_key(n) =>
                     {
                         // &function
                         self.emit(format!("la r0, {n}"));
@@ -542,12 +551,14 @@ impl<'a> FnCtx<'a> {
                         _ => 1,
                     };
                     // `int + ptr`: normalize so the pointer is on the left.
-                    let (l, r, scale) =
-                        if *op == BinOp::Add && matches!(rt, Type::Ptr(_)) && !matches!(lt, Type::Ptr(_)) {
-                            (r, l, rt.pointee_size())
-                        } else {
-                            (l, r, scale)
-                        };
+                    let (l, r, scale) = if *op == BinOp::Add
+                        && matches!(rt, Type::Ptr(_))
+                        && !matches!(lt, Type::Ptr(_))
+                    {
+                        (r, l, rt.pointee_size())
+                    } else {
+                        (l, r, scale)
+                    };
 
                     // ipa-ra: hold the left value in a free caller-saved
                     // register across a simple direct call.
@@ -583,9 +594,7 @@ impl<'a> FnCtx<'a> {
                                 }
                             }
                         }
-                        let t = {
-                            self.emit_addr(target)?
-                        };
+                        let t = { self.emit_addr(target)? };
                         self.emit("push r0");
                         self.eval(value)?;
                         self.emit("pop r1");
@@ -601,13 +610,12 @@ impl<'a> FnCtx<'a> {
                         self.eval(value)?;
                         self.emit("pop r1");
                         // Pointer compound add/sub scales (p += n).
-                        let scale = if matches!(t, Type::Ptr(_))
-                            && matches!(op, BinOp::Add | BinOp::Sub)
-                        {
-                            t.pointee_size()
-                        } else {
-                            1
-                        };
+                        let scale =
+                            if matches!(t, Type::Ptr(_)) && matches!(op, BinOp::Add | BinOp::Sub) {
+                                t.pointee_size()
+                            } else {
+                                1
+                            };
                         self.apply_bin(*op, scale)?;
                         self.emit("pop r1");
                         self.emit(format!("st{sfx} [r1], r0"));
@@ -626,8 +634,7 @@ impl<'a> FnCtx<'a> {
                 }
                 let kind = match &**callee {
                     Expr::Var(n)
-                        if self.lookup_local(n).is_none()
-                            && !self.gen.globals.contains_key(n) =>
+                        if self.lookup_local(n).is_none() && !self.gen.globals.contains_key(n) =>
                     {
                         Kind::Direct(n.clone())
                     }
@@ -761,7 +768,12 @@ impl<'a> FnCtx<'a> {
                 self.emit(format!("jmp {lh}"));
                 self.place_label(&le);
             }
-            Stmt::For { init, c, step, body } => {
+            Stmt::For {
+                init,
+                c,
+                step,
+                body,
+            } => {
                 self.scopes.push(HashMap::new());
                 if let Some(i) = init {
                     self.stmt(i)?;
@@ -1023,7 +1035,11 @@ impl Codegen {
                 // Pad explicit-size arrays whose initializer is shorter.
                 if let (Some(n), GlobalInit::List(items)) = (g.array, init) {
                     if n > 0 && (n as usize) > items.len() {
-                        let _ = writeln!(out, "    .space {}", (n as usize - items.len()) as u64 * elem);
+                        let _ = writeln!(
+                            out,
+                            "    .space {}",
+                            (n as usize - items.len()) as u64 * elem
+                        );
                     }
                 }
             }

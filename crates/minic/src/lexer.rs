@@ -49,8 +49,8 @@ pub struct LexError {
 
 const PUNCTS: &[&str] = &[
     "<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
-    "&=", "|=", "^=", "++", "--", "->", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<",
-    ">", "=", "(", ")", "{", "}", "[", "]", ";", ",", "?", ":",
+    "&=", "|=", "^=", "++", "--", "->", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">",
+    "=", "(", ")", "{", "}", "[", "]", ";", ",", "?", ":",
 ];
 
 /// Tokenizes MiniC source.
@@ -112,7 +112,10 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                     line,
                     message: format!("bad hex literal: {e}"),
                 })?;
-                out.push(SpannedTok { tok: Tok::Int(v), line });
+                out.push(SpannedTok {
+                    tok: Tok::Int(v),
+                    line,
+                });
             } else {
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
@@ -121,7 +124,10 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                     line,
                     message: format!("bad integer literal: {e}"),
                 })?;
-                out.push(SpannedTok { tok: Tok::Int(v), line });
+                out.push(SpannedTok {
+                    tok: Tok::Int(v),
+                    line,
+                });
             }
             continue;
         }
@@ -222,13 +228,19 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                     b => s.push(b),
                 }
             }
-            out.push(SpannedTok { tok: Tok::Str(s), line });
+            out.push(SpannedTok {
+                tok: Tok::Str(s),
+                line,
+            });
             continue;
         }
         // Punctuation.
         for p in PUNCTS {
             if src[i..].starts_with(p) {
-                out.push(SpannedTok { tok: Tok::Punct(p), line });
+                out.push(SpannedTok {
+                    tok: Tok::Punct(p),
+                    line,
+                });
                 i += p.len();
                 continue 'outer;
             }
@@ -238,7 +250,10 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
             message: format!("unexpected character `{}`", c as char),
         });
     }
-    out.push(SpannedTok { tok: Tok::Eof, line });
+    out.push(SpannedTok {
+        tok: Tok::Eof,
+        line,
+    });
     Ok(out)
 }
 

@@ -27,8 +27,8 @@ struct Parser {
 }
 
 const KEYWORDS: &[&str] = &[
-    "long", "char", "if", "else", "while", "for", "return", "break", "continue", "switch",
-    "case", "default", "static",
+    "long", "char", "if", "else", "while", "for", "return", "break", "continue", "switch", "case",
+    "default", "static",
 ];
 
 impl Parser {
@@ -402,7 +402,12 @@ impl Parser {
             } else {
                 vec![self.parse_stmt()?]
             };
-            return Ok(Stmt::For { init, c, step, body });
+            return Ok(Stmt::For {
+                init,
+                c,
+                step,
+                body,
+            });
         }
         if self.eat_kw("return") {
             if self.eat_punct(";") {
@@ -612,7 +617,10 @@ mod tests {
     #[test]
     fn precedence() {
         let p = parse("long f() { return 1 + 2 * 3; }").unwrap();
-        let Stmt::Return(Some(Expr::Bin { op: BinOp::Add, r, .. })) = &p.funcs[0].body[0] else {
+        let Stmt::Return(Some(Expr::Bin {
+            op: BinOp::Add, r, ..
+        })) = &p.funcs[0].body[0]
+        else {
             panic!()
         };
         assert!(matches!(**r, Expr::Bin { op: BinOp::Mul, .. }));
@@ -657,7 +665,9 @@ mod tests {
             "long f(long x) { switch (x) { case 1: return 10; case 2: return 20; default: return 0; } }",
         )
         .unwrap();
-        let Stmt::Switch { cases, default, .. } = &p.funcs[0].body[0] else { panic!() };
+        let Stmt::Switch { cases, default, .. } = &p.funcs[0].body[0] else {
+            panic!()
+        };
         assert_eq!(cases.len(), 2);
         assert_eq!(cases[0].0, 1);
         assert_eq!(default.len(), 1);
@@ -697,8 +707,8 @@ mod tests {
 
     #[test]
     fn static_functions() {
-        let p = parse("static long helper() { return 1; } long main() { return helper(); }")
-            .unwrap();
+        let p =
+            parse("static long helper() { return 1; } long main() { return helper(); }").unwrap();
         assert!(p.funcs[0].is_static);
         assert!(!p.funcs[1].is_static);
     }

@@ -188,7 +188,10 @@ fn globals() {
         ),
         30
     );
-    assert_eq!(run_c("long zeroed[16]; long main() { return zeroed[7]; }"), 0);
+    assert_eq!(
+        run_c("long zeroed[16]; long main() { return zeroed[7]; }"),
+        0
+    );
 }
 
 #[test]
@@ -225,8 +228,14 @@ fn switch_if_chain_and_jump_table() {
                  long main() { return f(0) + f(2) + f(4) + f(77); }";
     assert_eq!(run_c(dense), 5 + 7 + 9 + 1);
     let asm = compile(dense, &CompileOptions::default()).unwrap();
-    assert!(asm.contains(".quad"), "dense switch should emit a jump table");
-    assert!(asm.contains("jmp r7"), "jump table dispatch is an indirect jump");
+    assert!(
+        asm.contains(".quad"),
+        "dense switch should emit a jump table"
+    );
+    assert!(
+        asm.contains("jmp r7"),
+        "jump table dispatch is an indirect jump"
+    );
 }
 
 #[test]
@@ -250,8 +259,14 @@ fn tables_in_text_option() {
 
 #[test]
 fn ternary() {
-    assert_eq!(run_c("long main() { long x = 5; return x > 3 ? 100 : 200; }"), 100);
-    assert_eq!(run_c("long main() { long x = 1; return x > 3 ? 100 : 200; }"), 200);
+    assert_eq!(
+        run_c("long main() { long x = 5; return x > 3 ? 100 : 200; }"),
+        100
+    );
+    assert_eq!(
+        run_c("long main() { long x = 1; return x > 3 ? 100 : 200; }"),
+        200
+    );
 }
 
 #[test]
@@ -265,7 +280,10 @@ fn canary_modes() {
         },
     )
     .unwrap();
-    assert!(with.contains("rdtls r6, 0x28"), "canary loads the TLS cookie");
+    assert!(
+        with.contains("rdtls r6, 0x28"),
+        "canary loads the TLS cookie"
+    );
     assert!(with.contains("__stack_chk_fail"));
     let without = compile(
         src,
@@ -352,7 +370,11 @@ fn extern_calls_link_against_other_objects() {
         },
     )
     .unwrap();
-    let asm2 = compile("long helper(long x) { return x * 2; }", &CompileOptions::default()).unwrap();
+    let asm2 = compile(
+        "long helper(long x) { return x * 2; }",
+        &CompileOptions::default(),
+    )
+    .unwrap();
     let o1 = assemble("a.s", &asm1, &AsmOptions::default()).unwrap();
     let o2 = assemble("b.s", &asm2, &AsmOptions::default()).unwrap();
     let img = link(&[o1, o2], &LinkOptions::executable("prog")).unwrap();
@@ -377,7 +399,10 @@ fn semantic_errors() {
         Err(CompileError::Semantic(_))
     ));
     assert!(matches!(
-        compile("long main() { 5 = 6; return 0; }", &CompileOptions::default()),
+        compile(
+            "long main() { 5 = 6; return 0; }",
+            &CompileOptions::default()
+        ),
         Err(CompileError::Semantic(_))
     ));
     assert!(matches!(

@@ -136,7 +136,9 @@ impl Image {
 
     /// Looks up a defined symbol by name.
     pub fn symbol(&self, name: &str) -> Option<&Symbol> {
-        self.symbols.iter().find(|s| s.name == name && !s.is_undefined())
+        self.symbols
+            .iter()
+            .find(|s| s.name == name && !s.is_undefined())
     }
 
     /// Looks up an *exported* (global, defined) symbol by name — the set
@@ -212,7 +214,8 @@ impl Image {
     pub fn to_stripped(&self) -> Image {
         let mut img = self.clone();
         img.stripped = true;
-        img.symbols.retain(|s| s.bind == SymBind::Global && !s.is_undefined());
+        img.symbols
+            .retain(|s| s.bind == SymBind::Global && !s.is_undefined());
         img
     }
 
@@ -537,7 +540,10 @@ mod tests {
     fn lookup_helpers() {
         let img = sample_image();
         assert!(img.section(SectionKind::Text).is_some());
-        assert_eq!(img.section_containing(0x105).unwrap().kind, SectionKind::Text);
+        assert_eq!(
+            img.section_containing(0x105).unwrap().kind,
+            SectionKind::Text
+        );
         assert_eq!(img.section_containing(0x84).unwrap().kind, SectionKind::Plt);
         assert!(img.section_containing(0x4000).is_none());
         assert_eq!(img.code_bytes(), 48);

@@ -50,7 +50,10 @@ impl SectionKind {
 
     /// Whether the section is writable at run time.
     pub fn is_writable(self) -> bool {
-        matches!(self, SectionKind::Got | SectionKind::Data | SectionKind::Bss)
+        matches!(
+            self,
+            SectionKind::Got | SectionKind::Data | SectionKind::Bss
+        )
     }
 
     /// Conventional section name (`.text`, `.data`, ...).
@@ -102,7 +105,11 @@ impl Section {
     pub(crate) fn validate(&self) -> Result<(), FormatError> {
         match self.addr.checked_add(self.mem_size) {
             Some(end) if end <= MAX_IMAGE_SPAN => {}
-            _ => return Err(FormatError::Invalid { what: "section span" }),
+            _ => {
+                return Err(FormatError::Invalid {
+                    what: "section span",
+                })
+            }
         }
         if self.data.len() as u64 > self.mem_size {
             return Err(FormatError::Invalid {
@@ -195,7 +202,9 @@ impl Symbol {
     pub(crate) fn validate(&self) -> Result<(), FormatError> {
         match self.value.checked_add(self.size) {
             Some(end) if end < MAX_IMAGE_SPAN => Ok(()),
-            _ => Err(FormatError::Invalid { what: "symbol range" }),
+            _ => Err(FormatError::Invalid {
+                what: "symbol range",
+            }),
         }
     }
 }
@@ -432,8 +441,10 @@ mod tests {
 
     fn sample_object() -> Object {
         let mut o = Object::new("sample.jo");
-        o.sections.push(Section::new(SectionKind::Text, vec![0x6c, 0x00]));
-        o.sections.push(Section::new(SectionKind::Data, vec![0; 16]));
+        o.sections
+            .push(Section::new(SectionKind::Text, vec![0x6c, 0x00]));
+        o.sections
+            .push(Section::new(SectionKind::Data, vec![0; 16]));
         o.sections.push(Section::zeroed(SectionKind::Bss, 64));
         o.symbols.push(Symbol {
             name: "main".into(),

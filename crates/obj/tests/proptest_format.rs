@@ -37,7 +37,11 @@ fn arb_symbol() -> impl Strategy<Value = Symbol> {
         .prop_map(|(name, func, global, section, value, size)| Symbol {
             name,
             kind: if func { SymKind::Func } else { SymKind::Object },
-            bind: if global { SymBind::Global } else { SymBind::Local },
+            bind: if global {
+                SymBind::Global
+            } else {
+                SymBind::Local
+            },
             section,
             value,
             size,

@@ -213,10 +213,7 @@ impl BundleSummary {
     }
 }
 
-fn diff_maps<K: Clone + Ord>(
-    a: &BTreeMap<K, u64>,
-    b: &BTreeMap<K, u64>,
-) -> BTreeMap<K, Delta> {
+fn diff_maps<K: Clone + Ord>(a: &BTreeMap<K, u64>, b: &BTreeMap<K, u64>) -> BTreeMap<K, Delta> {
     let mut out: BTreeMap<K, Delta> = BTreeMap::new();
     for (k, v) in a {
         out.entry(k.clone()).or_default().before = *v;
@@ -256,7 +253,13 @@ impl CellDiff {
         let mut v: Vec<(K, Delta)> = map
             .iter()
             .filter(|(_, d)| d.is_changed())
-            .filter(|(_, d)| if regressions { d.signed() > 0 } else { d.signed() < 0 })
+            .filter(|(_, d)| {
+                if regressions {
+                    d.signed() > 0
+                } else {
+                    d.signed() < 0
+                }
+            })
             .map(|(k, d)| (k.clone(), *d))
             .collect();
         // Largest absolute change first; relative change then key break
@@ -422,11 +425,7 @@ impl BundleDiff {
             }
             for (counter, d) in &c.engine {
                 if d.is_changed() {
-                    let _ = writeln!(
-                        out,
-                        "  engine.{counter:<18} {} -> {}",
-                        d.before, d.after
-                    );
+                    let _ = writeln!(out, "  engine.{counter:<18} {} -> {}", d.before, d.after);
                 }
             }
             for (title, rows) in [

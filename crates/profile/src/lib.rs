@@ -379,7 +379,9 @@ impl RunProfile {
             let mut min_count = *count;
             while blocks.len() < 16 {
                 let tail = *blocks.last().expect("non-empty chain");
-                let Some(&(n, next)) = best_succ.get(&tail) else { break };
+                let Some(&(n, next)) = best_succ.get(&tail) else {
+                    break;
+                };
                 if n == 0 || n * 2 < min_count || blocks.contains(&next) {
                     break;
                 }
@@ -426,11 +428,8 @@ impl RunProfile {
         }
 
         let mut hot_blocks: Vec<_> = self.blocks.iter().collect();
-        hot_blocks.sort_by(|(ka, a), (kb, b)| {
-            b.total_cycles()
-                .cmp(&a.total_cycles())
-                .then(ka.cmp(kb))
-        });
+        hot_blocks
+            .sort_by(|(ka, a), (kb, b)| b.total_cycles().cmp(&a.total_cycles()).then(ka.cmp(kb)));
         let blocks = hot_blocks
             .into_iter()
             .take(top)
@@ -545,7 +544,10 @@ impl RunProfile {
             (
                 "engine",
                 Json::obj([
-                    ("blocks_translated", Json::U64(self.engine.blocks_translated)),
+                    (
+                        "blocks_translated",
+                        Json::U64(self.engine.blocks_translated),
+                    ),
                     ("guest_insns", Json::U64(self.engine.guest_insns)),
                     ("probe_runs", Json::U64(self.engine.probe_runs)),
                     (
@@ -616,7 +618,11 @@ impl RunProfile {
                 );
             }
             None => {
-                let _ = writeln!(out, "== overhead budget: {} under {} ==", self.exe, self.tool);
+                let _ = writeln!(
+                    out,
+                    "== overhead budget: {} under {} ==",
+                    self.exe, self.tool
+                );
             }
         }
         let _ = writeln!(out, "{:<20}{:>14}{:>10}", "class", "cycles", "% ovh");
@@ -747,7 +753,12 @@ mod tests {
                     origin: janitizer_dbt::SiteOrigin::Static,
                 }),
             })];
-            items.extend(block.insns.iter().map(|&(pc, i, n)| TbItem::Guest(pc, i, n)));
+            items.extend(
+                block
+                    .insns
+                    .iter()
+                    .map(|&(pc, i, n)| TbItem::Guest(pc, i, n)),
+            );
             items
         }
     }
@@ -777,8 +788,14 @@ mod tests {
         let t = rp.class_totals();
         assert_eq!(t.engine_overhead(), stats.total_overhead_cycles());
         assert_eq!(t.total(), cycles, "all cycles attributed");
-        assert!(rp.blocks.keys().any(|k| k.module == "t" && k.function == "_start"));
-        assert!(rp.sites.keys().all(|k| k.tool == "tagger" && k.kind == "entry"));
+        assert!(rp
+            .blocks
+            .keys()
+            .any(|k| k.module == "t" && k.function == "_start"));
+        assert!(rp
+            .sites
+            .keys()
+            .all(|k| k.tool == "tagger" && k.kind == "entry"));
         let fns = rp.functions();
         assert!(fns.keys().any(|(m, _)| m == "t"));
     }

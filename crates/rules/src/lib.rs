@@ -211,7 +211,11 @@ impl RuleTable {
             v.sort_by_key(|r| r.id);
         }
         let len = file.rules.len();
-        RuleTable { by_bb, by_instr, len }
+        RuleTable {
+            by_bb,
+            by_instr,
+            len,
+        }
     }
 
     /// Looks up the rules for the basic block starting at the given
@@ -253,7 +257,8 @@ mod tests {
 
     fn sample_file() -> RuleFile {
         let mut f = RuleFile::new("libdemo.so", true);
-        f.rules.push(RewriteRule::new(3, 0x100, 0x104).with_data(0, 7));
+        f.rules
+            .push(RewriteRule::new(3, 0x100, 0x104).with_data(0, 7));
         f.rules.push(RewriteRule::new(3, 0x100, 0x10a));
         f.rules.push(RewriteRule::no_op(0x200));
         f.rules
@@ -358,7 +363,12 @@ mod tests {
         f.rules.push(RewriteRule::new(1, 0x10, 0x10));
         f.rules.push(RewriteRule::new(1, 0x10, 0x20));
         let t = RuleTable::from_file(&f, 0);
-        let addrs: Vec<u64> = t.lookup_bb(0x10).unwrap().iter().map(|r| r.instr_addr).collect();
+        let addrs: Vec<u64> = t
+            .lookup_bb(0x10)
+            .unwrap()
+            .iter()
+            .map(|r| r.instr_addr)
+            .collect();
         assert_eq!(addrs, vec![0x10, 0x20, 0x30]);
     }
 }

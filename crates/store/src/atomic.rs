@@ -46,9 +46,7 @@ mod tests {
         let dir = crate::test_dir("atomic");
         let path = dir.join("out.txt");
         std::fs::write(&path, b"old").unwrap();
-        let err = write_atomic_with(&path, b"new", |_, _| {
-            Err(io::Error::other("boom"))
-        });
+        let err = write_atomic_with(&path, b"new", |_, _| Err(io::Error::other("boom")));
         assert!(err.is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"old");
         assert!(!path.with_file_name("out.txt.tmp").exists());

@@ -44,8 +44,7 @@ pub mod atomic;
 mod format;
 
 pub use format::{
-    JournalRecord, StoreEntry, StoreKey, ENTRY_MAGIC, ENTRY_VERSION, JOURNAL_MAGIC,
-    JOURNAL_VERSION,
+    JournalRecord, StoreEntry, StoreKey, ENTRY_MAGIC, ENTRY_VERSION, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 
 /// Every way a store operation can fail. Corrupt *content* is not an
@@ -89,7 +88,10 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy { attempts: 3, seed: 0 }
+        RetryPolicy {
+            attempts: 3,
+            seed: 0,
+        }
     }
 }
 
@@ -209,9 +211,7 @@ impl RuleStore {
             stats: Counters::default(),
             commit_lock: Mutex::new(()),
             transient_left: AtomicU64::new(failures.transient_write_failures),
-            commits_until_crash: AtomicU64::new(
-                failures.crash_after_commits.unwrap_or(u64::MAX),
-            ),
+            commits_until_crash: AtomicU64::new(failures.crash_after_commits.unwrap_or(u64::MAX)),
             poisoned: std::sync::atomic::AtomicBool::new(false),
         };
         store.io_op("create-layout", || {
@@ -853,7 +853,10 @@ mod tests {
         let dir = test_dir("transient");
         let store = RuleStore::open_with(
             &dir,
-            RetryPolicy { attempts: 3, seed: 9 },
+            RetryPolicy {
+                attempts: 3,
+                seed: 9,
+            },
             FailurePlan {
                 transient_write_failures: 2,
                 crash_after_commits: None,
@@ -872,7 +875,10 @@ mod tests {
         let dir = test_dir("exhausted");
         let store = RuleStore::open_with(
             &dir,
-            RetryPolicy { attempts: 1, seed: 0 },
+            RetryPolicy {
+                attempts: 1,
+                seed: 0,
+            },
             FailurePlan {
                 transient_write_failures: 100,
                 crash_after_commits: None,
@@ -880,7 +886,13 @@ mod tests {
         )
         .unwrap();
         let err = store.save(&key(8), b"never").unwrap_err();
-        assert!(matches!(err, StoreError::Io { op: "begin-journal", .. }));
+        assert!(matches!(
+            err,
+            StoreError::Io {
+                op: "begin-journal",
+                ..
+            }
+        ));
         assert_eq!(store.load(&key(8)).unwrap(), None, "nothing half-written");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -917,9 +929,18 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_and_seeded() {
-        let a = RetryPolicy { attempts: 5, seed: 1 };
-        let b = RetryPolicy { attempts: 5, seed: 1 };
-        let c = RetryPolicy { attempts: 5, seed: 2 };
+        let a = RetryPolicy {
+            attempts: 5,
+            seed: 1,
+        };
+        let b = RetryPolicy {
+            attempts: 5,
+            seed: 1,
+        };
+        let c = RetryPolicy {
+            attempts: 5,
+            seed: 2,
+        };
         let units_a: Vec<u64> = (1..=5).map(|i| a.backoff_units(i)).collect();
         let units_b: Vec<u64> = (1..=5).map(|i| b.backoff_units(i)).collect();
         let units_c: Vec<u64> = (1..=5).map(|i| c.backoff_units(i)).collect();

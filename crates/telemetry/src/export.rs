@@ -122,7 +122,13 @@ pub fn histogram_json(h: &Histogram) -> Json {
 fn openmetrics_name(name: &str) -> String {
     let mut out: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         out.insert(0, '_');
@@ -154,11 +160,7 @@ pub fn to_openmetrics(reg: &Registry) -> String {
         let n = openmetrics_name(name);
         let _ = writeln!(out, "# TYPE {n} histogram");
         let mut cumulative = 0u64;
-        let last = h
-            .buckets
-            .iter()
-            .rposition(|&b| b > 0)
-            .unwrap_or(0);
+        let last = h.buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
         for (i, b) in h.buckets.iter().enumerate().take(last + 1) {
             cumulative += b;
             // Inclusive upper bound of bucket i: 0 for the zero bucket,

@@ -263,10 +263,7 @@ pub fn arm_panic_dump(dir: &Path) {
     }
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let dir = PANIC_DIR
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
+        let dir = PANIC_DIR.lock().unwrap_or_else(|e| e.into_inner()).clone();
         if let Some(dir) = dir {
             record("panic", NO_MODULE, 0, 0);
             dump_to(&dir, "panic");

@@ -254,7 +254,11 @@ impl<'a> Parser<'a> {
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.pos)),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|c| c as char),
+                self.pos
+            )),
         }
     }
 
@@ -454,7 +458,11 @@ mod tests {
     #[test]
     fn parse_accessors_and_errors() {
         let v = Json::parse(r#"{"a": {"b": [10, -2, 1.5, "s"]}}"#).unwrap();
-        let arr = v.get("a").and_then(|a| a.get("b")).and_then(Json::as_arr).unwrap();
+        let arr = v
+            .get("a")
+            .and_then(|a| a.get("b"))
+            .and_then(Json::as_arr)
+            .unwrap();
         assert_eq!(arr[0].as_u64(), Some(10));
         assert_eq!(arr[1].as_i64(), Some(-2));
         assert_eq!(arr[2].as_f64(), Some(1.5));

@@ -319,7 +319,10 @@ impl Registry {
 
     /// Sets gauge `name` to an absolute level.
     pub fn gauge_set(&mut self, name: &str, value: i64) {
-        self.gauges.entry(name.to_string()).or_default().observe(value);
+        self.gauges
+            .entry(name.to_string())
+            .or_default()
+            .observe(value);
     }
 
     /// Adjusts gauge `name` by `delta` relative to its current level.
@@ -336,7 +339,10 @@ impl Registry {
 
     /// Records `value` into histogram `name`.
     pub fn histogram_record(&mut self, name: &str, value: u64) {
-        self.histograms.entry(name.to_string()).or_default().record(value);
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(value);
     }
 
     /// Marks one completed entry of span `path`, adding wall time.

@@ -145,7 +145,11 @@ fn alu(op: AluOp, a: u64, b: u64) -> Result<(u64, Flags), FaultKind> {
         AluOp::Xor => (a ^ b, false, false),
         AluOp::Shl => (a.wrapping_shl((b & 63) as u32), false, false),
         AluOp::Shr => (a.wrapping_shr((b & 63) as u32), false, false),
-        AluOp::Sar => (((a as i64).wrapping_shr((b & 63) as u32)) as u64, false, false),
+        AluOp::Sar => (
+            ((a as i64).wrapping_shr((b & 63) as u32)) as u64,
+            false,
+            false,
+        ),
     };
     let flags = Flags {
         zf: result == 0,
@@ -217,7 +221,12 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
             p.cpu.set_reg(rd, a);
             Step::Next
         }
-        Instr::Ld { size, rd, base, disp } => {
+        Instr::Ld {
+            size,
+            rd,
+            base,
+            disp,
+        } => {
             let a = mem_addr(&p.cpu, base, None, disp);
             match p.mem.read_int(a, size.bytes()) {
                 Ok(v) => {
@@ -227,7 +236,12 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
                 Err(f) => Step::Fault(FaultKind::Mem(f)),
             }
         }
-        Instr::St { size, rs, base, disp } => {
+        Instr::St {
+            size,
+            rs,
+            base,
+            disp,
+        } => {
             let a = mem_addr(&p.cpu, base, None, disp);
             match p.mem.write_int(a, size.bytes(), p.cpu.reg(rs)) {
                 Ok(()) => Step::Next,
@@ -275,18 +289,16 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
             }
             Err(k) => Step::Fault(k),
         },
-        Instr::AluRi { op, rd, imm } => {
-            match alu(op, p.cpu.reg(rd), imm as i64 as u64) {
-                Ok((v, fl)) => {
-                    if op.writes_dest() {
-                        p.cpu.set_reg(rd, v);
-                    }
-                    p.cpu.flags = fl;
-                    Step::Next
+        Instr::AluRi { op, rd, imm } => match alu(op, p.cpu.reg(rd), imm as i64 as u64) {
+            Ok((v, fl)) => {
+                if op.writes_dest() {
+                    p.cpu.set_reg(rd, v);
                 }
-                Err(k) => Step::Fault(k),
+                p.cpu.flags = fl;
+                Step::Next
             }
-        }
+            Err(k) => Step::Fault(k),
+        },
         Instr::Neg { rd } => {
             let (v, fl) = alu(AluOp::Sub, 0, p.cpu.reg(rd)).expect("sub cannot fault");
             p.cpu.set_reg(rd, v);
@@ -406,7 +418,10 @@ mod tests {
     fn shift_semantics() {
         assert_eq!(alu(AluOp::Shl, 1, 8).unwrap().0, 256);
         assert_eq!(alu(AluOp::Shr, u64::MAX, 63).unwrap().0, 1);
-        assert_eq!(alu(AluOp::Sar, (-8i64) as u64, 2).unwrap().0, (-2i64) as u64);
+        assert_eq!(
+            alu(AluOp::Sar, (-8i64) as u64, 2).unwrap().0,
+            (-2i64) as u64
+        );
         // Shift counts are masked to 63.
         assert_eq!(alu(AluOp::Shl, 1, 64).unwrap().0, 1);
     }

@@ -169,7 +169,9 @@ mod tests {
         let mut store = ModuleStore::new();
         store.add(exe);
         let (exit, _) = run(&store, "a.out", &LoadOptions::default());
-        let Exit::Fault(f) = exit else { panic!("expected fault, got {exit:?}") };
+        let Exit::Fault(f) = exit else {
+            panic!("expected fault, got {exit:?}")
+        };
         assert!(matches!(f.kind, FaultKind::Mem(_)));
     }
 

@@ -110,7 +110,10 @@ impl fmt::Display for LoadError {
             LoadError::UnresolvedSymbol { symbol, module } => {
                 write!(f, "unresolved symbol `{symbol}` needed by `{module}`")
             }
-            LoadError::NoResolver => write!(f, "lazy binding requires an ld.so module exporting `{RESOLVER_SYMBOL}`"),
+            LoadError::NoResolver => write!(
+                f,
+                "lazy binding requires an ld.so module exporting `{RESOLVER_SYMBOL}`"
+            ),
             LoadError::NonPicConflict(m) => {
                 write!(f, "cannot load second non-PIC module `{m}`")
             }
@@ -179,8 +182,16 @@ pub fn load_process(
         .encode(&mut code);
     }
     // exit(r0)
-    Instr::MovRr { rd: Reg::R1, rs: Reg::R0 }.encode(&mut code);
-    Instr::MovI32 { rd: Reg::R0, imm: 0 }.encode(&mut code);
+    Instr::MovRr {
+        rd: Reg::R1,
+        rs: Reg::R0,
+    }
+    .encode(&mut code);
+    Instr::MovI32 {
+        rd: Reg::R0,
+        imm: 0,
+    }
+    .encode(&mut code);
     Instr::Syscall.encode(&mut code);
     p.mem
         .map(

@@ -286,9 +286,7 @@ impl Memory {
                 return Err(format!("overlaps region `{}`", r.label));
             }
         }
-        let idx = self
-            .regions
-            .partition_point(|r| r.start < start);
+        let idx = self.regions.partition_point(|r| r.start < start);
         self.regions.insert(
             idx,
             Region {
@@ -576,7 +574,11 @@ mod tests {
         assert_eq!(m.read_int(0x1008, 8).unwrap(), 0xdead_beef_cafe_f00d);
         assert_eq!(m.read_int(0x1008, 4).unwrap(), 0xcafe_f00d);
         assert_eq!(m.read_int(0x100c, 4).unwrap(), 0xdead_beef);
-        assert_eq!(m.read_int(0x1100, 8).unwrap(), 0, "untouched memory is zero");
+        assert_eq!(
+            m.read_int(0x1100, 8).unwrap(),
+            0,
+            "untouched memory is zero"
+        );
     }
 
     #[test]

@@ -115,9 +115,7 @@ fn dispatch_inner(p: &mut Process, num: u64) -> Step {
         },
         SYS_MMAP_FIXED => match p.mmap_fixed(a1, a2) {
             Ok(addr) => addr,
-            Err(msg) => {
-                return Step::Fault(FaultKind::Abort(format!("mmap_fixed failed: {msg}")))
-            }
+            Err(msg) => return Step::Fault(FaultKind::Abort(format!("mmap_fixed failed: {msg}"))),
         },
         SYS_DLOPEN => {
             let name = match read_str(p, a1, a2) {

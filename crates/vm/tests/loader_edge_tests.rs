@@ -71,7 +71,11 @@ fn dlopen_unknown_module_returns_error_handle() {
     let mut store = ModuleStore::new();
     store.add(exe(src));
     let mut p = load_process(&store, "e", &LoadOptions::default()).unwrap();
-    assert_eq!(p.run_native(1_000_000), Exit::Exited(1), "dlopen failed as expected");
+    assert_eq!(
+        p.run_native(1_000_000),
+        Exit::Exited(1),
+        "dlopen failed as expected"
+    );
 }
 
 #[test]
@@ -94,9 +98,16 @@ fn dlopen_twice_returns_same_handle() {
     store.add(exe(src));
     store.add(plugin);
     let mut p = load_process(&store, "e", &LoadOptions::default()).unwrap();
-    assert_eq!(p.run_native(1_000_000), Exit::Exited(0), "same handle twice");
     assert_eq!(
-        p.modules.iter().filter(|m| m.image.name == "libp.so").count(),
+        p.run_native(1_000_000),
+        Exit::Exited(0),
+        "same handle twice"
+    );
+    assert_eq!(
+        p.modules
+            .iter()
+            .filter(|m| m.image.name == "libp.so")
+            .count(),
         1,
         "loaded once"
     );
@@ -112,7 +123,13 @@ fn stack_overflow_faults_cleanly() {
     let mut p = load_process(&store, "e", &LoadOptions::default()).unwrap();
     let exit = p.run_native(500_000_000);
     assert!(
-        matches!(exit, Exit::Fault(Fault { kind: FaultKind::Mem(_), .. })),
+        matches!(
+            exit,
+            Exit::Fault(Fault {
+                kind: FaultKind::Mem(_),
+                ..
+            })
+        ),
         "{exit:?}"
     );
 }
@@ -126,7 +143,13 @@ fn heap_exhaustion_aborts() {
     let mut p = load_process(&store, "e", &LoadOptions::default()).unwrap();
     let exit = p.run_native(100_000_000);
     assert!(
-        matches!(exit, Exit::Fault(Fault { kind: FaultKind::Abort(_), .. })),
+        matches!(
+            exit,
+            Exit::Fault(Fault {
+                kind: FaultKind::Abort(_),
+                ..
+            })
+        ),
         "{exit:?}"
     );
 }
@@ -169,7 +192,9 @@ fn executing_data_faults() {
     store.add(exe(src));
     let mut p = load_process(&store, "e", &LoadOptions::default()).unwrap();
     let exit = p.run_native(1_000_000);
-    let Exit::Fault(f) = exit else { panic!("{exit:?}") };
+    let Exit::Fault(f) = exit else {
+        panic!("{exit:?}")
+    };
     assert!(matches!(
         f.kind,
         FaultKind::Mem(MemFault {

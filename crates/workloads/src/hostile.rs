@@ -80,7 +80,14 @@ fn ground_truth(image: &Image) -> Vec<(u64, u64)> {
 }
 
 fn build(name: &'static str, asm: &str) -> (Image, Vec<(u64, u64)>) {
-    let image = build_exe(name, "", Some(asm), &CompileOptions::default(), false, false);
+    let image = build_exe(
+        name,
+        "",
+        Some(asm),
+        &CompileOptions::default(),
+        false,
+        false,
+    );
     let ranges = ground_truth(&image);
     (image.to_stripped(), ranges)
 }

@@ -222,7 +222,10 @@ mod tests {
         assert!(world.store.get("libjf.so").is_some());
         assert!(world.store.get("ld.so").is_some());
         assert!(world.store.get("perlbench").is_some());
-        assert!(world.store.get("liblbm.so").is_some(), "lbm's plugin exists");
+        assert!(
+            world.store.get("liblbm.so").is_some(),
+            "lbm's plugin exists"
+        );
     }
 
     #[test]
@@ -269,7 +272,18 @@ mod tests {
         assert!(by_name("cactusADM").extra_asm.is_some(), "JIT main");
         assert!(by_name("lbm").plugin.is_some(), "dlopen plugin");
         // RetroWrite's C-benchmark coverage is PIE.
-        for n in ["perlbench", "bzip2", "gcc", "mcf", "sjeng", "libquantum", "h264ref", "milc", "lbm", "sphinx3"] {
+        for n in [
+            "perlbench",
+            "bzip2",
+            "gcc",
+            "mcf",
+            "sjeng",
+            "libquantum",
+            "h264ref",
+            "milc",
+            "lbm",
+            "sphinx3",
+        ] {
             assert!(by_name(n).pie, "{n} should be PIE");
         }
         for n in ["omnetpp", "dealII", "povray", "tonto", "cactusADM"] {

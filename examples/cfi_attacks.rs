@@ -62,8 +62,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = library_base();
     let store2 = build_case(&base, "callbacks", callback_src);
 
-    let jcfi2 = run_hybrid(&store2, "callbacks", Jcfi::hybrid(), &HybridOptions::default())?;
-    println!("JCFI vs qsort callback  : exit {:?} (no false positive)", jcfi2.outcome.code());
+    let jcfi2 = run_hybrid(
+        &store2,
+        "callbacks",
+        Jcfi::hybrid(),
+        &HybridOptions::default(),
+    )?;
+    println!(
+        "JCFI vs qsort callback  : exit {:?} (no false positive)",
+        jcfi2.outcome.code()
+    );
 
     let lockdown_opts = HybridOptions {
         dynamic_only: true,

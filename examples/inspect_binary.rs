@@ -20,8 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .get(&which)
         .ok_or_else(|| format!("unknown workload `{which}`"))?;
 
-    println!("module `{}` ({}, {} code bytes)", image.name,
-        if image.pic { "PIC" } else { "non-PIC" }, image.code_bytes());
+    println!(
+        "module `{}` ({}, {} code bytes)",
+        image.name,
+        if image.pic { "PIC" } else { "non-PIC" },
+        image.code_bytes()
+    );
 
     let ctx = StaticContext::analyze(&image);
     println!("\n-- control-flow recovery --");
@@ -29,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("instructions        : {}", ctx.cfg.insn_count());
     println!("functions           : {}", ctx.cfg.functions.len());
     println!("jump tables         : {}", ctx.cfg.jump_tables.len());
-    println!("unresolved indirect : {}", ctx.cfg.unresolved_indirect.len());
+    println!(
+        "unresolved indirect : {}",
+        ctx.cfg.unresolved_indirect.len()
+    );
 
     if let Some(jt) = ctx.cfg.jump_tables.first() {
         println!(
@@ -74,8 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("\n-- liveness headroom over {total} memory accesses --");
-    println!("two dead scratch regs : {free2} ({:.0}%)", 100.0 * free2 as f64 / total.max(1) as f64);
-    println!("flags dead            : {flags_dead} ({:.0}%)", 100.0 * flags_dead as f64 / total.max(1) as f64);
+    println!(
+        "two dead scratch regs : {free2} ({:.0}%)",
+        100.0 * free2 as f64 / total.max(1) as f64
+    );
+    println!(
+        "flags dead            : {flags_dead} ({:.0}%)",
+        100.0 * flags_dead as f64 / total.max(1) as f64
+    );
 
     // The rewrite rules the JASan static pass would ship (Figure 3).
     let file = analyze_statically(&image, &Jasan::hybrid());

@@ -31,7 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Natively the overflow reads stale heap and "works".
     let (exit, proc) = run_native(&store, "buggy", &LoadOptions::default(), 0)?;
-    println!("native run     : exit {:?} after {} instructions", exit.code(), proc.insns);
+    println!(
+        "native run     : exit {:?} after {} instructions",
+        exit.code(),
+        proc.insns
+    );
 
     // 2. Under Janitizer+JASan the static analyzer marks every load/store
     //    with liveness-annotated rewrite rules, the dynamic modifier
@@ -74,7 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "#;
     let store2 = build_case(&base, "hijack", hijack);
     let run2 = run_hybrid(&store2, "hijack", Jcfi::hybrid(), &HybridOptions::default())?;
-    println!("jcfi (legal)   : exit {:?} — address-taken targets stay callable", run2.outcome.code());
+    println!(
+        "jcfi (legal)   : exit {:?} — address-taken targets stay callable",
+        run2.outcome.code()
+    );
 
     Ok(())
 }

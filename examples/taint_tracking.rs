@@ -41,7 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // JCFI is satisfied: both computed targets are real function entries.
     let jcfi = run_hybrid(&store, "dispatch", Jcfi::hybrid(), &mk_opts(1))?;
-    println!("JCFI  : exit {:?} — target is a valid function, CFI passes", jcfi.outcome.code());
+    println!(
+        "JCFI  : exit {:?} — target is a valid function, CFI passes",
+        jcfi.outcome.code()
+    );
 
     // JTaint flags the transfer: its target derives from untrusted input.
     let jt = Jtaint::new();

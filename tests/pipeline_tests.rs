@@ -26,7 +26,9 @@ fn tools_preserve_workload_semantics() {
             ..Default::default()
         };
         let (native, _) = run_native(&store, w.name, &load, 0).unwrap();
-        let native_code = native.code().unwrap_or_else(|| panic!("{} native: {native:?}", w.name));
+        let native_code = native
+            .code()
+            .unwrap_or_else(|| panic!("{} native: {native:?}", w.name));
 
         // JASan hybrid.
         let ja = run_hybrid(
@@ -42,17 +44,44 @@ fn tools_preserve_workload_semantics() {
             },
         )
         .unwrap();
-        assert_eq!(ja.outcome.code(), Some(native_code), "{} under jasan: {:?}", w.name, ja.outcome);
-        assert!(ja.engine.reports.is_empty(), "{} jasan FPs: {:?}", w.name, ja.engine.reports.first());
+        assert_eq!(
+            ja.outcome.code(),
+            Some(native_code),
+            "{} under jasan: {:?}",
+            w.name,
+            ja.outcome
+        );
+        assert!(
+            ja.engine.reports.is_empty(),
+            "{} jasan FPs: {:?}",
+            w.name,
+            ja.engine.reports.first()
+        );
 
         // JCFI hybrid.
-        let jc = run_hybrid(&store, w.name, Jcfi::hybrid(), &HybridOptions {
-            load: load.clone(),
-            ..Default::default()
-        })
+        let jc = run_hybrid(
+            &store,
+            w.name,
+            Jcfi::hybrid(),
+            &HybridOptions {
+                load: load.clone(),
+                ..Default::default()
+            },
+        )
         .unwrap();
-        assert_eq!(jc.outcome.code(), Some(native_code), "{} under jcfi: {:?}", w.name, jc.outcome);
-        assert!(jc.engine.reports.is_empty(), "{} jcfi FPs: {:?}", w.name, jc.engine.reports.first());
+        assert_eq!(
+            jc.outcome.code(),
+            Some(native_code),
+            "{} under jcfi: {:?}",
+            w.name,
+            jc.outcome
+        );
+        assert!(
+            jc.engine.reports.is_empty(),
+            "{} jcfi FPs: {:?}",
+            w.name,
+            jc.engine.reports.first()
+        );
     }
 }
 
@@ -66,7 +95,10 @@ fn rule_files_roundtrip_for_all_modules() {
         let bytes = file.to_bytes();
         let back = RuleFile::from_bytes(&bytes).unwrap();
         assert_eq!(file, back, "rule file roundtrip for {name}");
-        assert!(!file.rules.is_empty(), "{name} should have at least no-op rules");
+        assert!(
+            !file.rules.is_empty(),
+            "{name} should have at least no-op rules"
+        );
     }
 }
 
@@ -86,27 +118,44 @@ fn shared_library_rules_are_program_independent() {
 #[test]
 fn hybrid_covers_dlopened_code_retrowrite_does_not() {
     let world = small_world();
-    let idx = world.workloads.iter().position(|w| w.name == "lbm").unwrap();
+    let idx = world
+        .workloads
+        .iter()
+        .position(|w| w.name == "lbm")
+        .unwrap();
     let load = LoadOptions {
         args: vec![world.args[idx]],
         preload: vec![RT_MODULE.into()],
         ..Default::default()
     };
-    let ja = run_hybrid(&world.store, "lbm", Jasan::hybrid(), &HybridOptions {
-        load: load.clone(),
-        ..Default::default()
-    })
-    .unwrap();
-    assert!(ja.coverage.dynamic_blocks > 0, "plugin blocks hit the fallback");
-
-    let rw = run_hybrid(&world.store, "lbm", Retrowrite::new(), &HybridOptions {
-        load,
-        engine: EngineOptions {
-            costs: static_rewriter_costs(),
+    let ja = run_hybrid(
+        &world.store,
+        "lbm",
+        Jasan::hybrid(),
+        &HybridOptions {
+            load: load.clone(),
             ..Default::default()
         },
-        ..Default::default()
-    })
+    )
+    .unwrap();
+    assert!(
+        ja.coverage.dynamic_blocks > 0,
+        "plugin blocks hit the fallback"
+    );
+
+    let rw = run_hybrid(
+        &world.store,
+        "lbm",
+        Retrowrite::new(),
+        &HybridOptions {
+            load,
+            engine: EngineOptions {
+                costs: static_rewriter_costs(),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
     .unwrap();
     // Same program result, but the static tool never instruments the
     // plugin (it has rules for zero of the dynamic blocks).
@@ -142,22 +191,36 @@ fn hybrid_runs_are_deterministic() {
 #[test]
 fn noop_rules_ablation_costs_cycles() {
     let world = small_world();
-    let idx = world.workloads.iter().position(|w| w.name == "mcf").unwrap();
+    let idx = world
+        .workloads
+        .iter()
+        .position(|w| w.name == "mcf")
+        .unwrap();
     let load = LoadOptions {
         args: vec![world.args[idx]],
         preload: vec![RT_MODULE.into()],
         ..Default::default()
     };
-    let with = run_hybrid(&world.store, "mcf", Jasan::hybrid(), &HybridOptions {
-        load: load.clone(),
-        ..Default::default()
-    })
+    let with = run_hybrid(
+        &world.store,
+        "mcf",
+        Jasan::hybrid(),
+        &HybridOptions {
+            load: load.clone(),
+            ..Default::default()
+        },
+    )
     .unwrap();
-    let without = run_hybrid(&world.store, "mcf", Jasan::hybrid(), &HybridOptions {
-        load,
-        no_noop_rules: true,
-        ..Default::default()
-    })
+    let without = run_hybrid(
+        &world.store,
+        "mcf",
+        Jasan::hybrid(),
+        &HybridOptions {
+            load,
+            no_noop_rules: true,
+            ..Default::default()
+        },
+    )
     .unwrap();
     assert_eq!(with.outcome.code(), without.outcome.code());
     assert!(
@@ -180,17 +243,26 @@ fn ipa_ra_world_end_to_end() {
         scale: 0.1,
         ipa_ra: true,
     });
-    let idx = world.workloads.iter().position(|w| w.name == "sjeng").unwrap();
+    let idx = world
+        .workloads
+        .iter()
+        .position(|w| w.name == "sjeng")
+        .unwrap();
     let load = LoadOptions {
         args: vec![world.args[idx]],
         preload: vec![RT_MODULE.into()],
         ..Default::default()
     };
     let (native, _) = run_native(&world.store, "sjeng", &load, 0).unwrap();
-    let fixed = run_hybrid(&world.store, "sjeng", Jasan::hybrid(), &HybridOptions {
-        load: load.clone(),
-        ..Default::default()
-    })
+    let fixed = run_hybrid(
+        &world.store,
+        "sjeng",
+        Jasan::hybrid(),
+        &HybridOptions {
+            load: load.clone(),
+            ..Default::default()
+        },
+    )
     .unwrap();
     assert_eq!(
         fixed.outcome.code(),
@@ -216,7 +288,10 @@ fn eval_figures_are_consistent() {
     for (name, vals) in &f14.rows {
         if name != "cactusADM" {
             let v = vals[0].unwrap();
-            assert!(v < cactus, "{name} ({v}) should be below cactusADM ({cactus})");
+            assert!(
+                v < cactus,
+                "{name} ({v}) should be below cactusADM ({cactus})"
+            );
         }
     }
 }
@@ -227,24 +302,38 @@ fn eval_figures_are_consistent() {
 #[test]
 fn dlopened_module_with_rule_file_counts_as_static() {
     let world = small_world();
-    let idx = world.workloads.iter().position(|w| w.name == "lbm").unwrap();
+    let idx = world
+        .workloads
+        .iter()
+        .position(|w| w.name == "lbm")
+        .unwrap();
     let load = LoadOptions {
         args: vec![world.args[idx]],
         preload: vec![RT_MODULE.into()],
         ..Default::default()
     };
     // Without rules for the plugin: its blocks are dynamic.
-    let without = run_hybrid(&world.store, "lbm", Jasan::hybrid(), &HybridOptions {
-        load: load.clone(),
-        ..Default::default()
-    })
+    let without = run_hybrid(
+        &world.store,
+        "lbm",
+        Jasan::hybrid(),
+        &HybridOptions {
+            load: load.clone(),
+            ..Default::default()
+        },
+    )
     .unwrap();
     // With a rule file shipped for liblbm.so: everything is static.
-    let with = run_hybrid(&world.store, "lbm", Jasan::hybrid(), &HybridOptions {
-        load,
-        analyze_extra: vec!["liblbm.so".into()],
-        ..Default::default()
-    })
+    let with = run_hybrid(
+        &world.store,
+        "lbm",
+        Jasan::hybrid(),
+        &HybridOptions {
+            load,
+            analyze_extra: vec!["liblbm.so".into()],
+            ..Default::default()
+        },
+    )
     .unwrap();
     assert_eq!(with.outcome.code(), without.outcome.code());
     assert!(without.coverage.dynamic_blocks > 0);
