@@ -12,8 +12,9 @@
 //! reach may be *missed*, which is precisely the gap the dynamic
 //! modifier's fallback covers (Figure 14).
 
-use janitizer_isa::{decode, Instr, PcMap, PcSet};
-use janitizer_obj::{DynTarget, Image, SectionKind};
+use crate::index::ImageIndex;
+use janitizer_isa::{decode, Instr, PcMap, PcSet, Reg};
+use janitizer_obj::{Image, SectionKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a basic block ends.
@@ -134,37 +135,8 @@ impl ModuleCfg {
     }
 }
 
-/// Reads an 8-byte pointer from the image, honouring dynamic relocations
-/// (PIC jump tables store their targets as `Base` relocations, not bytes).
-pub fn read_pointer(image: &Image, addr: u64) -> Option<u64> {
-    match image.dyn_relocs.iter().find(|r| r.offset == addr) {
-        Some(rel) => reloc_pointer(&rel.target),
-        None => read_word(image, addr),
-    }
-}
-
-/// The image-space pointer a dynamic relocation stores: `Base` targets
-/// are module-local, `Symbol` targets are unknown until load time.
-pub(crate) fn reloc_pointer(target: &DynTarget) -> Option<u64> {
-    match target {
-        DynTarget::Base(off) => Some(*off),
-        DynTarget::Symbol(_) => None,
-    }
-}
-
-/// The raw little-endian word at `addr`, ignoring relocations.
-pub(crate) fn read_word(image: &Image, addr: u64) -> Option<u64> {
-    let sec = image.section_containing(addr)?;
-    let off = (addr - sec.addr) as usize;
-    let bytes = sec.data.get(off..off + 8)?;
-    Some(u64::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn fetch(image: &Image, addr: u64) -> Option<(Instr, u64)> {
-    let sec = image.section_containing(addr)?;
-    if !sec.kind.is_code() {
-        return None;
-    }
+fn fetch(index: &ImageIndex, addr: u64) -> Option<(Instr, u64)> {
+    let sec = index.code_section(addr)?;
     let off = (addr - sec.addr) as usize;
     let (insn, next) = decode(&sec.data, off).ok()?;
     Some((insn, addr + (next - off) as u64))
@@ -172,15 +144,21 @@ fn fetch(image: &Image, addr: u64) -> Option<(Instr, u64)> {
 
 /// Recovers control flow for all executable sections of `image`.
 pub fn analyze_module(image: &Image) -> ModuleCfg {
-    analyze_module_seeded(image, &[])
+    recover(&ImageIndex::new(image), &[])
 }
 
 /// Like [`analyze_module`], but with `extra_seeds` added to the
-/// traversal roots. [`crate::analyze_tiered`] re-runs recovery through
-/// this entry when it finds entry points the symbol/entry seeding cannot
+/// traversal roots. [`crate::analyze_tiered`] re-runs recovery with
+/// extra seeds when it finds entry points the symbol/entry seeding cannot
 /// see (data-section code pointers, anchor markers); with no extra seeds
 /// the result is identical to [`analyze_module`].
 pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
+    recover(&ImageIndex::new(image), extra_seeds)
+}
+
+/// [`analyze_module_seeded`] over a prebuilt index of the image.
+pub(crate) fn recover(index: &ImageIndex, extra_seeds: &[u64]) -> ModuleCfg {
+    let image = index.image();
     // ---- seeds: entry, init, fini, function symbols, PLT stubs.
     let mut seeds: BTreeSet<u64> = BTreeSet::new();
     seeds.extend(extra_seeds.iter().copied());
@@ -205,26 +183,27 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
         }
     }
 
-    // ---- pass 1 (iterated): discover reachable instructions.
+    // ---- pass 1 (iterated): discover reachable instructions. `insn_at`
+    // grows from empty in traversal order: its iteration order decides
+    // which predecessor the jump-table walk picks among overlapping
+    // instructions and the order of `jump_tables`.
     let mut insn_at: PcMap<(Instr, u64)> = PcMap::default();
-    let mut leaders: BTreeSet<u64> = seeds.clone();
+    let mut leaders: PcSet = seeds.iter().copied().collect();
     let mut call_targets: BTreeSet<u64> = BTreeSet::new();
     let mut jump_tables: Vec<JumpTable> = Vec::new();
     let mut resolved_ind: PcMap<Vec<u64>> = PcMap::default();
 
     let mut frontier: Vec<u64> = seeds.iter().copied().collect();
-    let mut seen = PcSet::default();
     for _round in 0..8 {
         while let Some(start) = frontier.pop() {
             let mut pc = start;
             loop {
-                if seen.contains(&pc) {
+                if insn_at.contains_key(&pc) {
                     break;
                 }
-                let Some((insn, next)) = fetch(image, pc) else {
+                let Some((insn, next)) = fetch(index, pc) else {
                     break;
                 };
-                seen.insert(pc);
                 insn_at.insert(pc, (insn, next));
                 match insn {
                     Instr::Jmp { rel } => {
@@ -270,19 +249,28 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
         // for `cmp rI, N` ... `jae _` ... `la rT, TBL` ... `ld8 rT,
         // [rT + rI*8]` ... `jmp rT` within a window.
         let mut new_targets = Vec::new();
-        let addrs: Vec<u64> = insn_at.keys().copied().collect();
-        for &a in &addrs {
-            let Some(&(Instr::JmpInd { rs }, _)) = insn_at.get(&a) else {
-                continue;
-            };
-            if resolved_ind.contains_key(&a) {
-                continue;
+        let jumps: Vec<(u64, Reg)> = insn_at
+            .iter()
+            .filter_map(|(&a, &(insn, _))| match insn {
+                Instr::JmpInd { rs } if !resolved_ind.contains_key(&a) => Some((a, rs)),
+                _ => None,
+            })
+            .collect();
+        // The instruction ending where each address starts; among
+        // overlapping instructions, the first in `insn_at` order.
+        let mut pred: PcMap<u64> = PcMap::default();
+        if !jumps.is_empty() {
+            pred.reserve(insn_at.len());
+            for (&pc, &(_, next)) in &insn_at {
+                pred.entry(next).or_insert(pc);
             }
+        }
+        for (a, rs) in jumps {
             // Walk backwards up to 8 instructions collecting the pattern.
-            let mut window = Vec::new();
+            let mut window = Vec::with_capacity(8);
             let mut cur = a;
             for _ in 0..8 {
-                let Some((&prev, _)) = insn_at.iter().find(|(_, (_, next))| *next == cur) else {
+                let Some(&prev) = pred.get(&cur) else {
                     break;
                 };
                 window.push(prev);
@@ -318,15 +306,8 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
                 let n = n.min(4096);
                 let mut targets = Vec::new();
                 for i in 0..n {
-                    match read_pointer(image, tbl + i * 8) {
-                        Some(t)
-                            if image
-                                .section_containing(t)
-                                .map(|s| s.kind.is_code())
-                                .unwrap_or(false) =>
-                        {
-                            targets.push(t)
-                        }
+                    match index.pointer(tbl + i * 8) {
+                        Some(t) if index.in_code(t) => targets.push(t),
                         _ => break,
                     }
                 }
@@ -350,18 +331,17 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
         frontier = new_targets;
     }
 
-    // ---- pass 2: group instructions into blocks at leaders.
-    let mut blocks: BTreeMap<u64, Block> = BTreeMap::new();
-    let mut unresolved = Vec::new();
-    let leader_list: Vec<u64> = leaders
+    // ---- pass 2: group instructions into blocks at leaders, in address
+    // order.
+    let mut leader_list: Vec<u64> = leaders
         .iter()
         .copied()
         .filter(|l| insn_at.contains_key(l))
         .collect();
+    leader_list.sort_unstable();
+    let mut blocks: Vec<(u64, Block)> = Vec::with_capacity(leader_list.len());
+    let mut unresolved = Vec::new();
     for &start in &leader_list {
-        if blocks.contains_key(&start) {
-            continue;
-        }
         let mut insns = Vec::new();
         let mut pc = start;
         let (term, succs, call_target, end) = loop {
@@ -411,7 +391,7 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
                 }
             }
         };
-        blocks.insert(
+        blocks.push((
             start,
             Block {
                 start,
@@ -421,7 +401,7 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
                 call_target,
                 term,
             },
-        );
+        ));
     }
 
     // ---- functions: symbols (authoritative) + direct-call targets.
@@ -454,7 +434,7 @@ pub fn analyze_module_seeded(image: &Image, extra_seeds: &[u64]) -> ModuleCfg {
 
     let cfg = ModuleCfg {
         insn_boundaries: insn_at.keys().copied().collect(),
-        blocks,
+        blocks: blocks.into_iter().collect(),
         functions,
         jump_tables,
         unresolved_indirect: unresolved,

@@ -12,6 +12,7 @@
 //! so the scan also walks `dyn_relocs`.
 
 use crate::cfg::ModuleCfg;
+use crate::index::ImageIndex;
 use janitizer_obj::{DynTarget, Image};
 use std::collections::BTreeSet;
 
@@ -34,13 +35,7 @@ pub struct CodePtrScan {
 /// contents and walking PIC dynamic relocations.
 pub fn scan_code_pointers(image: &Image, cfg: &ModuleCfg) -> CodePtrScan {
     let mut candidates: BTreeSet<u64> = BTreeSet::new();
-
-    let code_range = |v: u64| -> bool {
-        image
-            .section_containing(v)
-            .map(|s| s.kind.is_code())
-            .unwrap_or(false)
-    };
+    let index = ImageIndex::new(image);
 
     // Raw byte scan: 8-byte window advancing one byte at a time.
     for sec in &image.sections {
@@ -49,7 +44,7 @@ pub fn scan_code_pointers(image: &Image, cfg: &ModuleCfg) -> CodePtrScan {
         }
         for off in 0..=sec.data.len() - 8 {
             let v = u64::from_le_bytes(sec.data[off..off + 8].try_into().unwrap());
-            if v != 0 && code_range(v) {
+            if v != 0 && index.in_code(v) {
                 candidates.insert(v);
             }
         }
@@ -57,7 +52,7 @@ pub fn scan_code_pointers(image: &Image, cfg: &ModuleCfg) -> CodePtrScan {
     // PIC: pointers materialize through dynamic relocations.
     for rel in &image.dyn_relocs {
         if let DynTarget::Base(v) = rel.target {
-            if code_range(v) {
+            if index.in_code(v) {
                 candidates.insert(v);
             }
         }
@@ -75,7 +70,7 @@ pub fn scan_code_pointers(image: &Image, cfg: &ModuleCfg) -> CodePtrScan {
                     .unwrap_or(block.end)
                     .max(addr + 1);
                 let target = next.wrapping_add(*disp as i64 as u64);
-                if code_range(target) {
+                if index.in_code(target) {
                     candidates.insert(target);
                 }
             }

@@ -1,9 +1,10 @@
 //! The soundness-tiered disassembler: the analyzer every static pass runs.
 //!
-//! The recursive/linear hybrid of [`analyze_module`] trusts every decode
-//! chain it reaches; on hostile modules (stripped symbols, data-in-code
-//! islands, overlapping sequences, obfuscated jump tables) that trust is
-//! misplaced in both directions — code is missed and data is decoded.
+//! The recursive/linear hybrid of
+//! [`analyze_module`](crate::analyze_module) trusts every decode chain it
+//! reaches; on hostile modules (stripped symbols, data-in-code islands,
+//! overlapping sequences, obfuscated jump tables) that trust is misplaced
+//! in both directions — code is missed and data is decoded.
 //! [`analyze_tiered`] starts from that recovery and grades every block
 //! with a [`ConfidenceTier`], so rule emission can degrade *per region*
 //! instead of per module:
@@ -25,8 +26,9 @@
 //! classifier misses them and the dynamic fallback conservatively
 //! instruments exactly those regions.
 
-use crate::cfg::{analyze_module, analyze_module_seeded, read_word, reloc_pointer, ModuleCfg};
-use janitizer_isa::{decode, Instr, PcMap, Reg};
+use crate::cfg::{recover, ModuleCfg};
+use crate::index::ImageIndex;
+use janitizer_isa::{decode, Instr, Reg};
 use janitizer_obj::{Image, SectionKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -92,8 +94,9 @@ pub struct DegradedRegion {
 /// The output of one whole-module disassembly.
 #[derive(Clone, Debug)]
 pub struct DisasmResult {
-    /// Recovered control flow (a superset of [`analyze_module`]'s when
-    /// evidence promotes unreachable code).
+    /// Recovered control flow (a superset of
+    /// [`analyze_module`](crate::analyze_module)'s when evidence promotes
+    /// unreachable code).
     pub cfg: ModuleCfg,
     /// Per-block confidence, keyed by block start. Blocks absent from
     /// the map are `Proven`.
@@ -110,7 +113,8 @@ pub struct DisasmResult {
 
 impl DisasmResult {
     /// The no-evidence ablation: `cfg` as recovered (normally by
-    /// [`analyze_module`]), every block `Proven`, nothing degraded.
+    /// [`analyze_module`](crate::analyze_module)), every block `Proven`,
+    /// nothing degraded.
     pub fn untiered(cfg: ModuleCfg) -> DisasmResult {
         DisasmResult {
             cfg,
@@ -177,18 +181,20 @@ struct Chain {
 /// must end at a terminator or merge into a known instruction boundary.
 /// Chains that run misaligned into already-recovered code are rejected —
 /// that disagreement is exactly the overlap the weights must not trust.
-/// `spans` holds the `[start, end)` of every block in `base`.
+/// `reach` holds, for every block of `base` in start order, its start and
+/// the furthest end of the blocks up to it: some block covers `a` exactly
+/// when the last entry starting at or below `a` reaches past it.
 fn decode_chain(
-    image: &Image,
+    index: &ImageIndex,
     base: &ModuleCfg,
-    spans: &[(u64, u64)],
+    reach: &[(u64, u64)],
     start: u64,
 ) -> Option<Chain> {
-    let in_recovered = |a: u64| spans.iter().any(|&(s, e)| a >= s && a < e);
-    let sec = image.section_containing(start)?;
-    if !sec.kind.is_code() {
-        return None;
-    }
+    let in_recovered = |a: u64| {
+        let i = reach.partition_point(|&(s, _)| s <= a);
+        i > 0 && reach[i - 1].1 > a
+    };
+    index.code_section(start)?;
     let mut starts = Vec::new();
     let mut all_nop = true;
     let mut pc = start;
@@ -206,10 +212,7 @@ fn decode_chain(
             // Misaligned overlap with recovered code: contradictory.
             return None;
         }
-        let sec = image.section_containing(pc)?;
-        if !sec.kind.is_code() {
-            return None;
-        }
+        let sec = index.code_section(pc)?;
         let off = (pc - sec.addr) as usize;
         let (insn, next_off) = decode(&sec.data, off).ok()?;
         let next = pc + (next_off - off) as u64;
@@ -224,14 +227,8 @@ fn decode_chain(
             }
             _ => None,
         };
-        if let Some(t) = direct_target {
-            let ok = image
-                .section_containing(t)
-                .map(|s| s.kind.is_code())
-                .unwrap_or(false);
-            if !ok {
-                return None;
-            }
+        if direct_target.is_some_and(|t| !index.in_code(t)) {
+            return None;
         }
         match insn {
             Instr::Jmp { .. } | Instr::JmpInd { .. } | Instr::Ret | Instr::Halt | Instr::Trap => {
@@ -253,7 +250,7 @@ fn decode_chain(
 /// recovered code demonstrably reads or writes *as data* (a constant
 /// address materialized into a register and then used as a load/store
 /// base within the same block).
-fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
+fn collect_data_facts(index: &ImageIndex, cfg: &ModuleCfg) -> BTreeSet<u64> {
     fn dest_reg(i: &Instr) -> Option<Reg> {
         match *i {
             Instr::MovRr { rd, .. }
@@ -274,12 +271,6 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
         }
     }
     let mut facts = BTreeSet::new();
-    let in_code = |a: u64| {
-        image
-            .section_containing(a)
-            .map(|s| s.kind.is_code())
-            .unwrap_or(false)
-    };
     for block in cfg.blocks.values() {
         // Register -> the constant address it holds, within this block.
         let mut consts: [Option<u64>; 16] = [None; 16];
@@ -301,7 +292,7 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
                         _ => 0,
                     };
                     let a = addr.wrapping_add(disp as i64 as u64);
-                    if in_code(a) {
+                    if index.in_code(a) {
                         facts.insert(a);
                     }
                 }
@@ -333,17 +324,9 @@ fn collect_data_facts(image: &Image, cfg: &ModuleCfg) -> BTreeSet<u64> {
 /// code section at an address the base recovery never decoded — the
 /// corroboration facts for candidate chains. Returns
 /// `target -> aggregate pointer weight`.
-fn scan_pointer_facts(image: &Image, base: &ModuleCfg) -> BTreeMap<u64, i32> {
-    // Relocated words, looked up once each; the first relocation at an
-    // offset wins, as in [`crate::read_pointer`].
-    let mut relocs: PcMap<Option<u64>> = PcMap::default();
-    for r in &image.dyn_relocs {
-        relocs
-            .entry(r.offset)
-            .or_insert_with(|| reloc_pointer(&r.target));
-    }
+fn scan_pointer_facts(index: &ImageIndex, base: &ModuleCfg) -> BTreeMap<u64, i32> {
     let mut refs: BTreeMap<u64, i32> = BTreeMap::new();
-    for sec in &image.sections {
+    for sec in &index.image().sections {
         let w = match sec.kind {
             SectionKind::Rodata => weight::RODATA_PTR,
             SectionKind::Data => weight::DATA_PTR,
@@ -351,16 +334,8 @@ fn scan_pointer_facts(image: &Image, base: &ModuleCfg) -> BTreeMap<u64, i32> {
         };
         let mut a = sec.addr.next_multiple_of(8);
         while a + 8 <= sec.end() {
-            let word = match relocs.get(&a) {
-                Some(&p) => p,
-                None => read_word(image, a),
-            };
-            if let Some(v) = word {
-                let is_code = image
-                    .section_containing(v)
-                    .map(|s| s.kind.is_code())
-                    .unwrap_or(false);
-                if is_code && !base.insn_boundaries.contains(&v) {
+            if let Some(v) = index.pointer(a) {
+                if index.in_code(v) && !base.insn_boundaries.contains(&v) {
                     *refs.entry(v).or_insert(0) += w;
                 }
             }
@@ -376,22 +351,29 @@ fn scan_pointer_facts(image: &Image, base: &ModuleCfg) -> BTreeMap<u64, i32> {
 /// landing-pad anchors, and data-overlap demotion.
 pub fn analyze_tiered(image: &Image) -> DisasmResult {
     let anchors = image.anchor_addrs();
-    let base = analyze_module(image);
-    let data_facts = collect_data_facts(image, &base);
-    let ptr_facts = scan_pointer_facts(image, &base);
+    let index = ImageIndex::new(image);
+    let base = recover(&index, &[]);
+    let data_facts = collect_data_facts(&index, &base);
+    let ptr_facts = scan_pointer_facts(&index, &base);
 
     // Weigh candidate chains at every corroborated target.
     let mut candidates: Vec<(i32, Chain)> = Vec::new();
-    let (spans, symbol_addrs): (Vec<(u64, u64)>, BTreeSet<u64>) = if ptr_facts.is_empty() {
+    let (reach, symbol_addrs): (Vec<(u64, u64)>, BTreeSet<u64>) = if ptr_facts.is_empty() {
         Default::default()
     } else {
         (
-            base.blocks.values().map(|b| (b.start, b.end)).collect(),
+            base.blocks
+                .values()
+                .scan(0, |far, b| {
+                    *far = b.end.max(*far);
+                    Some((b.start, *far))
+                })
+                .collect(),
             image.symbols.iter().map(|s| s.value).collect(),
         )
     };
     for (&target, &ptr_w) in &ptr_facts {
-        let Some(chain) = decode_chain(image, &base, &spans, target) else {
+        let Some(chain) = decode_chain(&index, &base, &reach, target) else {
             continue;
         };
         let mut w = weight::VALID_CHAIN + ptr_w;
@@ -464,7 +446,7 @@ pub fn analyze_tiered(image: &Image) -> DisasmResult {
     let cfg = if seeds.is_empty() {
         base
     } else {
-        let cfg = analyze_module_seeded(image, &seeds);
+        let cfg = recover(&index, &seeds);
         for &start in cfg.blocks.keys() {
             if !base.blocks.contains_key(&start) && !anchor_set.contains(&start) {
                 tiers.insert(start, ConfidenceTier::Likely);

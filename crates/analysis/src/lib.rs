@@ -40,13 +40,13 @@ mod codeptr;
 mod dataflow;
 mod disasm;
 mod evidence;
+mod index;
 mod liveness;
 mod loops;
 
 pub use canary::{canary_exempt_addrs, find_canary_sites, CanarySite};
 pub use cfg::{
-    analyze_module, analyze_module_seeded, read_pointer, Block, FuncEntry, JumpTable, ModuleCfg,
-    Term,
+    analyze_module, analyze_module_seeded, Block, FuncEntry, JumpTable, ModuleCfg, Term,
 };
 pub use codeptr::{scan_code_pointers, CodePtrScan};
 pub use dataflow::{compute_def_use, Def, DefUse};

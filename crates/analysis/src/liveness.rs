@@ -13,9 +13,9 @@
 //! inside the callee will not use them as scratch even though a purely
 //! intra-procedural view says they are dead.
 
-use crate::cfg::{ModuleCfg, Term};
-use janitizer_isa::{Instr, Reg, ABI};
-use std::collections::HashMap;
+use crate::cfg::{Block, ModuleCfg, Term};
+use janitizer_isa::{Instr, PcMap, Reg, ABI};
+use std::ops::Range;
 
 /// All sixteen registers.
 pub const ALL_REGS: u16 = 0xffff;
@@ -23,14 +23,13 @@ pub const ALL_REGS: u16 = 0xffff;
 /// Liveness facts for one module.
 #[derive(Clone, Debug, Default)]
 pub struct Liveness {
-    /// Registers live immediately **before** each instruction.
-    pub live_before: HashMap<u64, u16>,
-    /// Whether the flags are live immediately before each instruction.
-    pub flags_live_before: HashMap<u64, bool>,
+    /// Registers live, and whether the flags are live, immediately
+    /// **before** each instruction.
+    pub before: PcMap<(u16, bool)>,
     /// For each function entry: caller-saved registers observed live
     /// across a call to it from within this module (the ipa-ra hazard
     /// set). Instrumentation in the callee must treat these as live.
-    pub inbound: HashMap<u64, u16>,
+    pub inbound: PcMap<u16>,
 }
 
 impl Liveness {
@@ -39,8 +38,8 @@ impl Liveness {
     /// nor the stack pointer. Unknown instructions get an empty set
     /// (fully conservative).
     pub fn dead_regs_at(&self, addr: u64, insn: &Instr) -> u16 {
-        match self.live_before.get(&addr) {
-            Some(live) => !(live | insn.uses() | Reg::SP.bit() | Reg::FP.bit()),
+        match self.before.get(&addr) {
+            Some((live, _)) => !(live | insn.uses() | Reg::SP.bit() | Reg::FP.bit()),
             None => 0,
         }
     }
@@ -48,15 +47,8 @@ impl Liveness {
     /// Whether instrumentation before `addr` must preserve the flags.
     /// Unknown addresses are conservatively live.
     pub fn flags_live_at(&self, addr: u64) -> bool {
-        self.flags_live_before.get(&addr).copied().unwrap_or(true)
+        self.before.get(&addr).is_none_or(|&(_, flags)| flags)
     }
-}
-
-/// Per-block summary used during the fixpoint.
-#[derive(Clone, Copy, Default)]
-struct BlockFacts {
-    live_in: u16,
-    flags_in: bool,
 }
 
 /// The registers assumed live at a return: the return value and everything
@@ -65,47 +57,92 @@ fn ret_live() -> u16 {
     ABI::RET.bit() | ABI::callee_saved_mask() | Reg::SP.bit()
 }
 
-/// Transfer function for one instruction (backward).
-fn step(insn: &Instr, live_out: u16, flags_out: bool) -> (u16, bool) {
-    let mut live = live_out;
-    let mut flags = flags_out;
-    match insn {
-        Instr::Call { .. } | Instr::CallInd { .. } => {
+/// A backward transfer function: live registers `r` become
+/// `(r & keep) | gen`, and live flags `f` become `(f & fkeep) | fgen`.
+/// Every instruction's effect has this shape, and so has any sequence of
+/// them, so a block's effect is computed once and applied each round.
+#[derive(Clone, Copy)]
+struct Transfer {
+    keep: u16,
+    gen: u16,
+    fkeep: bool,
+    fgen: bool,
+}
+
+impl Transfer {
+    /// The effect of an empty sequence.
+    const IDENTITY: Transfer = Transfer {
+        keep: ALL_REGS,
+        gen: 0,
+        fkeep: true,
+        fgen: false,
+    };
+
+    /// The effect of one instruction.
+    fn of(insn: &Instr) -> Transfer {
+        let arg_mask: u16 = ABI::ARGS.iter().map(|r| r.bit()).sum();
+        match insn {
             // The callee may read the argument registers and clobbers the
             // caller-saved set; it preserves callee-saved and sp. Flags
             // are clobbered by calls (not preserved across them).
-            live &= !ABI::caller_saved_mask();
-            let arg_mask: u16 = ABI::ARGS.iter().map(|r| r.bit()).sum();
-            live |= arg_mask | Reg::SP.bit();
-            if let Instr::CallInd { rs } = insn {
-                live |= rs.bit();
-            }
-            flags = false;
-        }
-        Instr::Syscall => {
-            live &= !Reg::R0.bit();
-            let arg_mask: u16 = ABI::ARGS.iter().map(|r| r.bit()).sum();
-            live |= arg_mask;
-        }
-        Instr::Ret => {
-            live = ret_live();
-            flags = false;
-        }
-        _ => {
-            live &= !insn.defs();
-            live |= insn.uses();
-            if insn.uses_sp() {
-                live |= Reg::SP.bit();
-            }
-            if insn.sets_flags() {
-                flags = false;
-            }
-            if insn.reads_flags() {
-                flags = true;
-            }
+            Instr::Call { .. } | Instr::CallInd { .. } => Transfer {
+                keep: !ABI::caller_saved_mask(),
+                gen: arg_mask
+                    | Reg::SP.bit()
+                    | match insn {
+                        Instr::CallInd { rs } => rs.bit(),
+                        _ => 0,
+                    },
+                fkeep: false,
+                fgen: false,
+            },
+            Instr::Syscall => Transfer {
+                keep: !Reg::R0.bit(),
+                gen: arg_mask,
+                ..Transfer::IDENTITY
+            },
+            Instr::Ret => Transfer {
+                keep: 0,
+                gen: ret_live(),
+                fkeep: false,
+                fgen: false,
+            },
+            _ => Transfer {
+                keep: !insn.defs(),
+                gen: insn.uses() | if insn.uses_sp() { Reg::SP.bit() } else { 0 },
+                fkeep: !insn.sets_flags(),
+                fgen: insn.reads_flags(),
+            },
         }
     }
-    (live, flags)
+
+    /// Live registers and flags before, given those after.
+    fn apply(self, live: u16, flags: bool) -> (u16, bool) {
+        (
+            (live & self.keep) | self.gen,
+            (flags & self.fkeep) | self.fgen,
+        )
+    }
+
+    /// The effect of running `self`'s instructions, then `later`'s.
+    fn then(self, later: Transfer) -> Transfer {
+        Transfer {
+            keep: later.keep & self.keep,
+            gen: (later.gen & self.keep) | self.gen,
+            fkeep: later.fkeep & self.fkeep,
+            fgen: (later.fgen & self.fkeep) | self.fgen,
+        }
+    }
+}
+
+/// Where a block's live-out facts come from.
+enum LiveOut {
+    /// Fixed by the terminator, or fully conservative because a
+    /// successor lies outside recovered code.
+    Fixed(u16, bool),
+    /// The union of the live-in facts of these blocks (indices into a
+    /// flat successor list).
+    Join(Range<usize>),
 }
 
 /// Iteration fuel for the fixpoint: rounds before the analysis gives up
@@ -124,10 +161,51 @@ const FIXPOINT_FUEL: u64 = 64;
 /// dead, [`Liveness::flags_live_at`] reports flags live) — and the
 /// exhaustion is telemetry-visible (`analysis.fuel_exhausted`).
 pub fn compute_liveness(cfg: &ModuleCfg) -> Liveness {
-    let mut facts: HashMap<u64, BlockFacts> = HashMap::new();
+    // Blocks by position in address order; facts and successors are
+    // indexed the same way.
+    let blocks: Vec<&Block> = cfg.blocks.values().collect();
+    let mut succs: Vec<usize> = Vec::new();
+    let outs: Vec<LiveOut> = blocks
+        .iter()
+        .map(|block| match block.term {
+            Term::Ret => LiveOut::Fixed(ret_live(), false),
+            Term::Stop => LiveOut::Fixed(0, false),
+            Term::IndirectJump { resolved: false } => LiveOut::Fixed(ALL_REGS, true),
+            _ => {
+                let from = succs.len();
+                for s in &block.succs {
+                    match blocks.binary_search_by_key(s, |b| b.start) {
+                        Ok(i) => succs.push(i),
+                        Err(_) => {
+                            // Successor outside recovered code.
+                            succs.truncate(from);
+                            return LiveOut::Fixed(ALL_REGS, true);
+                        }
+                    }
+                }
+                LiveOut::Join(from..succs.len())
+            }
+        })
+        .collect();
+    let live_out = |i: usize, facts: &[(u16, bool)]| match &outs[i] {
+        LiveOut::Fixed(l, f) => (*l, *f),
+        LiveOut::Join(r) => succs[r.clone()]
+            .iter()
+            .fold((0, false), |(l, f), &s| (l | facts[s].0, f | facts[s].1)),
+    };
+    let summaries: Vec<Transfer> = blocks
+        .iter()
+        .map(|b| {
+            b.insns.iter().fold(Transfer::IDENTITY, |t, (_, insn)| {
+                t.then(Transfer::of(insn))
+            })
+        })
+        .collect();
 
     // Fixpoint over blocks (module-wide; function boundaries are handled
-    // by the call/ret transfer functions).
+    // by the call/ret transfer functions), in reverse address order. A
+    // block not yet visited contributes nothing to its predecessors.
+    let mut facts: Vec<(u16, bool)> = vec![(0, false); blocks.len()];
     let mut changed = true;
     let mut rounds = 0;
     while changed && rounds < FIXPOINT_FUEL {
@@ -138,38 +216,11 @@ pub fn compute_liveness(cfg: &ModuleCfg) -> Liveness {
         }
         changed = false;
         rounds += 1;
-        for (&start, block) in cfg.blocks.iter().rev() {
-            // live-out = union of successor live-ins; unknown successors
-            // (unresolved indirect jumps) are fully conservative.
-            let (mut live_out, mut flags_out) = match block.term {
-                Term::Ret => (ret_live(), false),
-                Term::Stop => (0, false),
-                Term::IndirectJump { resolved: false } => (ALL_REGS, true),
-                _ => {
-                    let mut l = 0u16;
-                    let mut f = false;
-                    for s in &block.succs {
-                        if let Some(bf) = facts.get(s) {
-                            l |= bf.live_in;
-                            f |= bf.flags_in;
-                        } else if !cfg.blocks.contains_key(s) {
-                            // Successor outside recovered code.
-                            l = ALL_REGS;
-                            f = true;
-                        }
-                    }
-                    (l, f)
-                }
-            };
-            for (_, insn) in block.insns.iter().rev() {
-                let (l, f) = step(insn, live_out, flags_out);
-                live_out = l;
-                flags_out = f;
-            }
-            let entry = facts.entry(start).or_default();
-            if entry.live_in != live_out || entry.flags_in != flags_out {
-                entry.live_in = live_out;
-                entry.flags_in = flags_out;
+        for i in (0..blocks.len()).rev() {
+            let (l, f) = live_out(i, &facts);
+            let live_in = summaries[i].apply(l, f);
+            if facts[i] != live_in {
+                facts[i] = live_in;
                 changed = true;
             }
         }
@@ -190,29 +241,12 @@ pub fn compute_liveness(cfg: &ModuleCfg) -> Liveness {
     }
 
     // Final pass: record per-instruction facts and call-site inbound sets.
-    let mut live_before = HashMap::new();
-    let mut flags_live_before = HashMap::new();
-    let mut inbound: HashMap<u64, u16> = HashMap::new();
-    for block in cfg.blocks.values() {
-        let (mut live_out, mut flags_out) = match block.term {
-            Term::Ret => (ret_live(), false),
-            Term::Stop => (0, false),
-            Term::IndirectJump { resolved: false } => (ALL_REGS, true),
-            _ => {
-                let mut l = 0u16;
-                let mut f = false;
-                for s in &block.succs {
-                    if let Some(bf) = facts.get(s) {
-                        l |= bf.live_in;
-                        f |= bf.flags_in;
-                    } else if !cfg.blocks.contains_key(s) {
-                        l = ALL_REGS;
-                        f = true;
-                    }
-                }
-                (l, f)
-            }
-        };
+    // Where blocks share an instruction, the later block's facts stand.
+    let mut before: PcMap<(u16, bool)> = PcMap::default();
+    before.reserve(blocks.iter().map(|b| b.insns.len()).sum());
+    let mut inbound: PcMap<u16> = PcMap::default();
+    for (i, block) in blocks.iter().enumerate() {
+        let (mut live_out, mut flags_out) = live_out(i, &facts);
         // Walk backwards, recording facts *before* each instruction.
         for (addr, insn) in block.insns.iter().rev() {
             // `live_out` here is the liveness *after* `insn`. A direct
@@ -227,17 +261,10 @@ pub fn compute_liveness(cfg: &ModuleCfg) -> Liveness {
                     *inbound.entry(target).or_default() |= hazard;
                 }
             }
-            let (l, f) = step(insn, live_out, flags_out);
-            live_before.insert(*addr, l);
-            flags_live_before.insert(*addr, f);
-            live_out = l;
-            flags_out = f;
+            (live_out, flags_out) = Transfer::of(insn).apply(live_out, flags_out);
+            before.insert(*addr, (live_out, flags_out));
         }
     }
 
-    Liveness {
-        live_before,
-        flags_live_before,
-        inbound,
-    }
+    Liveness { before, inbound }
 }

@@ -7,7 +7,7 @@
 //! demote per-iteration shadow checks to a cached check (one full check on
 //! the first iteration, a two-instruction address-cache hit afterwards).
 
-use crate::cfg::ModuleCfg;
+use crate::cfg::{Block, ModuleCfg};
 use janitizer_isa::{Instr, Reg};
 use std::collections::{BTreeSet, HashMap};
 
@@ -50,12 +50,13 @@ pub struct InvariantAccess {
     pub counted: bool,
 }
 
-/// Work budget for loop discovery, in predecessor-scan block visits.
-/// The body-collection walk is quadratic in pathological CFGs (every
-/// popped block rescans all blocks for predecessors); hostile inputs
-/// must not be able to spin the analyzer. On exhaustion the loops found
-/// so far are returned — strictly conservative: undetected loops just
-/// mean fewer cached-check optimizations, never wrong ones.
+/// Work budget for loop discovery, in predecessor-scan block visits:
+/// each block added to a loop body is charged the module's block count
+/// (what scanning every block for its predecessors once cost), so the
+/// units track the quadratic worst case of pathological CFGs; hostile
+/// inputs must not be able to spin the analyzer. On exhaustion the loops
+/// found so far are returned — strictly conservative: undetected loops
+/// just mean fewer cached-check optimizations, never wrong ones.
 const LOOP_SCAN_FUEL: u64 = 20_000_000;
 
 /// Finds natural loops via DFS back edges (an edge `a -> h` where `h`
@@ -66,25 +67,48 @@ const LOOP_SCAN_FUEL: u64 = 20_000_000;
 /// (`analysis.fuel_exhausted`) and yields the partial (conservative)
 /// result.
 pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
+    // Blocks by position in address order, and each block's
+    // predecessors as positions, ascending and without repeats.
+    let blocks: Vec<&Block> = cfg.blocks.values().collect();
+    let position = |a: u64| blocks.binary_search_by_key(&a, |b| b.start).ok();
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); blocks.len()];
+    for (p, block) in blocks.iter().enumerate() {
+        for &s in &block.succs {
+            if let Some(i) = position(s) {
+                if preds[i].last() != Some(&p) {
+                    preds[i].push(p);
+                }
+            }
+        }
+    }
+    let units = blocks.len() as u64;
     let mut loops = Vec::new();
     let mut fuel = LOOP_SCAN_FUEL;
-    for (&latch, block) in &cfg.blocks {
+    // `in_body[b] == walk` marks the blocks of the current walk's body.
+    let mut in_body: Vec<usize> = vec![usize::MAX; blocks.len()];
+    let mut walk = 0;
+    for (latch, block) in blocks.iter().enumerate() {
         for &succ in &block.succs {
-            if succ > latch || !cfg.blocks.contains_key(&succ) {
+            if succ > block.start {
                 continue; // back edges go backwards in address order here
             }
-            let header = succ;
+            let Some(header) = position(succ) else {
+                continue;
+            };
             // Collect the body: blocks on paths header ->* latch, found by
             // walking backwards from the latch until the header.
-            let mut body: BTreeSet<u64> = BTreeSet::new();
-            body.insert(header);
+            walk += 1;
+            in_body[header] = walk;
+            let mut body = vec![header];
             let mut work = vec![latch];
             while let Some(b) = work.pop() {
-                if !body.insert(b) {
+                if in_body[b] == walk {
                     continue;
                 }
-                match fuel.checked_sub(cfg.blocks.len() as u64) {
-                    Some(left) if crate::budget::charge(cfg.blocks.len() as u64) => fuel = left,
+                in_body[b] = walk;
+                body.push(b);
+                match fuel.checked_sub(units) {
+                    Some(left) if crate::budget::charge(units) => fuel = left,
                     _ => {
                         janitizer_telemetry::counter_add("analysis.fuel_exhausted", 1);
                         janitizer_telemetry::event!(
@@ -95,42 +119,33 @@ pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
                         return loops;
                     }
                 }
-                // predecessors of b
-                for (&pa, pb) in &cfg.blocks {
-                    if pb.succs.contains(&b) && pa >= header && pa <= latch && !body.contains(&pa) {
+                // Only predecessors between the header and the latch join
+                // the body; positions order like addresses.
+                for &pa in &preds[b] {
+                    if pa >= header && pa <= latch && in_body[pa] != walk {
                         work.push(pa);
                     }
                 }
             }
-            // Validate: every body block lies in [header, latch].
-            if body.iter().any(|b| *b < header || *b > latch) {
-                continue;
-            }
+            body.sort_unstable();
             let mut clobbered = 0u16;
-            for b in &body {
-                for (_, insn) in &cfg.blocks[b].insns {
-                    clobbered |= insn.defs();
-                    if matches!(
-                        insn,
-                        Instr::Call { .. } | Instr::CallInd { .. } | Instr::Syscall
-                    ) {
-                        clobbered = 0xffff; // calls may clobber anything
-                    }
-                }
-            }
             // Induction variable: exactly one `add r, imm` / `sub r, imm`
             // of a register that is also compared in the loop.
-            let mut steps: HashMap<Reg, (i64, u32)> = HashMap::new();
-            let mut compared: BTreeSet<Reg> = BTreeSet::new();
-            for b in &body {
-                for (_, insn) in &cfg.blocks[b].insns {
+            let mut steps: [(i64, u32); 16] = [(0, 0); 16];
+            let mut compared = 0u16;
+            for &b in &body {
+                for (_, insn) in &blocks[b].insns {
+                    clobbered |= insn.defs();
                     match insn {
+                        Instr::Call { .. } | Instr::CallInd { .. } | Instr::Syscall => {
+                            clobbered = 0xffff; // calls may clobber anything
+                        }
                         Instr::AluRi {
                             op: janitizer_isa::AluOp::Add,
                             rd,
                             imm,
                         } => {
-                            let e = steps.entry(*rd).or_insert((0, 0));
+                            let e = &mut steps[rd.index()];
                             e.0 = *imm as i64;
                             e.1 += 1;
                         }
@@ -139,7 +154,7 @@ pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
                             rd,
                             imm,
                         } => {
-                            let e = steps.entry(*rd).or_insert((0, 0));
+                            let e = &mut steps[rd.index()];
                             e.0 = -(*imm as i64);
                             e.1 += 1;
                         }
@@ -147,32 +162,28 @@ pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
                             op: janitizer_isa::AluOp::Cmp,
                             rd,
                             ..
-                        } => {
-                            compared.insert(*rd);
-                        }
+                        } => compared |= rd.bit(),
                         Instr::AluRr {
                             op: janitizer_isa::AluOp::Cmp,
                             rd,
                             rs,
-                        } => {
-                            compared.insert(*rd);
-                            compared.insert(*rs);
-                        }
+                        } => compared |= rd.bit() | rs.bit(),
                         _ => {}
                     }
                 }
             }
-            let induction = steps
+            // Where several registers qualify, the lowest-numbered wins.
+            let induction = Reg::ALL
                 .iter()
-                .find(|(r, (_, n))| *n == 1 && compared.contains(r))
-                .map(|(r, (step, _))| Induction {
-                    reg: *r,
-                    step: *step,
+                .find(|r| steps[r.index()].1 == 1 && compared & r.bit() != 0)
+                .map(|&reg| Induction {
+                    reg,
+                    step: steps[reg.index()].0,
                 });
             loops.push(Loop {
-                header,
-                body,
-                latch,
+                header: blocks[header].start,
+                body: body.iter().map(|&b| blocks[b].start).collect(),
+                latch: blocks[latch].start,
                 clobbered,
                 induction,
             });

@@ -756,7 +756,7 @@ impl SecurityPlugin for CfiBaseline {
         // offline phase / Lockdown computes it at load).
         self.static_info.borrow_mut().insert(
             image.name.clone(),
-            CfiModuleInfo::from_image(image, Some(&ctx.cfg)),
+            CfiModuleInfo::from_analysis(image, &ctx.cfg, &ctx.scan),
         );
         Vec::new()
     }
@@ -766,7 +766,7 @@ impl SecurityPlugin for CfiBaseline {
         // the same precomputed module metadata as fresh ones.
         self.static_info.borrow_mut().insert(
             image.name.clone(),
-            CfiModuleInfo::from_image(image, Some(&ctx.cfg)),
+            CfiModuleInfo::from_analysis(image, &ctx.cfg, &ctx.scan),
         );
     }
 
@@ -782,7 +782,7 @@ impl SecurityPlugin for CfiBaseline {
             .borrow()
             .get(&m.image.name)
             .cloned()
-            .unwrap_or_else(|| CfiModuleInfo::from_image(&m.image, None));
+            .unwrap_or_else(|| CfiModuleInfo::from_image(&m.image));
         let rebased = base_info.rebase(m.base);
         // Lockdown strong: resolve the module's imports to addresses.
         let imported: BTreeSet<u64> = m
@@ -824,7 +824,7 @@ impl SecurityPlugin for CfiBaseline {
 pub fn bincfi_static_air(images: &[&Image]) -> f64 {
     let infos: Vec<CfiModuleInfo> = images
         .iter()
-        .map(|i| CfiModuleInfo::from_image(i, None))
+        .map(|i| CfiModuleInfo::from_image(i))
         .collect();
     let s: u64 = infos.iter().map(|i| i.code_bytes).sum::<u64>().max(1);
     let fwd: u64 = infos

@@ -1,15 +1,19 @@
 //! Static-pipeline benchmarks for the analyze-once layer: the cost of a
 //! fresh per-module static analysis vs a [`RuleCache`] hit, and a full
 //! `run_hybrid` with and without the shared cache — the difference is
-//! what every repeated figure cell of `janitizer-eval` saves.
+//! what every repeated figure cell of `janitizer-eval` saves; and one
+//! cold fill of the whole analysis corpus, the cost every fresh module
+//! pays before the cache can serve it.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use janitizer_core::{
-    analyze_statically, dependency_closure, run_hybrid, HybridOptions, RuleCache,
+    analyze_statically, dependency_closure, run_hybrid, HybridOptions, RuleCache, SecurityPlugin,
 };
 use janitizer_jasan::{Jasan, RT_MODULE};
+use janitizer_jcfi::Jcfi;
+use janitizer_obj::Image;
 use janitizer_vm::LoadOptions;
-use janitizer_workloads::{build_world, BuildOptions};
+use janitizer_workloads::{build_world, hostile_suite, BuildOptions};
 use std::sync::Arc;
 
 fn bench_rule_cache(c: &mut Criterion) {
@@ -34,6 +38,38 @@ fn bench_rule_cache(c: &mut Criterion) {
     g.bench_function("dependency_closure", |b| {
         let roots = vec![exe.to_string(), "ld.so".to_string()];
         b.iter(|| dependency_closure(store, &roots))
+    });
+    g.finish();
+}
+
+/// One cold [`RuleCache`] fill of every world module and hostile image
+/// under JASan and JCFI: the analysis each module gets once, shared by
+/// both plugins, plus both static passes.
+fn bench_analyze_corpus(c: &mut Criterion) {
+    let world = build_world(&BuildOptions::default());
+    let mut names = world.store.names();
+    names.sort_unstable();
+    let mut images: Vec<Arc<Image>> = names
+        .iter()
+        .map(|n| world.store.get(n).expect("listed module"))
+        .collect();
+    images.extend(hostile_suite().into_iter().map(|h| Arc::new(h.image)));
+    let code_bytes: u64 = images.iter().map(|i| i.code_bytes()).sum();
+    let plugins: [Box<dyn SecurityPlugin>; 2] =
+        [Box::new(Jasan::hybrid()), Box::new(Jcfi::hybrid())];
+
+    let mut g = c.benchmark_group("static_pipeline");
+    g.sample_size(200).throughput(Throughput::Bytes(code_bytes));
+    g.bench_function("analyze_corpus", |b| {
+        b.iter(|| {
+            let cache = RuleCache::new();
+            for image in &images {
+                for plugin in &plugins {
+                    cache.get_or_analyze(image, plugin.as_ref(), true);
+                }
+            }
+            cache
+        })
     });
     g.finish();
 }
@@ -73,5 +109,10 @@ fn bench_run_hybrid(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rule_cache, bench_run_hybrid);
+criterion_group!(
+    benches,
+    bench_rule_cache,
+    bench_analyze_corpus,
+    bench_run_hybrid
+);
 criterion_main!(benches);

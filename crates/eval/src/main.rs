@@ -638,7 +638,11 @@ fn main() {
     }
     let all = which.iter().any(|w| w == "all");
     let want = |name: &str| all || which.iter().any(|w| w == name);
+    // Result files that could not be written, and everything else that
+    // fails the run: an unknown case or module, a failed oracle or parity
+    // check. Each is reported where it happens; both set the exit code.
     let mut failures = 0u32;
+    let mut errors = 0u32;
 
     if threads_flag > 0 {
         set_threads(threads_flag);
@@ -779,7 +783,7 @@ fn main() {
             Some(_) => println!("case {case_id}: no violation detected"),
             None => {
                 eprintln!("unknown Juliet case `{case_id}` (see fig10 suite)");
-                failures += 1;
+                errors += 1;
             }
         }
     }
@@ -795,7 +799,10 @@ fn main() {
                 let cfg = janitizer_analysis::analyze_module(&image);
                 print!("{}", janitizer_analysis::disassemble(&image, &cfg));
             }
-            None => eprintln!("unknown module `{target}`"),
+            None => {
+                eprintln!("unknown module `{target}`");
+                errors += 1;
+            }
         }
     }
     if want("soundness") {
@@ -828,7 +835,7 @@ fn main() {
         }
         if !r.all_ok() {
             eprintln!("gauntlet: one or more cells failed their oracle");
-            failures += 1;
+            errors += 1;
         }
     }
     if which.iter().any(|w| w == "serve") {
@@ -900,7 +907,7 @@ fn main() {
         }
         if parity_bad {
             eprintln!("serve: byte-parity violation detected");
-            failures += 1;
+            errors += 1;
         }
     }
 
@@ -1025,6 +1032,11 @@ fn main() {
 
     if failures > 0 {
         eprintln!("{failures} result file(s) could not be written");
+    }
+    if errors > 0 {
+        eprintln!("{errors} request(s) or check(s) failed");
+    }
+    if failures + errors > 0 {
         std::process::exit(1);
     }
 }

@@ -1,6 +1,7 @@
-//! The `janitizer-eval` argument parser, driven through the built binary.
-//! Every case here is answered or rejected before the guest world is
-//! built, so the whole file runs in well under a second.
+//! The `janitizer-eval` argument parser and exit codes, driven through
+//! the built binary. Every case here is answered or rejected before the
+//! guest world is built, or needs only a small one, so the whole file
+//! runs in about a second.
 
 use std::process::{Command, Output};
 
@@ -70,4 +71,46 @@ fn bad_arguments_exit_2_with_a_message() {
 fn retired_profile_entry_points_are_unknown() {
     rejects(&["profile", "fig7"], "unknown argument `profile`");
     rejects(&["fig14", "--profile"], "unknown argument `--profile`");
+}
+
+/// Asserts that `args` exit with status 1 after naming `needle` on
+/// stderr; returns stderr.
+fn fails(args: &[&str], needle: &str) -> String {
+    let out = eval(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{args:?} exited {:?}: {stderr}",
+        out.status
+    );
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: stderr lacks `{needle}`: {stderr}"
+    );
+    stderr
+}
+
+#[test]
+fn unknown_module_or_case_exits_1_without_claiming_a_write_failure() {
+    for (args, needle) in [
+        (
+            &["--scale", "0.05", "disasm", "nosuch"][..],
+            "unknown module `nosuch`",
+        ),
+        (
+            &["--scale", "0.05", "report", "99999"][..],
+            "unknown Juliet case `99999`",
+        ),
+    ] {
+        let stderr = fails(args, needle);
+        assert!(
+            stderr.contains("1 request(s) or check(s) failed"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("could not be written"),
+            "{args:?} claims a write failure: {stderr}"
+        );
+    }
 }

@@ -2,7 +2,7 @@
 //! analyzer precomputes (paper §4.2.1) and the module-load-time fallback
 //! recomputes for modules without hints (§4.2.2).
 
-use janitizer_analysis::{analyze_module, scan_code_pointers, ModuleCfg};
+use janitizer_analysis::{analyze_module, scan_code_pointers, CodePtrScan, ModuleCfg};
 use janitizer_obj::{Image, SectionKind};
 use std::collections::BTreeSet;
 
@@ -49,19 +49,18 @@ pub struct CfiModuleInfo {
 }
 
 impl CfiModuleInfo {
-    /// Builds the metadata from an image using full static analysis (the
-    /// static analyzer's hint generation). When `cfg` was already
-    /// computed, pass it to avoid re-analysis.
-    pub fn from_image(image: &Image, cfg: Option<&ModuleCfg>) -> CfiModuleInfo {
-        let owned;
-        let cfg = match cfg {
-            Some(c) => c,
-            None => {
-                owned = analyze_module(image);
-                &owned
-            }
-        };
-        let scan = scan_code_pointers(image, cfg);
+    /// Builds the metadata from a fresh full analysis of `image`: control
+    /// flow recovery and the code-pointer scan over it.
+    pub fn from_image(image: &Image) -> CfiModuleInfo {
+        let cfg = analyze_module(image);
+        let scan = scan_code_pointers(image, &cfg);
+        CfiModuleInfo::from_analysis(image, &cfg, &scan)
+    }
+
+    /// Builds the metadata from an analysis already made (the static
+    /// analyzer's hint generation): `cfg` and the code-pointer `scan`
+    /// over it, as a `StaticContext` holds them.
+    pub fn from_analysis(image: &Image, cfg: &ModuleCfg, scan: &CodePtrScan) -> CfiModuleInfo {
         let mut info = CfiModuleInfo {
             functions: cfg.functions.iter().map(|f| f.entry).collect(),
             func_ranges: cfg
@@ -75,7 +74,7 @@ impl CfiModuleInfo {
                 .map(|s| s.value)
                 .collect(),
             address_taken: scan.at_func_entry.clone(),
-            boundaries: cfg.insn_boundaries.iter().copied().collect(),
+            boundaries: cfg.insn_boundaries.clone(),
             plt_stubs: {
                 let mut stubs: BTreeSet<u64> = image.plt.iter().map(|p| p.plt_offset).collect();
                 // The plt0 lazy trampoline is a legal target of every PLT
@@ -129,7 +128,7 @@ impl CfiModuleInfo {
     /// symbol table, so function knowledge degrades to exports plus
     /// scanned constants.
     pub fn from_stripped_image(image: &Image) -> CfiModuleInfo {
-        let mut info = CfiModuleInfo::from_image(image, None);
+        let mut info = CfiModuleInfo::from_image(image);
         // Without full symbols the function set is just the exports; the
         // address-taken refinement cannot check function boundaries, so it
         // falls back to "any scanned constant in a code section" (the

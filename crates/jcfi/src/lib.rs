@@ -638,38 +638,41 @@ impl Jcfi {
         items
     }
 
-    /// Builds rule decisions for one instruction from module metadata —
-    /// used both by the static pass (to emit rules) and by the dynamic
-    /// fallback (to decide on the fly).
-    fn decide_for(info: &CfiModuleInfo, pc: u64, insn: &Instr) -> Vec<(RuleId, [u64; 4])> {
-        let mut out = Vec::new();
+    /// Emits the rule decisions for one instruction from module metadata,
+    /// in order — used both by the static pass (to emit rules) and by the
+    /// dynamic fallback (to decide on the fly).
+    fn decide_for(
+        info: &CfiModuleInfo,
+        pc: u64,
+        insn: &Instr,
+        mut emit: impl FnMut(RuleId, [u64; 4]),
+    ) {
         if insn.is_call() {
-            out.push((RULE_SHADOW_PUSH, [0; 4]));
+            emit(RULE_SHADOW_PUSH, [0; 4]);
         }
         match insn {
             Instr::Ret => {
                 if info.resolver_rets.contains(&pc) {
-                    out.push((RULE_RET_RESOLVER, [0; 4]));
+                    emit(RULE_RET_RESOLVER, [0; 4]);
                 } else {
-                    out.push((RULE_RET_CHECK, [0; 4]));
+                    emit(RULE_RET_CHECK, [0; 4]);
                 }
             }
-            Instr::CallInd { .. } => out.push((RULE_ICALL_CHECK, [0; 4])),
+            Instr::CallInd { .. } => emit(RULE_ICALL_CHECK, [0; 4]),
             Instr::JmpInd { .. } => {
                 let in_plt = info
                     .plt_range
                     .map(|(lo, hi)| pc >= lo && pc < hi)
                     .unwrap_or(false);
                 if in_plt {
-                    out.push((RULE_PLT_JMP, [0; 4]));
+                    emit(RULE_PLT_JMP, [0; 4]);
                 } else {
                     let (lo, hi) = info.function_range_of(pc).unwrap_or((0, 0));
-                    out.push((RULE_IJMP_CHECK, [lo, hi, 0, 0]));
+                    emit(RULE_IJMP_CHECK, [lo, hi, 0, 0]);
                 }
             }
             _ => {}
         }
-        out
     }
 }
 
@@ -683,15 +686,15 @@ impl SecurityPlugin for Jcfi {
     }
 
     fn static_pass(&self, image: &Image, ctx: &StaticContext) -> Vec<RewriteRule> {
-        let info = CfiModuleInfo::from_image(image, Some(&ctx.cfg));
+        let info = CfiModuleInfo::from_analysis(image, &ctx.cfg, &ctx.scan);
         let mut rules = Vec::new();
         for block in ctx.cfg.blocks.values() {
             for (addr, insn) in &block.insns {
-                for (id, data) in Self::decide_for(&info, *addr, insn) {
+                Self::decide_for(&info, *addr, insn, |id, data| {
                     let mut r = RewriteRule::new(id, block.start, *addr);
                     r.data = data;
                     rules.push(r);
-                }
+                });
             }
         }
         self.static_info
@@ -707,7 +710,7 @@ impl SecurityPlugin for Jcfi {
         // cached and fresh runs behave identically.
         self.static_info.borrow_mut().insert(
             image.name.clone(),
-            CfiModuleInfo::from_image(image, Some(&ctx.cfg)),
+            CfiModuleInfo::from_analysis(image, &ctx.cfg, &ctx.scan),
         );
     }
 
@@ -726,11 +729,11 @@ impl SecurityPlugin for Jcfi {
                 .borrow()
                 .get(&m.image.name)
                 .cloned()
-                .unwrap_or_else(|| CfiModuleInfo::from_image(&m.image, None))
+                .unwrap_or_else(|| CfiModuleInfo::from_image(&m.image))
         } else if m.image.stripped {
             CfiModuleInfo::from_stripped_image(&m.image)
         } else {
-            let mut i = CfiModuleInfo::from_image(&m.image, None);
+            let mut i = CfiModuleInfo::from_image(&m.image);
             // Load-time analysis does not build a full CFG; instruction
             // boundaries are unavailable, weakening the intra-function
             // jump policy (paper footnote 15).
@@ -804,7 +807,11 @@ impl SecurityPlugin for Jcfi {
         };
         self.instrument(block, true, move |pc, insn| {
             let mut base = match &info {
-                Some(i) => Self::decide_for(i, pc, insn),
+                Some(i) => {
+                    let mut v = Vec::new();
+                    Self::decide_for(i, pc, insn, |id, data| v.push((id, data)));
+                    v
+                }
                 None => {
                     // JIT / unknown code: shadow-stack discipline plus
                     // permissive forward checks.
@@ -837,7 +844,7 @@ impl SecurityPlugin for Jcfi {
 pub fn static_air(images: &[&Image]) -> f64 {
     let infos: Vec<CfiModuleInfo> = images
         .iter()
-        .map(|i| CfiModuleInfo::from_image(i, None))
+        .map(|i| CfiModuleInfo::from_image(i))
         .collect();
     let s: u64 = infos.iter().map(|i| i.code_bytes).sum::<u64>().max(1);
     let mut terms: Vec<f64> = Vec::new();

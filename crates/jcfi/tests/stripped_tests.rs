@@ -28,7 +28,7 @@ fn stripped_info_degrades_gracefully() {
     let stripped_img = link(&[o], &sopts).unwrap();
     assert!(stripped_img.stripped);
 
-    let full = CfiModuleInfo::from_image(&full_img, None);
+    let full = CfiModuleInfo::from_image(&full_img);
     let stripped = CfiModuleInfo::from_stripped_image(&stripped_img);
 
     // Full symbols know both functions; stripped knows only the export.
