@@ -7,9 +7,8 @@
 //! with the inter-procedural `ipa-ra` patch ([`compute_liveness`]),
 //! SCEV-lite loop and invariant-address analysis ([`find_loops`],
 //! [`loop_invariant_accesses`]), stack-canary pattern detection
-//! ([`find_canary_sites`]), def-use chain tracing ([`compute_def_use`])
-//! and BinCFI-style raw-binary code-pointer scanning
-//! ([`scan_code_pointers`]).
+//! ([`find_canary_sites`]) and BinCFI-style raw-binary code-pointer
+//! scanning ([`scan_code_pointers`]).
 //!
 //! Security tools (JASan, JCFI) consume these results through their
 //! static passes and encode decisions as rewrite rules
@@ -37,7 +36,6 @@ pub mod budget;
 mod canary;
 mod cfg;
 mod codeptr;
-mod dataflow;
 mod disasm;
 mod evidence;
 mod index;
@@ -49,13 +47,10 @@ pub use cfg::{
     analyze_module, analyze_module_seeded, Block, FuncEntry, JumpTable, ModuleCfg, Term,
 };
 pub use codeptr::{scan_code_pointers, CodePtrScan};
-pub use dataflow::{compute_def_use, Def, DefUse};
 pub use disasm::disassemble;
 pub use evidence::{
     analyze_tiered, disasm_backend, Analyzer, ConfidenceTier, DegradedRegion, DisasmResult,
     RegionCause,
 };
 pub use liveness::{compute_liveness, Liveness, ALL_REGS};
-pub use loops::{
-    find_loops, frame_sizes, loop_invariant_accesses, Induction, InvariantAccess, Loop,
-};
+pub use loops::{find_loops, loop_invariant_accesses, Induction, InvariantAccess, Loop};

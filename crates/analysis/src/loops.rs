@@ -9,7 +9,7 @@
 
 use crate::cfg::{Block, ModuleCfg};
 use janitizer_isa::{Instr, Reg};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A natural loop.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -229,28 +229,5 @@ pub fn loop_invariant_accesses(cfg: &ModuleCfg, loops: &[Loop]) -> Vec<Invariant
     // counted variant wins deterministically (it enables hoisting).
     out.sort_by_key(|a| (a.instr_addr, !a.counted, a.loop_header));
     out.dedup_by_key(|a| a.instr_addr);
-    out
-}
-
-/// Stack-frame size analysis: the `sub sp, N` in a recognized prologue.
-pub fn frame_sizes(cfg: &ModuleCfg) -> HashMap<u64, u64> {
-    let mut out = HashMap::new();
-    for f in &cfg.functions {
-        let Some(block) = cfg.blocks.get(&f.entry) else {
-            continue;
-        };
-        // push fp; mov fp, sp; sub sp, N
-        for (_, insn) in block.insns.iter().take(4) {
-            if let Instr::AluRi {
-                op: janitizer_isa::AluOp::Sub,
-                rd: Reg::R15,
-                imm,
-            } = insn
-            {
-                out.insert(f.entry, *imm as u64);
-                break;
-            }
-        }
-    }
     out
 }

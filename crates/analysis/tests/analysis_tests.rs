@@ -312,22 +312,6 @@ fn loop_with_call_has_no_invariants() {
 }
 
 #[test]
-fn frame_size_analysis() {
-    let src = "long main() { long a[8]; a[0] = 1; return a[0]; }";
-    let img = image_from_c(
-        src,
-        &CompileOptions {
-            emit_start: true,
-            ..CompileOptions::default()
-        },
-    );
-    let cfg = analyze_module(&img);
-    let frames = frame_sizes(&cfg);
-    let main = cfg.functions.iter().find(|f| f.name == "main").unwrap();
-    assert!(frames[&main.entry] >= 64, "frame holds the 64-byte array");
-}
-
-#[test]
 fn code_pointer_scan_nonpic() {
     let img = image_from_asm(
         ".section text\n.global _start\n_start:\n ret\nhelper:\n ret\n\
@@ -374,69 +358,6 @@ fn mid_instruction_constant_rejected() {
     // Fabricate a mid-instruction pointer and verify the boundary filter
     // would reject it.
     assert!(!cfg.insn_boundaries.contains(&(start + 1)));
-}
-
-#[test]
-fn def_use_chains() {
-    let img = image_from_asm(
-        ".section text\n.global _start\n_start:\n mov r1, 5\n mov r2, r1\n add r2, r1\n ret\n",
-    );
-    let cfg = analyze_module(&img);
-    let du = compute_def_use(&cfg);
-    let block = cfg.blocks.values().next().unwrap();
-    let (mov_addr, _) = block.insns[0];
-    let (use1_addr, _) = block.insns[1];
-    let (use2_addr, _) = block.insns[2];
-    assert!(du.may_reach(mov_addr, use1_addr, Reg::R1));
-    assert!(du.may_reach(mov_addr, use2_addr, Reg::R1));
-    assert_eq!(
-        du.defs_of_use(use1_addr, Reg::R1),
-        vec![Def::Insn(mov_addr)]
-    );
-}
-
-#[test]
-fn def_use_across_blocks_and_calls() {
-    let img = image_from_asm(
-        ".section text\n.global _start\n_start:\n mov r8, 7\n cmp r0, 0\n je skip\n call helper\n\
-         skip:\n mov r1, r8\n mov r2, r0\n ret\nhelper:\n ret\n",
-    );
-    let cfg = analyze_module(&img);
-    let du = compute_def_use(&cfg);
-    // Find `mov r1, r8` and `mov r2, r0`.
-    let all: Vec<(u64, Instr)> = cfg
-        .blocks
-        .values()
-        .flat_map(|b| b.insns.iter().copied())
-        .collect();
-    let (def_addr, _) = all
-        .iter()
-        .find(|(_, i)| matches!(i, Instr::MovI32 { rd: Reg::R8, .. }))
-        .unwrap();
-    let (use_addr, _) = all
-        .iter()
-        .find(|(_, i)| matches!(i, Instr::MovRr { rs: Reg::R8, .. }))
-        .unwrap();
-    assert!(
-        du.may_reach(*def_addr, *use_addr, Reg::R8),
-        "callee-saved value survives the call path"
-    );
-    // r0 after the call path may come from the call (clobber), so the use
-    // of r0 must have multiple reaching defs (entry/call and entry-only
-    // path).
-    let (use_r0, _) = all
-        .iter()
-        .find(|(_, i)| {
-            matches!(
-                i,
-                Instr::MovRr {
-                    rd: Reg::R2,
-                    rs: Reg::R0
-                }
-            )
-        })
-        .unwrap();
-    assert!(!du.defs_of_use(*use_r0, Reg::R0).is_empty());
 }
 
 #[test]

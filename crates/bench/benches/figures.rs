@@ -104,7 +104,7 @@ fn bench_fig10(c: &mut Criterion) {
         })
     });
     g.finish();
-    let r = fig10(&ew.world.store);
+    let r = fig10(ew);
     eprintln!(
         "[Figure 10] Valgrind TP={} FN={}  JASan TP={} FN={}  (FP {} / {})",
         r.valgrind.true_positives,

@@ -47,9 +47,9 @@ fn bench_rule_cache(c: &mut Criterion) {
 /// both plugins, plus both static passes.
 fn bench_analyze_corpus(c: &mut Criterion) {
     let world = build_world(&BuildOptions::default());
-    let mut names = world.store.names();
-    names.sort_unstable();
-    let mut images: Vec<Arc<Image>> = names
+    let mut images: Vec<Arc<Image>> = world
+        .store
+        .names()
         .iter()
         .map(|n| world.store.get(n).expect("listed module"))
         .collect();

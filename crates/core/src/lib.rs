@@ -708,11 +708,6 @@ impl RuleCache {
             .unwrap_or(0)
     }
 
-    /// Number of distinct modules with at least one cached entry.
-    pub fn cached_modules(&self) -> usize {
-        self.modules.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
     /// Drops every entry for modules named `name`, releasing the pinned
     /// image and its analyses. Used by harnesses that build throwaway
     /// single-use executables (the Juliet cases) against long-lived
@@ -723,49 +718,6 @@ impl RuleCache {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .retain(|_, e| e.image.name != name);
-    }
-
-    /// Fans the static pipeline out over `modules` across `threads` OS
-    /// threads: each worker builds its own plugin instance via
-    /// `make_plugin` (plugins are not `Send`) and analyzes whole modules,
-    /// so every (module, plugin) pair is still analyzed exactly once.
-    /// Results land in the cache; callers then run with guaranteed hits.
-    pub fn prewarm<F>(
-        &self,
-        store: &ModuleStore,
-        roots: &[String],
-        make_plugin: F,
-        emit_noop_rules: bool,
-        threads: usize,
-    ) where
-        F: Fn() -> Box<dyn SecurityPlugin> + Sync,
-    {
-        let modules = dependency_closure(store, roots);
-        let threads = threads.max(1).min(modules.len().max(1));
-        if threads <= 1 {
-            let plugin = make_plugin();
-            for name in &modules {
-                if let Some(image) = store.get(name) {
-                    self.get_or_analyze(&image, plugin.as_ref(), emit_noop_rules);
-                }
-            }
-            return;
-        }
-        let next = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let plugin = make_plugin();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        let Some(name) = modules.get(i) else { break };
-                        if let Some(image) = store.get(name) {
-                            self.get_or_analyze(&image, plugin.as_ref(), emit_noop_rules);
-                        }
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -825,14 +777,6 @@ impl RuleRepo {
     /// Fetches a module's rule file.
     pub fn get(&self, module: &str) -> Option<&RuleFile> {
         self.files.get(module).map(Arc::as_ref)
-    }
-
-    /// Serializes every rule file (as would be written next to modules).
-    pub fn to_bytes_map(&self) -> HashMap<String, Vec<u8>> {
-        self.files
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_bytes()))
-            .collect()
     }
 }
 

@@ -484,49 +484,6 @@ impl AnalysisService {
         r
     }
 
-    /// The host-side metrics as a [`Registry`]: queue-depth and
-    /// in-flight gauges plus wall-clock latency histograms. Wall truth,
-    /// not model truth — never part of deterministic artifacts.
-    pub fn host_metrics_registry(&self) -> Registry {
-        let mut r = Registry::new();
-        r.gauge_set(
-            "serve.queue_depth",
-            self.metrics.queue_waiting.load(Ordering::Relaxed) as i64,
-        );
-        if let Some(g) = r.gauges.get_mut("serve.queue_depth") {
-            g.max = self.metrics.queue_peak.load(Ordering::Relaxed) as i64;
-            g.min = 0;
-        }
-        r.gauge_set(
-            "serve.in_flight",
-            self.in_flight.load(Ordering::Relaxed) as i64,
-        );
-        if let Some(g) = r.gauges.get_mut("serve.in_flight") {
-            g.max = self.peak_in_flight.load(Ordering::Relaxed) as i64;
-            g.min = 0;
-        }
-        let qw = self
-            .metrics
-            .queue_wait_ns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if qw.total.count > 0 {
-            r.histograms
-                .insert("serve.queue_wait_ns".to_string(), qw.total.clone());
-        }
-        drop(qw);
-        let rw = self
-            .metrics
-            .request_wall_ns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if rw.total.count > 0 {
-            r.histograms
-                .insert("serve.request_wall_ns".to_string(), rw.total.clone());
-        }
-        r
-    }
-
     /// Health/readiness summary: `ok` when every request was served at
     /// full fidelity, `degraded` when any request lost fidelity, and a
     /// ready flag (the service is infallible by contract, so it is

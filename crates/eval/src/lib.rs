@@ -26,7 +26,7 @@ use janitizer_workloads::{
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[cfg(test)]
@@ -300,15 +300,19 @@ pub struct RunSummary {
     pub dair_jumps: Option<f64>,
 }
 
-/// The evaluation world: workloads plus the extra runtimes the baselines
-/// need.
-pub struct EvalWorld {
-    /// The guest universe.
-    pub world: World,
-    /// Analyze-once rule cache shared by every run of the invocation:
-    /// each (module, plugin configuration) pair is statically analyzed at
-    /// most once no matter how many figure cells execute it.
-    pub cache: Arc<RuleCache>,
+/// A run's inputs: everything a figure run reads besides the guest world
+/// and its rule cache. A plain value carried by [`EvalWorld`], so two
+/// worlds with different configurations can run side by side in one
+/// process.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RunConfig {
+    /// Worker threads for the parallel fan-out (`0` = one per available
+    /// core, `1` = the fully serial reference). Figure bytes are
+    /// identical at any count.
+    pub threads: usize,
+    /// Collect overhead-attribution profiles into the world's profile
+    /// sink ([`EvalWorld::take_profiles`]); `explain` sets this.
+    pub profile: bool,
     /// When set (`--inject-faults`), every figure run routes its rule
     /// files through the untrusted serialize-verify-load path with seeded
     /// corruption, exercising the degraded dynamic-only mode under the
@@ -317,18 +321,106 @@ pub struct EvalWorld {
     pub inject: Option<FaultInjection>,
 }
 
-/// Builds the evaluation world at the given input scale.
+impl RunConfig {
+    /// The effective worker-thread count.
+    pub fn workers(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            n => n,
+        }
+    }
+}
+
+/// Per-`(workload, config-label)` map, in deterministic key order.
+type CellMap<T> = Mutex<BTreeMap<(String, String), T>>;
+
+/// The evaluation world: workloads plus the extra runtimes the baselines
+/// need, the run's configuration, and the sinks its runs report into.
+pub struct EvalWorld {
+    /// The guest universe (including the Memcheck runtime).
+    pub world: World,
+    /// Analyze-once rule cache shared by every run of the invocation:
+    /// each (module, plugin configuration) pair is statically analyzed at
+    /// most once no matter how many figure cells execute it.
+    pub cache: Arc<RuleCache>,
+    /// The run's inputs.
+    pub config: RunConfig,
+    /// Tally of degraded module loads, keyed by `(module, reason)`.
+    degraded: CellMap<u64>,
+    /// Profile sink keyed by `(workload, config-label)`. Each cell merges
+    /// only runs of the same workload (one address space, one
+    /// deterministic layout), so merged profiles are byte-identical at
+    /// any thread count: merging is a commutative sum and the key order
+    /// is fixed.
+    profiles: CellMap<RunProfile>,
+}
+
+impl EvalWorld {
+    /// Wraps a built guest world with a cold rule cache and empty sinks,
+    /// adding the Memcheck runtime when the world lacks it.
+    pub fn new(mut world: World, config: RunConfig) -> EvalWorld {
+        if world.store.get(MEMCHECK_RT).is_none() {
+            world.store.add(memcheck_runtime());
+        }
+        EvalWorld {
+            world,
+            cache: Arc::new(RuleCache::new()),
+            config,
+            degraded: Mutex::default(),
+            profiles: Mutex::default(),
+        }
+    }
+
+    fn note_degraded(&self, run: &HybridRun) {
+        if run.degraded.is_empty() {
+            return;
+        }
+        let mut map = self.degraded.lock().unwrap_or_else(|e| e.into_inner());
+        for d in &run.degraded {
+            *map.entry((d.module.clone(), d.reason.as_str().to_string()))
+                .or_insert(0) += 1;
+        }
+    }
+
+    /// Snapshot of the degraded-module tally as `(module, reason, count)`
+    /// rows in module order. Fed by every hybrid run the figures execute;
+    /// read back by the CLI to print the degradation summary line.
+    pub fn degraded_summary(&self) -> Vec<(String, String, u64)> {
+        self.degraded
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|((m, r), n)| (m.clone(), r.clone(), *n))
+            .collect()
+    }
+
+    fn note_profile(&self, workload: &str, label: &str, prof: RunProfile) {
+        let mut map = self.profiles.lock().unwrap_or_else(|e| e.into_inner());
+        match map.entry((workload.to_string(), label.to_string())) {
+            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&prof),
+            std::collections::btree_map::Entry::Vacant(v) => {
+                v.insert(prof);
+            }
+        }
+    }
+
+    /// Drains the profiles collected while [`RunConfig::profile`] was set:
+    /// `(workload, config-label) → profile` in deterministic key order.
+    pub fn take_profiles(&self) -> BTreeMap<(String, String), RunProfile> {
+        std::mem::take(&mut *self.profiles.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// Builds the evaluation world at the given input scale, with the
+/// default [`RunConfig`].
 pub fn build_eval_world(scale: f64) -> EvalWorld {
-    let mut world = build_world(&BuildOptions {
+    let world = build_world(&BuildOptions {
         scale,
         ..BuildOptions::default()
     });
-    world.store.add(memcheck_runtime());
-    EvalWorld {
-        world,
-        cache: Arc::new(RuleCache::new()),
-        inject: None,
-    }
+    EvalWorld::new(world, RunConfig::default())
 }
 
 /// Parses the `--inject-faults` argument: `seed=N,rate=R` in either
@@ -355,106 +447,23 @@ pub fn parse_inject(spec: &str) -> Option<FaultInjection> {
     saw_seed.then_some(fi)
 }
 
-/// Process-wide tally of degraded module loads, keyed by
-/// `(module, reason)`. Fed by every hybrid run the figures execute;
-/// read back by the CLI to print the degradation summary line.
-static DEGRADED: Mutex<BTreeMap<(String, String), u64>> = Mutex::new(BTreeMap::new());
-
-fn note_degraded(run: &HybridRun) {
-    if run.degraded.is_empty() {
-        return;
-    }
-    let mut map = DEGRADED.lock().unwrap_or_else(|e| e.into_inner());
-    for d in &run.degraded {
-        *map.entry((d.module.clone(), d.reason.as_str().to_string()))
-            .or_insert(0) += 1;
-    }
-}
-
-/// Snapshot of the degraded-module tally as `(module, reason, count)`
-/// rows in module order.
-pub fn degraded_summary() -> Vec<(String, String, u64)> {
-    DEGRADED
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|((m, r), n)| (m.clone(), r.clone(), *n))
-        .collect()
-}
-
-/// Whether figure runs collect overhead-attribution profiles.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide profile sink keyed by `(workload, config-label)`. Each
-/// cell merges only runs of the same workload (one address space, one
-/// deterministic layout), so merged profiles are byte-identical at any
-/// thread count: merging is a commutative sum and the key order is
-/// fixed.
-static PROFILES: Mutex<BTreeMap<(String, String), RunProfile>> = Mutex::new(BTreeMap::new());
-
-/// Turns profile collection on or off for subsequent figure runs
-/// (`explain` sets this before running).
-pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
-}
-
-/// Whether profile collection is armed.
-pub fn profiling() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-fn note_profile(workload: &str, label: &str, prof: RunProfile) {
-    let mut map = PROFILES.lock().unwrap_or_else(|e| e.into_inner());
-    match map.entry((workload.to_string(), label.to_string())) {
-        std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&prof),
-        std::collections::btree_map::Entry::Vacant(v) => {
-            v.insert(prof);
-        }
-    }
-}
-
-/// Drains the accumulated profiles: `(workload, config-label) → profile`
-/// in deterministic key order.
-pub fn take_profiles() -> BTreeMap<(String, String), RunProfile> {
-    std::mem::take(&mut *PROFILES.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
 // The atomic writer moved into `janitizer-store` (every persistent
 // artifact — store entries, journal, result files — now shares the one
 // crash-safe primitive); re-exported here to keep the eval API stable.
 pub use janitizer_store::atomic::{write_atomic, write_atomic_with};
 
-/// Worker-thread override for the parallel figure fan-out (0 = one
-/// worker per available core).
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the evaluation worker-thread count; `0` restores auto-detection.
-pub fn set_threads(n: usize) {
-    THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The effective worker-thread count.
-pub fn threads() -> usize {
-    match THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// Maps `f` over `items` on [`threads`] scoped OS threads, returning the
+/// Maps `f` over `items` on `workers` scoped OS threads, returning the
 /// results **in item order** — the output is identical to a serial
 /// `items.iter().map(f).collect()`, whatever the interleaving, so callers
 /// stay byte-deterministic. Work is handed out through an atomic index
 /// (no chunking) to keep long-running cells from serializing a chunk.
-fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+fn par_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = threads().min(items.len());
+    let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -486,8 +495,8 @@ fn base_opts(ew: &EvalWorld, load: LoadOptions) -> HybridOptions {
         load,
         fuel: FUEL,
         rule_cache: Some(Arc::clone(&ew.cache)),
-        inject_faults: ew.inject,
-        profile: profiling(),
+        inject_faults: ew.config.inject,
+        profile: ew.config.profile,
         ..HybridOptions::default()
     }
 }
@@ -518,10 +527,10 @@ pub fn run_config(ew: &EvalWorld, idx: usize, cfg: ToolConfig) -> Option<RunSumm
     let native_code = native_exit.code();
 
     let summarize = |mut run: HybridRun, dair: Option<f64>, dair_jumps: Option<f64>| {
-        note_degraded(&run);
+        ew.note_degraded(&run);
         if let Some(mut prof) = run.profile.take() {
             prof.native_cycles = Some(native_cycles);
-            note_profile(w.name, cfg.label(), prof);
+            ew.note_profile(w.name, cfg.label(), prof);
         }
         RunSummary {
             slowdown: run.cycles as f64 / native_cycles as f64,
@@ -673,7 +682,7 @@ fn fig_over_workloads(
     let cells: Vec<(usize, ToolConfig)> = (0..ew.world.workloads.len())
         .flat_map(|i| configs.iter().map(move |(_, cfg)| (i, *cfg)))
         .collect();
-    let vals = par_map(&cells, |&(i, cfg)| {
+    let vals = par_map(ew.config.workers(), &cells, |&(i, cfg)| {
         run_config(ew, i, cfg).and_then(|s| metric(&s))
     });
     let rows = ew
@@ -877,9 +886,10 @@ impl JulietResult {
     }
 }
 
-/// Runs the Juliet suite under JASan-hybrid and Memcheck (Figure 10).
-pub fn fig10(base: &ModuleStore) -> JulietResult {
-    fig10_with(base, None, None)
+/// Runs the Juliet suite under JASan-hybrid and Memcheck (Figure 10),
+/// linking each case against the world's libraries.
+pub fn fig10(ew: &EvalWorld) -> JulietResult {
+    fig10_with(ew, None, None)
 }
 
 /// [`fig10`] with forensics: when `reports_dir` is set, every JASan
@@ -889,14 +899,11 @@ pub fn fig10(base: &ModuleStore) -> JulietResult {
 /// pairs. The detection counts are identical with reporting on or off —
 /// forensic capture is observation-only.
 pub fn fig10_with(
-    base: &ModuleStore,
+    ew: &EvalWorld,
     reports_dir: Option<&std::path::Path>,
     limit: Option<usize>,
 ) -> JulietResult {
-    let mut base = base.clone();
-    if base.get(MEMCHECK_RT).is_none() {
-        base.add(memcheck_runtime());
-    }
+    let base = &ew.world.store;
     if let Some(dir) = reports_dir {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -961,9 +968,9 @@ pub fn fig10_with(
     // Each case pair is an independent four-run experiment; fan the cases
     // out and fold the boolean verdicts back in suite order, so counts
     // match the serial loop exactly.
-    let verdicts = par_map(&suite, |case| {
-        let good_store = build_case(&base, "case", &case.good);
-        let bad_store = build_case(&base, "case", &case.bad);
+    let verdicts = par_map(ew.config.workers(), &suite, |case| {
+        let good_store = build_case(base, "case", &case.good);
+        let bad_store = build_case(base, "case", &case.bad);
         let good_tag = format!("case{:04}-good", case.id);
         let bad_tag = format!("case{:04}-bad", case.id);
         let v = [
@@ -1132,14 +1139,7 @@ impl Default for ServeSimConfig {
 pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
     use janitizer_core::{AnalysisService, FillSource, ServiceOptions, SplitMix64};
 
-    let mut modules: Vec<String> = ew
-        .world
-        .store
-        .names()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    modules.sort();
+    let modules = ew.world.store.names();
     // Named plugin factories: plugins are not `Send`, so each client
     // thread instantiates its own from these constructors.
     type PluginFactory = fn() -> Box<dyn SecurityPlugin>;
@@ -1151,7 +1151,7 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
         Arc::clone(&ew.cache),
         ServiceOptions {
             budget_units: cfg.budget,
-            max_in_flight: threads().max(1),
+            max_in_flight: ew.config.workers(),
             ..ServiceOptions::default()
         },
     );
@@ -1179,7 +1179,7 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
                 for _ in 0..cfg.requests {
                     let m = (rng.next_u64() as usize) % modules.len();
                     let p = (rng.next_u64() as usize) % built.len();
-                    let image = ew.world.store.get(&modules[m]).expect("listed module");
+                    let image = ew.world.store.get(modules[m]).expect("listed module");
                     let reply = svc.request(&image, built[p].1.as_ref(), true);
                     match reply.source {
                         Some(FillSource::Memory) => from_memory.fetch_add(1, Ordering::Relaxed),
@@ -1190,7 +1190,7 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
                         None => 0,
                     };
                     let slot = local
-                        .entry((modules[m].clone(), built[p].0.to_string()))
+                        .entry((modules[m].to_string(), built[p].0.to_string()))
                         .or_insert((0, None, Vec::new()));
                     slot.0 += 1;
                     match (&reply.rules, &slot.1) {

@@ -82,13 +82,14 @@ fn run_figure(ew: &EvalWorld, name: &str) -> Option<FigResult> {
 /// counters, thread count, and the measured serial-vs-parallel speedup.
 fn write_bench(
     per_figure: &[(String, f64)],
+    threads: usize,
     cache: janitizer_core::RuleCacheStats,
     serial_parallel: Option<(f64, f64)>,
 ) -> std::io::Result<()> {
     use janitizer_telemetry::json::Json;
     let total_ms: f64 = per_figure.iter().map(|(_, ms)| ms).sum();
     let mut fields = vec![
-        ("threads".to_string(), Json::U64(threads() as u64)),
+        ("threads".to_string(), Json::U64(threads as u64)),
         (
             "figures".to_string(),
             Json::Arr(
@@ -155,6 +156,7 @@ fn today_utc() -> String {
 /// replaying the run.
 fn append_bench_history(
     per_figure: &[(String, f64)],
+    threads: usize,
     cache: janitizer_core::RuleCacheStats,
     store: Option<janitizer_store::StoreStats>,
 ) -> std::io::Result<()> {
@@ -166,7 +168,7 @@ fn append_bench_history(
         // pre-schema lines (the seed line lacks `figure_wall_ms`).
         ("schema".to_string(), Json::str(BENCH_HISTORY_SCHEMA)),
         ("date".to_string(), Json::str(today_utc())),
-        ("threads".to_string(), Json::U64(threads() as u64)),
+        ("threads".to_string(), Json::U64(threads as u64)),
         ("figures".to_string(), Json::U64(per_figure.len() as u64)),
         ("total_wall_ms".to_string(), Json::F64(total_ms)),
         (
@@ -644,9 +646,6 @@ fn main() {
     let mut failures = 0u32;
     let mut errors = 0u32;
 
-    if threads_flag > 0 {
-        set_threads(threads_flag);
-    }
     if trace.is_some() {
         telemetry::reset();
         telemetry::set_enabled(true);
@@ -664,7 +663,8 @@ fn main() {
 
     eprintln!("building guest world (scale {scale}) ...");
     let mut ew = build_eval_world(scale);
-    ew.inject = inject;
+    ew.config.threads = threads_flag;
+    ew.config.inject = inject;
     // Persistent rule store: figure and serve runs consult it before
     // analyzing and commit fresh analyses back. Store failures degrade
     // to in-process analysis — never an error — and all store
@@ -720,7 +720,7 @@ fn main() {
     if want("fig10") {
         let t0 = std::time::Instant::now();
         let dir = reports_dir.as_ref().map(std::path::Path::new);
-        let r = fig10_with(&ew.world.store, dir, juliet_limit);
+        let r = fig10_with(&ew, dir, juliet_limit);
         per_figure.push(("fig10".to_string(), t0.elapsed().as_secs_f64() * 1e3));
         print!("{}", r.render());
         println!("JASan FNs by category: {:?}", r.jasan_fn_by_category);
@@ -916,20 +916,21 @@ fn main() {
         // against the figure's recorded parallel wall time. The rule
         // cache is warm for both sides, so the ratio isolates the thread
         // fan-out (the cache's own win shows up in the hit counters).
-        let serial_parallel = if threads() > 1 {
+        let workers = ew.config.workers();
+        let serial_parallel = if workers > 1 {
             let t0 = std::time::Instant::now();
             let _ = fig14(&ew);
             let parallel_ms = t0.elapsed().as_secs_f64() * 1e3;
-            set_threads(1);
+            ew.config.threads = 1;
             let t1 = std::time::Instant::now();
             let _ = fig14(&ew);
             let serial_ms = t1.elapsed().as_secs_f64() * 1e3;
-            set_threads(threads_flag);
+            ew.config.threads = threads_flag;
             Some((serial_ms, parallel_ms))
         } else {
             None
         };
-        match write_bench(&per_figure, ew.cache.stats(), serial_parallel) {
+        match write_bench(&per_figure, workers, ew.cache.stats(), serial_parallel) {
             Ok(()) => eprintln!("benchmark summary written to BENCH_eval.json"),
             Err(e) => {
                 eprintln!("error: failed to write BENCH_eval.json: {e}");
@@ -937,7 +938,7 @@ fn main() {
             }
         }
         let store_stats = rule_store.as_ref().map(|st| st.stats());
-        match append_bench_history(&per_figure, ew.cache.stats(), store_stats) {
+        match append_bench_history(&per_figure, workers, ew.cache.stats(), store_stats) {
             Ok(()) => eprintln!("benchmark history appended to BENCH_history.jsonl"),
             Err(e) => {
                 eprintln!("error: failed to append BENCH_history.jsonl: {e}");
@@ -949,7 +950,7 @@ fn main() {
     if let Some(target) = &explain_target {
         // `explain <figure|workload>`: run the target with profiling
         // armed and export the three overhead-attribution artifacts.
-        set_profiling(true);
+        ew.config.profile = true;
         if let Some(r) = run_figure(&ew, target) {
             print!("{}", r.render());
         } else if let Some(idx) = ew
@@ -979,8 +980,7 @@ fn main() {
             );
             std::process::exit(2);
         }
-        set_profiling(false);
-        let profiles = take_profiles();
+        let profiles = ew.take_profiles();
         println!("\n== overhead budgets ({target}) ==");
         write_explain_artifacts(target, top, &out_dir, &profiles, &mut failures);
     }
@@ -998,7 +998,7 @@ fn main() {
     }
 
     if inject.is_some() {
-        let rows = degraded_summary();
+        let rows = ew.degraded_summary();
         let total: u64 = rows.iter().map(|(_, _, n)| n).sum();
         let modules: std::collections::BTreeSet<&str> =
             rows.iter().map(|(m, _, _)| m.as_str()).collect();

@@ -22,8 +22,8 @@ fn fig10_reports_are_observation_only_and_well_formed() {
     let ew = build_eval_world(0.05);
     let dir = scratch("fig10");
 
-    let off = fig10_with(&ew.world.store, None, Some(6));
-    let on = fig10_with(&ew.world.store, Some(&dir), Some(6));
+    let off = fig10_with(&ew, None, Some(6));
+    let on = fig10_with(&ew, Some(&dir), Some(6));
 
     // Byte parity: enabling report emission changes nothing in the
     // figure — capture charges no guest cycles.

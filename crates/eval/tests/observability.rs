@@ -1,121 +1,15 @@
-//! Observability is observation-only, and its artifacts are
-//! deterministic where they claim to be:
+//! Observability artifacts are deterministic where they claim to be:
 //!
-//! * the `janitizer.serve-metrics/v1` snapshot (and its OpenMetrics
-//!   rendering) is byte-identical run-to-run and at any `--threads`
-//!   setting — client scheduling may reorder work but never the totals;
-//! * figure results are byte-identical with the flight recorder armed
-//!   or disarmed — the black box records, it never steers;
 //! * `explain diff` on the committed fig14 bundles (the PR7-era
 //!   baseline fixture vs. the current artifact) reproduces the known
 //!   dispatch improvement and ranks its function-level wins;
 //! * the `BENCH_history.jsonl` trend reader tolerates pre-schema lines.
 //!
-//! The thread-count and flight-recorder switches are process-wide, so
-//! these tests serialize on a mutex.
+//! That serve metrics and figures are byte-identical at any thread count
+//! and with the flight recorder armed is pinned by `knob_parity.rs`.
 
-use janitizer_eval::{
-    bench_trend, build_eval_world, fig13, fig14, serve_sim, set_threads, ServeSimConfig,
-};
+use janitizer_eval::bench_trend;
 use janitizer_profile::diff::{diff_bundles, BundleSummary};
-use janitizer_telemetry::flight;
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-#[test]
-fn serve_metrics_snapshot_is_deterministic_across_threads() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = ServeSimConfig::default();
-    let mut snapshots: Vec<(String, String, String)> = Vec::new();
-    for threads in [1usize, 4, 4] {
-        set_threads(threads);
-        let ew = build_eval_world(0.05);
-        let run = serve_sim(&ew, &cfg);
-        assert!(
-            run.metrics_json.contains("janitizer.serve-metrics/v1"),
-            "snapshot carries its schema tag"
-        );
-        assert!(
-            run.host_metrics_json
-                .contains("janitizer.serve-metrics-host/v1"),
-            "host snapshot carries its schema tag"
-        );
-        assert!(
-            run.openmetrics.ends_with("# EOF\n"),
-            "exposition is terminated"
-        );
-        // Provenance totals are deterministic (exactly-once analysis per
-        // key) and must account for every request.
-        let total = run.provenance.memory + run.provenance.store + run.provenance.analyzed;
-        assert_eq!(total, (cfg.clients * cfg.requests) as u64);
-        snapshots.push((run.summary, run.metrics_json, run.openmetrics));
-    }
-    set_threads(1);
-    for pair in snapshots.windows(2) {
-        assert_eq!(pair[0].0, pair[1].0, "serve summary diverged");
-        assert_eq!(pair[0].1, pair[1].1, "serve-metrics.json diverged");
-        assert_eq!(pair[0].2, pair[1].2, "OpenMetrics exposition diverged");
-    }
-}
-
-#[test]
-fn figures_are_byte_identical_with_flight_recorder_armed() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let run_pair = |armed: bool, threads: usize| {
-        if armed {
-            flight::arm(flight::DEFAULT_CAPACITY);
-        } else {
-            flight::disarm();
-        }
-        set_threads(threads);
-        let ew = build_eval_world(0.05);
-        let figs = [fig13(&ew), fig14(&ew)];
-        flight::disarm();
-        set_threads(1);
-        figs
-    };
-    for threads in [1usize, 4] {
-        let off = run_pair(false, threads);
-        let on = run_pair(true, threads);
-        for (a, b) in off.iter().zip(on.iter()) {
-            assert_eq!(
-                a.render(),
-                b.render(),
-                "{} (threads {threads}): render diverged",
-                a.title
-            );
-            assert_eq!(
-                a.to_csv(),
-                b.to_csv(),
-                "{} (threads {threads}): CSV diverged",
-                a.title
-            );
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "{} (threads {threads}): JSON diverged",
-                a.title
-            );
-        }
-    }
-    // Rule bytes too: the static analyzer's serialized output is
-    // unchanged by the recorder.
-    let ew = build_eval_world(0.05);
-    for name in ew.world.store.names() {
-        let image = ew.world.store.get(name).expect("listed");
-        flight::arm(flight::DEFAULT_CAPACITY);
-        let armed = janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid())
-            .to_bytes();
-        flight::disarm();
-        let plain = janitizer_core::analyze_statically(&image, &janitizer_jasan::Jasan::hybrid())
-            .to_bytes();
-        assert_eq!(
-            armed, plain,
-            "{name}: rule bytes diverged under the recorder"
-        );
-    }
-}
 
 #[test]
 fn explain_diff_reproduces_the_committed_dispatch_improvement() {

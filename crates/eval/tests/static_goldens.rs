@@ -189,9 +189,9 @@ const JULIET: [Row<usize>; 48] = [
 #[test]
 fn world_and_hostile_rules_match_their_pinned_goldens() {
     let world = build_world(&BuildOptions::default());
-    let mut names = world.store.names();
-    names.sort_unstable();
-    let mut images: Vec<Arc<Image>> = names
+    let mut images: Vec<Arc<Image>> = world
+        .store
+        .names()
         .iter()
         .map(|n| world.store.get(n).expect("listed module"))
         .collect();

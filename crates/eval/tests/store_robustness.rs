@@ -24,17 +24,7 @@ fn cold_store_warmed_by_many_threads_analyzes_exactly_once() {
     let store = open_store(&dir);
     let cache = Arc::new(RuleCache::with_store(Arc::clone(&store)));
 
-    let module = {
-        let mut names: Vec<String> = ew
-            .world
-            .store
-            .names()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        names.sort();
-        names.into_iter().next().expect("eval world has modules")
-    };
+    let module = ew.world.store.names()[0].to_string();
     let image = ew.world.store.get(&module).expect("listed module");
 
     const THREADS: usize = 8;
@@ -90,14 +80,13 @@ fn golden_byte_parity_across_store_tiers() {
     let ew = build_eval_world(0.05);
     let dir = scratch_dir("eval-parity");
 
-    let mut modules: Vec<String> = ew
+    let modules: Vec<String> = ew
         .world
         .store
         .names()
         .into_iter()
         .map(str::to_string)
         .collect();
-    modules.sort();
 
     // Tier 0: plain in-process analysis — the golden bytes.
     let plugin = Jasan::hybrid();

@@ -17,8 +17,8 @@
 
 use janitizer_asm::{assemble, AsmOptions};
 use janitizer_core::{
-    analyze_statically, run_hybrid, BlockRules, DegradationReason, FaultInjection, HybridOptions,
-    Mutator, SecurityPlugin, SplitMix64, StaticContext, TbItem,
+    analyze_statically, run_hybrid, BlockRules, HybridOptions, Mutator, SecurityPlugin, SplitMix64,
+    StaticContext, TbItem,
 };
 use janitizer_dbt::DecodedBlock;
 use janitizer_link::{link, LinkOptions};
@@ -282,9 +282,7 @@ pub fn build_corpus() -> Vec<CorpusItem> {
 
     // The evaluation's shared modules (fig14 inputs) -> decode trials.
     let base = janitizer_workloads::library_base();
-    let mut names: Vec<&str> = base.names();
-    names.sort_unstable();
-    for name in names {
+    for name in base.names() {
         let image = base.get(name).expect("listed module exists");
         let leaked: &'static str = Box::leak(format!("img:{name}").into_boxed_str());
         corpus.push(CorpusItem {
@@ -632,23 +630,6 @@ pub fn run_harness_over(opts: &HarnessOptions, corpus: &[CorpusItem]) -> Summary
 
 /// Re-exported so the corpus generator and tests share one definition.
 pub use janitizer_core::JanitizerError;
-
-/// Convenience: the fault-injection config type eval forwards.
-pub fn fault_injection(seed: u64, rate: f64) -> FaultInjection {
-    FaultInjection { seed, rate }
-}
-
-/// The degradation reason labels, for documentation and summary readers.
-pub fn degradation_labels() -> [&'static str; 6] {
-    [
-        DegradationReason::BadFormat.as_str(),
-        DegradationReason::ChecksumMismatch.as_str(),
-        DegradationReason::StaleVersion.as_str(),
-        DegradationReason::FingerprintMismatch.as_str(),
-        DegradationReason::LowConfidenceRegion.as_str(),
-        DegradationReason::DisasmConflict.as_str(),
-    ]
-}
 
 #[cfg(test)]
 mod tests {

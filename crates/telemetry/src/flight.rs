@@ -231,12 +231,6 @@ pub fn dump_to(dir: &Path, reason: &str) -> Option<PathBuf> {
     Some(path)
 }
 
-/// Configures (or clears) the directory that trip-point and panic
-/// dumps are written to.
-pub fn set_dump_dir(dir: Option<&Path>) {
-    *PANIC_DIR.lock().unwrap_or_else(|e| e.into_inner()) = dir.map(Path::to_path_buf);
-}
-
 /// Records a trip event and, when a dump directory is configured,
 /// writes the black box as `flight-<reason>.json`. This is the entry
 /// point for non-panic triggers: violation-report overflow, module

@@ -49,9 +49,11 @@ impl ModuleStore {
         self.images.get(name).cloned()
     }
 
-    /// Names of all stored modules.
+    /// Names of all stored modules, in sorted order.
     pub fn names(&self) -> Vec<&str> {
-        self.images.keys().map(String::as_str).collect()
+        let mut names: Vec<&str> = self.images.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        names
     }
 }
 
