@@ -58,11 +58,7 @@ pub fn charge(units: u64) -> bool {
             true
         } else {
             r.set(0);
-            let first = OVERRUN.with(|o| !o.replace(true));
-            if first {
-                janitizer_telemetry::counter_add("analysis.budget_exhausted", 1);
-                janitizer_telemetry::event!("analysis.budget_exhausted");
-            }
+            OVERRUN.with(|o| o.set(true));
             false
         }
     })

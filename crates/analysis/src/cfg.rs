@@ -432,28 +432,11 @@ pub(crate) fn recover(index: &ImageIndex, extra_seeds: &[u64]) -> ModuleCfg {
         }
     }
 
-    let cfg = ModuleCfg {
+    ModuleCfg {
         insn_boundaries: insn_at.keys().copied().collect(),
         blocks: blocks.into_iter().collect(),
         functions,
         jump_tables,
         unresolved_indirect: unresolved,
-    };
-    if janitizer_telemetry::enabled() {
-        janitizer_telemetry::counter_add("analysis.cfg.jump_tables", cfg.jump_tables.len() as u64);
-        janitizer_telemetry::counter_add(
-            "analysis.cfg.unresolved_indirect",
-            cfg.unresolved_indirect.len() as u64,
-        );
-        // Per-function size distribution: instructions whose address falls
-        // in each recovered function's range.
-        for f in &cfg.functions {
-            let insns = cfg
-                .insn_boundaries
-                .range(f.entry..f.entry.saturating_add(f.size))
-                .count() as u64;
-            janitizer_telemetry::histogram_record("analysis.func_insns", insns);
-        }
     }
-    cfg
 }

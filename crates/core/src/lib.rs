@@ -125,7 +125,7 @@ pub enum DegradationReason {
 }
 
 impl DegradationReason {
-    /// Stable label used in telemetry events and run summaries.
+    /// Stable label used in run summaries.
     pub fn as_str(&self) -> &'static str {
         match self {
             DegradationReason::BadFormat => "bad-format",
@@ -197,15 +197,8 @@ pub struct StaticContext {
 impl StaticContext {
     /// Runs all generic analyses over a module, starting from the
     /// soundness-tiered disassembly of [`analysis::analyze_tiered`].
-    /// Each phase runs under a telemetry span (`static;<phase>`) so
-    /// profiles attribute static pipeline time per analysis.
     pub fn analyze(image: &Image) -> StaticContext {
-        let _outer = janitizer_telemetry::span!("static");
-        let disasm = {
-            let _s = janitizer_telemetry::span!("disasm-cfg");
-            analysis::analyze_tiered(image)
-        };
-        StaticContext::from_disasm(image, disasm)
+        StaticContext::from_disasm(image, analysis::analyze_tiered(image))
     }
 
     /// The generic analyses after disassembly, over a given recovery.
@@ -217,26 +210,11 @@ impl StaticContext {
             backend,
             ..
         } = disasm;
-        janitizer_telemetry::counter_add("static.blocks_recovered", cfg.blocks.len() as u64);
-        janitizer_telemetry::counter_add("static.functions_recovered", cfg.functions.len() as u64);
-        let liveness = {
-            let _s = janitizer_telemetry::span!("liveness");
-            analysis::compute_liveness(&cfg)
-        };
-        let canaries = {
-            let _s = janitizer_telemetry::span!("canaries");
-            analysis::find_canary_sites(&cfg)
-        };
-        let (loops, invariants) = {
-            let _s = janitizer_telemetry::span!("loops-scev");
-            let loops = analysis::find_loops(&cfg);
-            let invariants = analysis::loop_invariant_accesses(&cfg, &loops);
-            (loops, invariants)
-        };
-        let scan = {
-            let _s = janitizer_telemetry::span!("codeptr-scan");
-            analysis::scan_code_pointers(image, &cfg)
-        };
+        let liveness = analysis::compute_liveness(&cfg);
+        let canaries = analysis::find_canary_sites(&cfg);
+        let loops = analysis::find_loops(&cfg);
+        let invariants = analysis::loop_invariant_accesses(&cfg, &loops);
+        let scan = analysis::scan_code_pointers(image, &cfg);
         StaticContext {
             cfg,
             liveness,
@@ -417,10 +395,7 @@ fn emit_rules(
     // Stamp the rules with the module build they were computed from, so
     // the run-time loader can reject rules for a different build.
     file.fingerprint = image.fingerprint();
-    {
-        let _s = janitizer_telemetry::span!("static;rule-emission");
-        file.rules = plugin.static_pass(image, ctx);
-    }
+    file.rules = plugin.static_pass(image, ctx);
     // Per-region graceful degradation: blocks the analyzer marked
     // `Unknown` carry no rules at all — neither plugin rules (which
     // would rewrite bytes that may not be code) nor the no-op marker —
@@ -428,25 +403,17 @@ fn emit_rules(
     // conservatively instruments exactly those regions.
     let unknown = ctx.unknown_blocks();
     if !unknown.is_empty() {
-        let before = file.rules.len();
         file.rules.retain(|r| !unknown.contains(&r.bb_addr));
-        janitizer_telemetry::counter_add(
-            "static.rules_suppressed_low_confidence",
-            (before - file.rules.len()) as u64,
-        );
     }
-    janitizer_telemetry::counter_add("static.rules_emitted", file.rules.len() as u64);
     // No-op rules: mark every statically recovered block so the dynamic
     // classifier can distinguish "seen and clean" from "never seen".
     if emit_noop_rules {
         let marked: HashSet<u64> = file.rules.iter().map(|r| r.bb_addr).collect();
-        let before = file.rules.len();
         for &start in ctx.cfg.blocks.keys() {
             if !marked.contains(&start) && !unknown.contains(&start) {
                 file.rules.push(RewriteRule::no_op(start));
             }
         }
-        janitizer_telemetry::counter_add("static.noop_rules", (file.rules.len() - before) as u64);
     }
     file
 }
@@ -485,7 +452,7 @@ pub struct RuleCache {
     hits: AtomicU64,
     misses: AtomicU64,
     /// `(module name, plugin cache key)` -> number of times the plugin's
-    /// static pass actually ran (exactly-once telemetry).
+    /// static pass actually ran (pins the exactly-once guarantee).
     analyses: Mutex<HashMap<(String, String), u64>>,
     /// Optional persistent backing: consulted on in-memory misses and
     /// populated after fresh analyses (the analyze-once story across
@@ -608,12 +575,10 @@ impl RuleCache {
         let mut slots = entry.slots.lock().unwrap_or_else(|e| e.into_inner());
         if let Some((file, ctx)) = slots.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            janitizer_telemetry::counter_add("rulecache.hits", 1);
             plugin.on_rules_cached(image, ctx);
             return (Arc::clone(file), Arc::clone(ctx), FillSource::Memory);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        janitizer_telemetry::counter_add("rulecache.misses", 1);
         // The generic analyses are needed on every fill path: a fresh
         // analysis consumes them directly, and a store hit replays the
         // plugin's side state from them (`on_rules_cached`) — the store
@@ -632,27 +597,18 @@ impl RuleCache {
         let mut store_failed = false;
         if let (Some(st), Some(skey)) = (&self.store, &skey) {
             match st.load(skey) {
-                Ok(Some(bytes)) => match verify_rule_bytes(image, &bytes) {
-                    Ok(f) => {
-                        janitizer_telemetry::counter_add("rulecache.store_served", 1);
+                Ok(Some(bytes)) => {
+                    // A payload whose rule bytes disagree with this module
+                    // (stale or tampered, though its envelope verified)
+                    // falls through to a fresh analysis, which overwrites
+                    // the entry.
+                    if let Ok(f) = verify_rule_bytes(image, &bytes) {
                         plugin.on_rules_cached(image, &ctx);
                         let file = Arc::new(f);
                         slots.insert(key, (Arc::clone(&file), Arc::clone(&ctx)));
                         return (file, ctx, FillSource::Store);
                     }
-                    Err(reason) => {
-                        // The envelope verified but the rule bytes inside
-                        // disagree with this module — a stale or tampered
-                        // payload. Fall through to a fresh analysis (which
-                        // overwrites the entry).
-                        janitizer_telemetry::counter_add("rulecache.store_rejected", 1);
-                        janitizer_telemetry::event!(
-                            "diag.store_rules_rejected",
-                            module = image.name.as_str(),
-                            reason = reason.as_str(),
-                        );
-                    }
-                },
+                }
                 Ok(None) => {}
                 Err(_) => store_failed = true,
             }
@@ -671,19 +627,10 @@ impl RuleCache {
             // truncated too: drop it for the next, possibly unbudgeted,
             // fill. The held slot lock makes the discard race-free.
             *entry.ctx.lock().unwrap_or_else(|e| e.into_inner()) = None;
-            janitizer_telemetry::counter_add("rulecache.overbudget_discarded", 1);
             return (file, ctx, FillSource::Analyzed { store_failed });
         }
         if let (Some(st), Some(skey)) = (&self.store, &skey) {
-            if let Err(e) = st.save(skey, &file.to_bytes()) {
-                store_failed = true;
-                janitizer_telemetry::counter_add("store.save_failures", 1);
-                janitizer_telemetry::event!(
-                    "diag.store_save_failed",
-                    module = image.name.as_str(),
-                    error = format!("{e}"),
-                );
-            }
+            store_failed |= st.save(skey, &file.to_bytes()).is_err();
         }
         slots.insert(key, (Arc::clone(&file), Arc::clone(&ctx)));
         (file, ctx, FillSource::Analyzed { store_failed })
@@ -947,7 +894,6 @@ impl<P: SecurityPlugin> Tool for JanitizerTool<P> {
                     .unwrap_or(false);
                 if in_region {
                     self.coverage_sets.region_fallback.insert(block.start);
-                    janitizer_telemetry::counter_add("dbt.region_fallback_blocks", 1);
                 }
             }
             self.plugin.instrument_dynamic(proc, block)
@@ -1063,9 +1009,8 @@ fn verify_rule_bytes(image: &Image, bytes: &[u8]) -> Result<RuleFile, Degradatio
 /// Rule-file integrity failures do **not** abort the run: the affected
 /// module is dropped into dynamic-only conservative mode (its blocks all
 /// miss the classifier and take the plugin's dynamic fallback), the
-/// demotion is recorded in [`HybridRun::degraded`], and the
-/// `rules.integrity_failures` / `modules.degraded` telemetry counters
-/// plus a `diag.module_degraded` event name the cause.
+/// demotion and its cause are recorded in [`HybridRun::degraded`], and
+/// an armed flight recorder trips a `module-degraded` dump.
 ///
 /// # Errors
 ///
@@ -1109,7 +1054,7 @@ pub fn run_hybrid<P: SecurityPlugin>(
                 };
                 // Per-region graceful degradation: every byte region the
                 // static analyzer refused to trust is recorded (and
-                // surfaced through telemetry + the flight recorder), but
+                // surfaced through the flight recorder), but
                 // the rest of the module keeps full static rules.
                 for r in &ctx.degraded_regions {
                     let reason = match r.cause {
@@ -1118,14 +1063,6 @@ pub fn run_hybrid<P: SecurityPlugin>(
                         }
                         analysis::RegionCause::Conflict => DegradationReason::DisasmConflict,
                     };
-                    janitizer_telemetry::counter_add("disasm.regions_degraded", 1);
-                    janitizer_telemetry::event!(
-                        "diag.region_degraded",
-                        module = name.as_str(),
-                        reason = reason.as_str(),
-                        start = r.start,
-                        len = r.len,
-                    );
                     if janitizer_telemetry::flight::armed() {
                         janitizer_telemetry::flight::record_for(
                             "disasm.degraded",
@@ -1173,13 +1110,6 @@ pub fn run_hybrid<P: SecurityPlugin>(
             match verify_rule_bytes(&image, &bytes) {
                 Ok(f) => repo.add(f),
                 Err(reason) => {
-                    janitizer_telemetry::counter_add("rules.integrity_failures", 1);
-                    janitizer_telemetry::counter_add("modules.degraded", 1);
-                    janitizer_telemetry::event!(
-                        "diag.module_degraded",
-                        module = name.as_str(),
-                        reason = reason.as_str(),
-                    );
                     if janitizer_telemetry::flight::armed() {
                         let id = janitizer_telemetry::flight::intern_module(&name);
                         janitizer_telemetry::flight::trip("module-degraded", id, 0, 0);

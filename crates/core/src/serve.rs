@@ -16,8 +16,8 @@
 //!   persisted), and the client sees
 //!   [`DegradationReason::AnalysisTimeout`];
 //! * **panic isolation** — a plugin static pass that panics is caught
-//!   (`catch_unwind`), counted (`serve.panics_isolated`), retried on the
-//!   bounded deterministic backoff schedule, and finally degraded to
+//!   (`catch_unwind`), counted (`serve.panics_isolated`), retried up to
+//!   the [`RetryPolicy`] bound, and finally degraded to
 //!   [`DegradationReason::AnalysisPanic`];
 //! * **store-failure fallback** — persistent-store I/O errors never
 //!   reach the client: the reply carries in-process rules plus
@@ -87,7 +87,7 @@ pub struct ServeStats {
     pub timeouts: u64,
     /// Plugin panics caught by the supervisor.
     pub panics_isolated: u64,
-    /// Panic retries taken on the backoff schedule.
+    /// Panic retries taken under the [`RetryPolicy`] bound.
     pub retries: u64,
     /// Store I/O failures absorbed into [`DegradationReason::StoreFailure`].
     pub store_failures: u64,
@@ -250,10 +250,8 @@ impl AnalysisService {
         self.metrics
             .queue_peak
             .fetch_max(waiting, Ordering::Relaxed);
-        janitizer_telemetry::gauge_add("serve.queue_depth", 1);
         let _permit = self.gate.acquire();
         self.metrics.queue_waiting.fetch_sub(1, Ordering::Relaxed);
-        janitizer_telemetry::gauge_add("serve.queue_depth", -1);
         let queue_wait_ns = arrived.elapsed().as_nanos() as u64;
         flight::record("serve.admit", flight::NO_MODULE, queue_wait_ns, waiting);
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
@@ -263,15 +261,12 @@ impl AnalysisService {
         match reply.source {
             Some(FillSource::Memory) => {
                 self.metrics.src_memory.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("serve.src.memory", 1);
             }
             Some(FillSource::Store) => {
                 self.metrics.src_store.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("serve.src.store", 1);
             }
             Some(FillSource::Analyzed { store_failed }) => {
                 self.metrics.src_analyzed.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("serve.src.analyzed", 1);
                 if store_failed {
                     self.metrics
                         .src_store_failed
@@ -285,13 +280,11 @@ impl AnalysisService {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .record(analyze_units);
-                janitizer_telemetry::histogram_record("serve.analyze_units", analyze_units);
             }
             None => {}
         }
         if let Some(reason) = reply.degradation {
             self.degraded_n.fetch_add(1, Ordering::Relaxed);
-            janitizer_telemetry::counter_add("serve.degraded", 1);
             self.degraded
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -306,7 +299,6 @@ impl AnalysisService {
         }
         if reply.rules.is_some() {
             self.served.fetch_add(1, Ordering::Relaxed);
-            janitizer_telemetry::counter_add("serve.served", 1);
         }
         let wall_ns = arrived.elapsed().as_nanos() as u64;
         {
@@ -325,7 +317,6 @@ impl AnalysisService {
                 .unwrap_or_else(|e| e.into_inner());
             w.record(wall_ns);
         }
-        janitizer_telemetry::histogram_record("serve.request_wall_ns", wall_ns);
         flight::record("serve.reply", flight::NO_MODULE, wall_ns, analyze_units);
         reply
     }
@@ -353,11 +344,6 @@ impl AnalysisService {
                         // already discarded (not memoized, not persisted)
                         // the truncated result — degrade, don't serve it.
                         self.timeouts.fetch_add(1, Ordering::Relaxed);
-                        janitizer_telemetry::counter_add("serve.timeouts", 1);
-                        janitizer_telemetry::event!(
-                            "diag.analysis_timeout",
-                            module = image.name.as_str(),
-                        );
                         flight::record("serve.timeout", flight::NO_MODULE, spent_units, 0);
                         drop(file);
                         return (
@@ -372,11 +358,6 @@ impl AnalysisService {
                     let degradation = match source {
                         FillSource::Analyzed { store_failed: true } => {
                             self.store_failures.fetch_add(1, Ordering::Relaxed);
-                            janitizer_telemetry::counter_add("serve.store_failures", 1);
-                            janitizer_telemetry::event!(
-                                "diag.store_degraded",
-                                module = image.name.as_str(),
-                            );
                             Some(DegradationReason::StoreFailure)
                         }
                         _ => None,
@@ -392,12 +373,6 @@ impl AnalysisService {
                 }
                 Err(_) => {
                     self.panics.fetch_add(1, Ordering::Relaxed);
-                    janitizer_telemetry::counter_add("serve.panics_isolated", 1);
-                    janitizer_telemetry::event!(
-                        "diag.analysis_panic",
-                        module = image.name.as_str(),
-                        attempt = u64::from(attempt),
-                    );
                     flight::record(
                         "serve.panic",
                         flight::NO_MODULE,
@@ -407,11 +382,6 @@ impl AnalysisService {
                     if attempt < self.opts.retry.attempts {
                         attempt += 1;
                         self.retries.fetch_add(1, Ordering::Relaxed);
-                        janitizer_telemetry::counter_add("serve.retries", 1);
-                        janitizer_telemetry::counter_add(
-                            "serve.backoff_units",
-                            self.opts.retry.backoff_units(attempt),
-                        );
                         continue;
                     }
                     return (
@@ -763,10 +733,7 @@ mod tests {
         let svc = AnalysisService::new(
             Arc::new(RuleCache::new()),
             ServiceOptions {
-                retry: RetryPolicy {
-                    attempts: 2,
-                    seed: 5,
-                },
+                retry: RetryPolicy { attempts: 2 },
                 ..ServiceOptions::default()
             },
         );
@@ -788,10 +755,7 @@ mod tests {
         let svc = AnalysisService::new(
             Arc::new(RuleCache::new()),
             ServiceOptions {
-                retry: RetryPolicy {
-                    attempts: 2,
-                    seed: 5,
-                },
+                retry: RetryPolicy { attempts: 2 },
                 ..ServiceOptions::default()
             },
         );
@@ -842,10 +806,7 @@ mod tests {
         let dir = janitizer_store::scratch_dir("serve-storefail");
         let store = janitizer_store::RuleStore::open_with(
             &dir,
-            RetryPolicy {
-                attempts: 0,
-                seed: 0,
-            },
+            RetryPolicy { attempts: 0 },
             janitizer_store::FailurePlan {
                 transient_write_failures: u64::MAX / 2,
                 crash_after_commits: None,

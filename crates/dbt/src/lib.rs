@@ -661,33 +661,6 @@ pub struct EngineProfile {
     elided: BTreeMap<u64, Vec<ProbeSite>>,
 }
 
-/// Counter-field snapshot of [`Stats`], used to compute per-run deltas
-/// when a single engine serves several consecutive runs.
-#[derive(Clone, Copy, Default)]
-struct StatsMark {
-    blocks_translated: u64,
-    guest_insns: u64,
-    probe_runs: u64,
-    indirect_transfers: u64,
-    indirect_chain_hits: u64,
-    checks_hoisted: u64,
-    oversized_blocks: u64,
-}
-
-impl StatsMark {
-    fn of(s: &Stats) -> StatsMark {
-        StatsMark {
-            blocks_translated: s.blocks_translated,
-            guest_insns: s.guest_insns,
-            probe_runs: s.probe_runs,
-            indirect_transfers: s.indirect_transfers,
-            indirect_chain_hits: s.indirect_chain_hits,
-            checks_hoisted: s.checks_hoisted,
-            oversized_blocks: s.oversized_blocks,
-        }
-    }
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
@@ -711,8 +684,7 @@ pub struct EngineOptions {
     /// translations execute normally but are rebuilt on every visit, so a
     /// hostile tool/input combination cannot grow the code cache without
     /// limit through pathologically instrumented blocks. Counted in
-    /// [`Stats::oversized_blocks`] and the `dbt.oversized_blocks`
-    /// telemetry counter. The default is far above anything the bundled
+    /// [`Stats::oversized_blocks`]. The default is far above anything the bundled
     /// tools emit for a [`EngineOptions::max_block`]-sized block, so the
     /// happy path never hits it.
     pub max_tb_items: usize,
@@ -928,7 +900,6 @@ impl Engine {
     /// Module-load events (including `dlopen` during execution) are
     /// forwarded to the tool before the next block executes.
     pub fn run(&mut self, proc: &mut Process, tool: &mut dyn Tool, fuel: u64) -> RunOutcome {
-        let mark = StatsMark::of(&self.stats);
         // A fresh trail per run: blocks from a previous run served by the
         // same engine must not appear in this run's violation contexts.
         self.trail.clear();
@@ -939,40 +910,7 @@ impl Engine {
 
         let outcome = self.run_inner(proc, tool, fuel);
         tool.on_exit(proc);
-        self.flush_telemetry(mark);
         outcome
-    }
-
-    /// Adds this run's counter deltas to the telemetry registry. Model
-    /// cycles are attributed by the profiler ([`EngineOptions::profile`]),
-    /// not here.
-    fn flush_telemetry(&self, mark: StatsMark) {
-        if !janitizer_telemetry::enabled() {
-            return;
-        }
-        let s = &self.stats;
-        janitizer_telemetry::counter_add(
-            "dbt.blocks_translated",
-            s.blocks_translated - mark.blocks_translated,
-        );
-        janitizer_telemetry::counter_add("dbt.guest_insns", s.guest_insns - mark.guest_insns);
-        janitizer_telemetry::counter_add("dbt.probe_runs", s.probe_runs - mark.probe_runs);
-        janitizer_telemetry::counter_add(
-            "dbt.indirect_transfers",
-            s.indirect_transfers - mark.indirect_transfers,
-        );
-        janitizer_telemetry::counter_add(
-            "dbt.indirect_chain_hits",
-            s.indirect_chain_hits - mark.indirect_chain_hits,
-        );
-        janitizer_telemetry::counter_add(
-            "dbt.checks_hoisted",
-            s.checks_hoisted - mark.checks_hoisted,
-        );
-        janitizer_telemetry::counter_add(
-            "dbt.oversized_blocks",
-            s.oversized_blocks - mark.oversized_blocks,
-        );
     }
 
     /// Forwards the process's pending module-load events (the static
@@ -981,7 +919,6 @@ impl Engine {
         let pending: Vec<ProcessEvent> = proc.events.drain(..).collect();
         for ev in pending {
             let ProcessEvent::ModuleLoaded { id } = ev;
-            janitizer_telemetry::event!("dbt.module_load", id = id);
             janitizer_telemetry::flight::record(
                 "dbt.module_load",
                 janitizer_telemetry::flight::NO_MODULE,
@@ -1068,13 +1005,6 @@ impl Engine {
         proc.cycles += build_cost;
         self.stats.translation_cycles += build_cost;
         self.stats.blocks_translated += 1;
-        janitizer_telemetry::histogram_record("dbt.block_insns", block.insns.len() as u64);
-        janitizer_telemetry::event!(
-            "dbt.block_translated",
-            pc = pc,
-            insns = block.insns.len(),
-            cost = build_cost,
-        );
         let cycles_before_instrument = proc.cycles;
         let mut items = tool.instrument_block(proc, &block);
         let tool_translate = proc.cycles - cycles_before_instrument;
@@ -1106,7 +1036,6 @@ impl Engine {
         if !cacheable {
             // Translation-size guard: run it, don't cache it.
             self.stats.oversized_blocks += 1;
-            janitizer_telemetry::event!("dbt.oversized_block", pc = pc, items = items.len());
             janitizer_telemetry::flight::record(
                 "dbt.oversized_block",
                 janitizer_telemetry::flight::NO_MODULE,
@@ -1177,7 +1106,6 @@ impl Engine {
                 }
                 ProbeResult::Violation(r) => {
                     violated = true;
-                    janitizer_telemetry::event!("dbt.violation", kind = r.kind.as_str(), pc = r.pc,);
                     janitizer_telemetry::flight::record(
                         "dbt.violation",
                         janitizer_telemetry::flight::NO_MODULE,

@@ -22,8 +22,7 @@
 //! and each report renders as both human-readable text
 //! ([`ViolationReport::render_text`]) and schema-stable JSON
 //! ([`ViolationReport::to_json`], schema [`REPORT_SCHEMA`]). Report IDs
-//! are deterministic (`tool-exe-seq-pc`) and are cross-linked from
-//! telemetry via a `diag.report` event emitted per assembled report.
+//! are deterministic (`tool-exe-seq-pc`).
 //!
 //! Everything here is *observation*: no capture path charges guest
 //! cycles, so enabling forensics cannot change any deterministic result.
@@ -152,9 +151,7 @@ fn build_disasm_window(proc: &mut Process, ctx: &ViolationContext) -> Vec<Disasm
 
 /// Assembles one [`ViolationReport`] per collected engine report,
 /// pairing report *i* with engine context *i* and tool context *i*
-/// (missing tool entries render as [`ToolContext::None`]). Emits a
-/// `diag.report` telemetry event per report so traces cross-link to the
-/// report ID.
+/// (missing tool entries render as [`ToolContext::None`]).
 pub fn capture_reports(
     proc: &mut Process,
     exe: &str,
@@ -176,12 +173,6 @@ pub fn capture_reports(
         let ctx = stats.contexts.get(i).unwrap_or(&fallback);
         let tool_ctx = tool_ctxs.get(i).cloned().unwrap_or_default();
         let id = format!("{tool}-{exe}-{i:04}-{:x}", r.pc);
-        janitizer_telemetry::event!(
-            "diag.report",
-            id = id.as_str(),
-            kind = r.kind.as_str(),
-            pc = r.pc
-        );
         out.push(ViolationReport {
             id,
             tool: tool.to_string(),

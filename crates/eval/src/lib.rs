@@ -897,7 +897,9 @@ pub fn fig10(ew: &EvalWorld) -> JulietResult {
 /// (`case<id>-<variant>-<report-id>.txt` / `.json`) into the directory.
 /// `limit` truncates the suite (CI smoke runs); `None` runs all 624 case
 /// pairs. The detection counts are identical with reporting on or off —
-/// forensic capture is observation-only.
+/// forensic capture is observation-only. The JASan runs take the world's
+/// fault injection ([`RunConfig::inject`]) and tally their degraded
+/// loads in its sink, like every other figure's hybrid runs.
 pub fn fig10_with(
     ew: &EvalWorld,
     reports_dir: Option<&std::path::Path>,
@@ -926,6 +928,7 @@ pub fn fig10_with(
                 },
                 fuel: 200_000_000,
                 rule_cache: Some(Arc::clone(&cache)),
+                inject_faults: ew.config.inject,
                 forensics: reports_dir.is_some(),
                 ..HybridOptions::default()
             };
@@ -948,6 +951,7 @@ pub fn fig10_with(
         };
         match result {
             Ok(run) => {
+                ew.note_degraded(&run);
                 if let Some(dir) = reports_dir {
                     for rep in &run.reports {
                         let stem = dir.join(format!("{tag}-{}", rep.id));

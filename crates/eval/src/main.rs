@@ -1,7 +1,7 @@
 //! `janitizer-eval`: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! janitizer-eval [--scale S] [--trace FILE] [--threads N] \
+//! janitizer-eval [--scale S] [--threads N] \
 //!     [--reports DIR] [--juliet-limit N] [--inject-faults seed=N,rate=R] \
 //!     [fig7|...|fig14|soundness|rules|disasm <module>|report <case>|explain <figure>|all]
 //! ```
@@ -15,9 +15,8 @@
 //! `explain <figure|workload>` runs the target with the deterministic
 //! cycle profiler armed and writes its overhead attribution (a
 //! `janitizer.profile/v2` bundle, folded stacks and budget tables); it is
-//! the one view of modeled cycles. `--trace FILE` enables telemetry
-//! (counters, histograms, events and static-phase wall time) for the
-//! whole invocation and writes it as one JSON document to `FILE` on exit.
+//! the one view of modeled cycles. Host time per pipeline layer is
+//! measured from outside, by `perfbench --trace 1`.
 //!
 //! `report <case>` re-runs one Juliet case's bad variant under
 //! JASan-hybrid with forensics enabled and prints the full ASan-style
@@ -45,7 +44,7 @@
 //! deterministic data.
 
 use janitizer_eval::*;
-use janitizer_telemetry as telemetry;
+use janitizer_telemetry::flight;
 
 /// Writes one figure's CSV and JSON under `results/`, propagating I/O
 /// errors instead of swallowing them.
@@ -382,7 +381,6 @@ flags:
                            byte-identical at any N)
   --out DIR                artifact directory (default results/)
   --top N                  rows per ranked table (explain/diff; default 10)
-  --trace FILE             collect telemetry for the whole run, write FILE on exit
   --reports DIR            fig10: write one forensics report pair per violation
   --juliet-limit N         fig10: truncate the Juliet suite (CI smoke)
   --inject-faults seed=N,rate=R
@@ -409,7 +407,6 @@ flags:
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0f64;
-    let mut trace: Option<String> = None;
     let mut threads_flag = 0usize;
     let mut reports_dir: Option<String> = None;
     let mut juliet_limit: Option<usize> = None;
@@ -540,13 +537,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--trace" => {
-                i += 1;
-                trace = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--trace needs a file path");
-                    std::process::exit(2);
-                }));
-            }
             "--top" => {
                 i += 1;
                 top = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -646,18 +636,14 @@ fn main() {
     let mut failures = 0u32;
     let mut errors = 0u32;
 
-    if trace.is_some() {
-        telemetry::reset();
-        telemetry::set_enabled(true);
-    }
     if flight_flag {
         // Black-box event ring: always-on once armed, dumps to the
         // metrics directory (or `--out`) on panic and on degradation
         // trips. Observation-only — figure bytes are identical with the
         // recorder on or off (test-enforced).
         let dump_dir = metrics_out.clone().unwrap_or_else(|| out_dir.clone());
-        telemetry::flight::arm(telemetry::flight::DEFAULT_CAPACITY);
-        telemetry::flight::arm_panic_dump(std::path::Path::new(&dump_dir));
+        flight::arm(flight::DEFAULT_CAPACITY);
+        flight::arm_panic_dump(std::path::Path::new(&dump_dir));
         eprintln!("flight recorder armed (black box dumps to {dump_dir})");
     }
 
@@ -898,8 +884,8 @@ fn main() {
                     failures += 1;
                 }
             }
-            if telemetry::flight::armed() {
-                match telemetry::flight::dump_to(std::path::Path::new(dir), "snapshot") {
+            if flight::armed() {
+                match flight::dump_to(std::path::Path::new(dir), "snapshot") {
                     Some(p) => eprintln!("flight black box written to {}", p.display()),
                     None => eprintln!("error: failed to write flight black box under {dir}"),
                 }
@@ -983,18 +969,6 @@ fn main() {
         let profiles = ew.take_profiles();
         println!("\n== overhead budgets ({target}) ==");
         write_explain_artifacts(target, top, &out_dir, &profiles, &mut failures);
-    }
-
-    if let Some(path) = &trace {
-        telemetry::set_enabled(false);
-        let reg = telemetry::snapshot();
-        match write_atomic(path, telemetry::export::to_json(&reg).as_bytes()) {
-            Ok(()) => eprintln!("trace written to {path}"),
-            Err(e) => {
-                eprintln!("error: failed to write trace {path}: {e}");
-                failures += 1;
-            }
-        }
     }
 
     if inject.is_some() {

@@ -62,15 +62,44 @@ fn bad_arguments_exit_2_with_a_message() {
     rejects(&["fig99"], "unknown argument `fig99`");
     rejects(&["--bogus-flag"], "unknown argument `--bogus-flag`");
     rejects(&["--threads", "abc"], "--threads needs a positive integer");
-    rejects(&["--trace"], "--trace needs a file path");
 }
 
-/// Modeled cycles are read with `explain`; the former profiling entry
-/// points are unknown arguments.
+/// Modeled cycles are read with `explain` and host time per layer with
+/// `perfbench --trace 1`; the former profiling and trace entry points
+/// are unknown arguments.
 #[test]
 fn retired_profile_entry_points_are_unknown() {
     rejects(&["profile", "fig7"], "unknown argument `profile`");
     rejects(&["fig14", "--profile"], "unknown argument `--profile`");
+    rejects(
+        &["--trace", "t.json", "fig14"],
+        "unknown argument `--trace`",
+    );
+}
+
+/// `--inject-faults` reaches fig10: with every module's rule bytes
+/// corrupted, the JASan runs degrade and the summary counts them.
+#[test]
+fn fig10_honours_fault_injection() {
+    let args = [
+        "--scale",
+        "0.05",
+        "--inject-faults",
+        "seed=7,rate=1",
+        "fig10",
+        "--juliet-limit",
+        "4",
+    ];
+    let out = eval(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+    let loads: u64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("degraded: "))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no `degraded:` line: {stdout}"));
+    assert!(loads > 0, "no degraded load under rate=1: {stdout}");
 }
 
 /// Asserts that `args` exit with status 1 after naming `needle` on

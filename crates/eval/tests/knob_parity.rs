@@ -8,15 +8,15 @@
 //! table row per knob on a clone of the world with a cold rule cache,
 //! asserting that the bytes the row reproduces match the reference.
 //! Rows also check what their knob must produce: profiles that conserve
-//! cycles and match across thread counts, telemetry counters and spans.
+//! cycles and match across thread counts.
 //! Last, the serve simulation's snapshots must match at 1, 4 and 4
 //! threads.
 //!
 //! Eval's own knobs (`threads`, `profile`) travel in each world's
-//! [`RunConfig`]. Telemetry and the flight recorder are process-global,
-//! so the one table test flips them in sequence; the other test in this
-//! binary only reads figure bytes and its own world's profile sink,
-//! which neither global can change.
+//! [`RunConfig`]. The flight recorder is process-global, so the one
+//! table test arms it around its rows in sequence; the other test in
+//! this binary only reads figure bytes and its own world's profile sink,
+//! which the recorder cannot change.
 
 use janitizer_core::{analyze_statically, RunProfile};
 use janitizer_eval::{
@@ -24,7 +24,7 @@ use janitizer_eval::{
     FigResult, RunConfig, ServeSimConfig,
 };
 use janitizer_jasan::Jasan;
-use janitizer_telemetry::{self as telemetry, flight};
+use janitizer_telemetry::flight;
 use janitizer_workloads::World;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -99,43 +99,20 @@ fn rule_bytes() -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
-/// A process-global observation knob, flipped around a row.
-#[derive(Clone, Copy, PartialEq)]
-enum Global {
-    None,
-    FlightRecorder,
-    Telemetry,
-}
-
-impl Global {
-    fn set(self, on: bool) {
-        match (self, on) {
-            (Global::None, _) => {}
-            (Global::FlightRecorder, true) => flight::arm(flight::DEFAULT_CAPACITY),
-            (Global::FlightRecorder, false) => flight::disarm(),
-            (Global::Telemetry, true) => {
-                telemetry::reset();
-                telemetry::set_enabled(true);
-            }
-            (Global::Telemetry, false) => telemetry::set_enabled(false),
-        }
-    }
-}
-
 /// One knob setting: its name, the world's `RunConfig` (`threads`,
-/// `profile`), the global flipped around the row, the figures it must
-/// reproduce, and whether fig10 is among them.
-type Row = (&'static str, usize, bool, Global, &'static [Figure], bool);
+/// `profile`), whether the process-global flight recorder is armed
+/// around the row, the figures it must reproduce, and whether fig10 is
+/// among them.
+type Row = (&'static str, usize, bool, bool, &'static [Figure], bool);
 
 #[rustfmt::skip]
 const ROWS: &[Row] = &[
-    // name                         threads profile global                  figures   fig10
-    ("threads=4",                   4,      false,  Global::None,           FIG7_14,  true),
-    ("profile, threads=4",          4,      true,   Global::None,           FIG7_14,  false),
-    ("profile, threads=1",          1,      true,   Global::None,           FIG13_14, false),
-    ("flight recorder, threads=1",  1,      false,  Global::FlightRecorder, FIG13_14, false),
-    ("flight recorder, threads=4",  4,      false,  Global::FlightRecorder, FIG13_14, false),
-    ("telemetry",                   1,      false,  Global::Telemetry,      FIG13_14, false),
+    // name                         threads profile flight  figures   fig10
+    ("threads=4",                   4,      false,  false,  FIG7_14,  true),
+    ("profile, threads=4",          4,      true,   false,  FIG7_14,  false),
+    ("profile, threads=1",          1,      true,   false,  FIG13_14, false),
+    ("flight recorder, threads=1",  1,      false,  true,   FIG13_14, false),
+    ("flight recorder, threads=4",  4,      false,  true,   FIG13_14, false),
 ];
 
 /// Each `(figure, workload, config)` cell's exported profile artifacts:
@@ -260,24 +237,20 @@ fn knobs_change_no_byte() {
     );
 
     let mut first_profiles: Option<ProfileBytes> = None;
-    for &(row, threads, profile, global, row_figs, with_fig10) in ROWS {
+    for &(row, threads, profile, armed, row_figs, with_fig10) in ROWS {
         let ew = eval_world(RunConfig {
             threads,
             profile,
             ..RunConfig::default()
         });
-        global.set(true);
+        if armed {
+            flight::arm(flight::DEFAULT_CAPACITY);
+        }
         let figs = render(&ew, row_figs);
         let rules = rule_bytes();
         let fig10 = with_fig10.then(|| juliet(&ew));
-        global.set(false);
-        if global == Global::Telemetry {
-            // The enabled run collected a meaningful profile, static
-            // phases included (the row's cache was cold).
-            let reg = telemetry::snapshot();
-            assert!(reg.counter("dbt.blocks_translated") > 0);
-            assert!(reg.counter("dbt.guest_insns") > 0);
-            assert!(reg.spans.contains_key("static;liveness"));
+        if armed {
+            flight::disarm();
         }
 
         for (name, ([render, csv, json], _)) in &figs {

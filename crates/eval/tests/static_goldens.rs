@@ -7,14 +7,20 @@
 //! good and bad executables. The values were pinned before the analysis
 //! passes were reworked for speed; any change to CFG recovery, liveness,
 //! loops, the scans or a static pass must keep them.
+//!
+//! The two first-match fixtures (overlapping instructions on a jump-table
+//! walk, overlaid sections) pin the analyzer's tie-breaks, which no
+//! corpus module exercises: their rule rows as above, plus a digest of
+//! every `StaticContext` field.
 
 use janitizer_analysis::budget;
-use janitizer_core::{analyze_statically, SecurityPlugin};
+use janitizer_core::{analyze_statically, SecurityPlugin, StaticContext};
 use janitizer_jasan::Jasan;
 use janitizer_jcfi::Jcfi;
 use janitizer_obj::Image;
 use janitizer_workloads::{
-    build_case, build_world, hostile_suite, juliet_suite, library_base, BuildOptions,
+    build_case, build_world, first_match_fixtures, hostile_suite, juliet_suite, library_base,
+    BuildOptions,
 };
 use std::sync::Arc;
 
@@ -228,4 +234,80 @@ fn juliet_rules_match_their_pinned_goldens() {
         }
     }
     assert!(rows == JULIET, "observed:\n{}", dump(&rows));
+}
+
+/// Every `StaticContext` field, rendered in address order (liveness
+/// facts sorted out of their hash tables).
+fn context_digest(image: &Image) -> String {
+    let ctx = StaticContext::analyze(image);
+    let mut before: Vec<_> = ctx.liveness.before.iter().collect();
+    before.sort_unstable();
+    let mut inbound: Vec<_> = ctx.liveness.inbound.iter().collect();
+    inbound.sort_unstable();
+    format!(
+        "{:?}\n{before:?}\n{inbound:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+        ctx.cfg, ctx.canaries, ctx.loops, ctx.invariants, ctx.scan, ctx.tiers, ctx.degraded_regions
+    )
+}
+
+/// The first-match fixtures under JASan and JCFI.
+#[rustfmt::skip]
+const FIRST_MATCH: [Row<&str>; 4] = [
+    ("tiebreak-overlap-jt", "jasan", 0x1abf097ec037eaf6, 576, 60, 0x1abf097ec037eaf6),
+    ("tiebreak-overlap-jt", "jcfi", 0x626b751928e6dc1f, 576, 60, 0x626b751928e6dc1f),
+    ("tiebreak-overlaid", "jasan", 0x20bd287bcbf90c23, 418, 14, 0xf346d13fb235ba4f),
+    ("tiebreak-overlaid", "jcfi", 0xa54b122b1251b0d9, 418, 14, 0xa54b122b1251b0d9),
+];
+
+/// `(fixture, FNV-1a-64 of its context digest, digest length, jump
+/// tables recovered)`. The jump-table walk now keeps the decoy `nop` as
+/// the jump's predecessor (it comes first in `insn_at` order), so
+/// `tiebreak-overlap-jt` recovers no table; keeping the `ld8` would
+/// recover one.
+#[rustfmt::skip]
+const FIRST_MATCH_CONTEXTS: [(&str, u64, usize, usize); 2] = [
+    ("tiebreak-overlap-jt", 0x1a125ce2ead07ea7, 3216, 0),
+    ("tiebreak-overlaid", 0x9d88479bf7e9b594, 2302, 0),
+];
+
+#[test]
+fn first_match_fixtures_match_their_pinned_goldens() {
+    let fixtures = first_match_fixtures();
+    let plugins: [(&str, Box<dyn SecurityPlugin>); 2] = [
+        ("jasan", Box::new(Jasan::hybrid())),
+        ("jcfi", Box::new(Jcfi::hybrid())),
+    ];
+    let mut rows = Vec::new();
+    let mut contexts = Vec::new();
+    for image in &fixtures {
+        for (pname, plugin) in &plugins {
+            let (h, len, spent, half) = observe(image, plugin.as_ref());
+            rows.push((image.name.clone(), *pname, h, len, spent, half));
+        }
+        let digest = context_digest(image);
+        let tables = StaticContext::analyze(image).cfg.jump_tables.len();
+        contexts.push((
+            image.name.clone(),
+            fnv1a(digest.as_bytes()),
+            digest.len(),
+            tables,
+        ));
+    }
+    let pinned: Vec<_> = FIRST_MATCH
+        .iter()
+        .map(|&(m, p, h, len, spent, half)| (m.to_string(), p, h, len, spent, half))
+        .collect();
+    assert!(rows == pinned, "observed:\n{}", dump(&rows));
+    let pinned: Vec<_> = FIRST_MATCH_CONTEXTS
+        .iter()
+        .map(|&(m, h, len, tables)| (m.to_string(), h, len, tables))
+        .collect();
+    assert!(
+        contexts == pinned,
+        "observed:\n{}",
+        contexts
+            .iter()
+            .map(|(m, h, len, t)| format!("    ({m:?}, {h:#018x}, {len}, {t}),\n"))
+            .collect::<String>()
+    );
 }

@@ -120,7 +120,7 @@ impl SecurityPlugin for MarkerPlugin {
     }
 }
 
-/// The tiny standalone executable image (see [`TINY_SRC`]).
+/// The tiny standalone executable image, assembled from `TINY_SRC`.
 pub fn tiny_exe() -> Image {
     let obj = assemble("tiny.s", TINY_SRC, &AsmOptions::default()).expect("tiny asm");
     link(&[obj], &LinkOptions::executable("tiny")).expect("tiny links")
@@ -141,7 +141,8 @@ const HOSTILE_TINY_SRC: &str = ".section text\n.global _start\n_start:\n\
     blob:\n .quad 7\n\
     jtab:\n .quad case_a\n .quad case_b\n";
 
-/// The pristine hostile-mutation subject (see [`HOSTILE_TINY_SRC`]).
+/// The pristine hostile-mutation subject, assembled from
+/// `HOSTILE_TINY_SRC`.
 pub fn hostile_tiny_exe() -> Image {
     let obj =
         assemble("hostile-tiny.s", HOSTILE_TINY_SRC, &AsmOptions::default()).expect("hostile asm");

@@ -123,7 +123,6 @@ struct Captures(RefCell<Vec<ToolContext>>);
 
 impl ShadowReporter for Captures {
     fn report(&self, p: &mut Process, v: &ShadowViolation) -> Report {
-        janitizer_telemetry::counter_add("jasan.violations", 1);
         // Record the faulting-access context for forensics — observation
         // only, bounded the same way the engine bounds its report vector
         // so indexes stay aligned.
@@ -240,7 +239,6 @@ impl Jasan {
     /// results.
     fn make_check(&mut self, req: CheckReq) -> TbItem {
         self.checks_emitted += 1;
-        janitizer_telemetry::counter_add("jasan.checks_emitted", 1);
         let mem = req.insn.mem_access().expect("rule on a memory access");
         let scratch = self.scratch_regs(req.dead);
         let spills = scratch.iter().filter(|r| r.is_none()).count() as u64;
@@ -358,7 +356,6 @@ impl SecurityPlugin for Jasan {
                 }
                 if exempt.binary_search(addr).is_ok() {
                     // Canary accesses are guarded by poisoning, not checks.
-                    janitizer_telemetry::counter_add("jasan.checks_elided", 1);
                     continue;
                 }
                 let mut dead = ctx.liveness.dead_regs_at(*addr, insn);

@@ -359,7 +359,6 @@ impl Jcfi {
                     None => ProbeResult::Ok, // entry frames precede tracking
                     Some(expected) if expected == target => ProbeResult::Ok,
                     Some(expected) => {
-                        janitizer_telemetry::counter_add("jcfi.violations", 1);
                         let fctx = JcfiContext {
                             cti: "return",
                             actual: target,
@@ -411,7 +410,6 @@ impl Jcfi {
                 if st.call_allowed(p, caller, target) {
                     ProbeResult::Ok
                 } else {
-                    janitizer_telemetry::counter_add("jcfi.violations", 1);
                     let fctx = JcfiContext {
                         cti: "indirect-call",
                         actual: target,
@@ -457,7 +455,6 @@ impl Jcfi {
                 if st.call_allowed(p, None, target) {
                     ProbeResult::Ok
                 } else {
-                    janitizer_telemetry::counter_add("jcfi.violations", 1);
                     let fctx = JcfiContext {
                         cti: "indirect-call",
                         actual: target,
@@ -532,7 +529,6 @@ impl Jcfi {
                 if allowed {
                     ProbeResult::Ok
                 } else {
-                    janitizer_telemetry::counter_add("jcfi.violations", 1);
                     // Sample the in-function boundary targets (sorted by
                     // construction: `boundaries` is ordered).
                     let sample: Vec<u64> = st
@@ -573,8 +569,6 @@ impl Jcfi {
         decide: impl Fn(u64, &Instr) -> Vec<(RuleId, [u64; 4])>,
     ) -> Vec<TbItem> {
         let mut items = Vec::new();
-        let mut emitted = 0u64;
-        let mut elided = 0u64;
         for &(pc, insn, next) in &block.insns {
             for (id, data) in decide(pc, &insn) {
                 let before = items.len();
@@ -620,21 +614,16 @@ impl Jcfi {
                     }
                     _ => {}
                 }
-                if items.len() > before {
-                    emitted += 1;
-                } else if id != janitizer_rules::NO_OP {
+                if items.len() == before && id != janitizer_rules::NO_OP {
                     // A rule applied to this site but the configuration
                     // (forward/backward off) dropped the check. The Note
                     // lets the profiler count it per execution; the engine
                     // strips it before translation.
-                    elided += 1;
                     items.push(TbItem::Note(site(kind_of(id), pc, conservative)));
                 }
             }
             items.push(TbItem::Guest(pc, insn, next));
         }
-        janitizer_telemetry::counter_add("jcfi.checks_emitted", emitted);
-        janitizer_telemetry::counter_add("jcfi.checks_elided", elided);
         items
     }
 

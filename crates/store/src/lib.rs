@@ -15,8 +15,8 @@
 //!   write journal; an interrupted commit is detected at the next
 //!   [`RuleStore::open`] and rolled back;
 //! * **never a crash** — all failures surface as typed [`StoreError`]s;
-//!   transient I/O errors are absorbed by a bounded, deterministic
-//!   retry-with-backoff schedule ([`RetryPolicy`]).
+//!   transient I/O errors are absorbed by a bounded number of immediate
+//!   retries ([`RetryPolicy`]).
 //!
 //! On-disk layout:
 //!
@@ -27,9 +27,11 @@
 //!   quarantine/<name>.<n>   # corrupt entries, kept for forensics
 //! ```
 //!
-//! Every failure path is observable: `store.{hits,misses,corrupt,
-//! recovered}` and `serve.retries` telemetry counters plus
-//! `diag.store_*` events.
+//! Every failure path is observable: [`StoreStats`] counts hits,
+//! misses, corrupt entries, recoveries and retries (`janitizer-eval`
+//! prints them on its `store:` line), quarantined bytes are kept for
+//! forensics, and quarantines and recoveries are recorded by the armed
+//! flight recorder.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,44 +74,20 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Bounded, deterministic retry-with-backoff for transient store I/O.
+/// Bounded, immediate retry for transient store I/O.
 ///
-/// The schedule is wall-clock-free: "backoff" is a deterministic unit
-/// count derived from the seed (exponential base with seeded jitter),
-/// recorded to telemetry rather than slept, so tests and replay runs are
-/// exact. `attempts` bounds the *extra* tries after the first.
+/// The schedule is wall-clock-free: a failed attempt is retried at once,
+/// so tests and replay runs are exact. `attempts` bounds the *extra*
+/// tries after the first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = fail fast).
     pub attempts: u32,
-    /// Seed for the deterministic jitter stream.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            seed: 0,
-        }
-    }
-}
-
-/// splitmix64 finalizer — the workspace's standard deterministic mixer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl RetryPolicy {
-    /// Deterministic backoff units before retry number `attempt`
-    /// (1-based): exponential base `2^attempt` plus seeded jitter in
-    /// `[0, 2^attempt)`.
-    pub fn backoff_units(&self, attempt: u32) -> u64 {
-        let base = 1u64 << attempt.min(32);
-        base + mix64(self.seed ^ u64::from(attempt)) % base
+        RetryPolicy { attempts: 3 }
     }
 }
 
@@ -129,8 +107,7 @@ pub struct FailurePlan {
     pub crash_after_commits: Option<u64>,
 }
 
-/// Counters of one store instance. Mirrored into the telemetry registry
-/// under `store.*` / `serve.retries`.
+/// Counters of one store instance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Entries served after full verification.
@@ -300,18 +277,16 @@ impl RuleStore {
         files.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         let excess = files.len() - limit;
         let mut removed = 0u64;
-        for (_, name, path) in files.into_iter().take(excess) {
+        for (_, _, path) in files.into_iter().take(excess) {
             if std::fs::remove_file(&path).is_ok() {
                 removed += 1;
-                janitizer_telemetry::event!("diag.store_quarantine_pruned", entry = name.as_str());
             }
         }
-        janitizer_telemetry::counter_add("store.quarantine_pruned", removed);
         removed
     }
 
     /// Runs `f` under the bounded deterministic retry schedule,
-    /// counting absorbed failures into `serve.retries`.
+    /// counting absorbed failures into [`StoreStats::retries`].
     fn io_op<T>(
         &self,
         op: &'static str,
@@ -321,22 +296,11 @@ impl RuleStore {
         loop {
             match f() {
                 Ok(v) => return Ok(v),
-                Err(e) if attempt < self.retry.attempts => {
+                Err(_) if attempt < self.retry.attempts => {
                     attempt += 1;
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    janitizer_telemetry::counter_add("serve.retries", 1);
-                    janitizer_telemetry::counter_add(
-                        "serve.backoff_units",
-                        self.retry.backoff_units(attempt),
-                    );
-                    let _ = e;
                 }
                 Err(e) => {
-                    janitizer_telemetry::event!(
-                        "diag.store_io_failed",
-                        op = op,
-                        kind = format!("{:?}", e.kind()),
-                    );
                     return Err(StoreError::Io { op, kind: e.kind() });
                 }
             }
@@ -374,7 +338,6 @@ impl RuleStore {
     pub fn load(&self, key: &StoreKey) -> Result<Option<Vec<u8>>, StoreError> {
         if self.poisoned.load(Ordering::Relaxed) {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            janitizer_telemetry::counter_add("store.misses", 1);
             return Ok(None);
         }
         let name = key.entry_name();
@@ -387,27 +350,20 @@ impl RuleStore {
             Some(b) => b,
             None => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("store.misses", 1);
                 return Ok(None);
             }
         };
         match StoreEntry::from_bytes(&bytes) {
             Ok(entry) if entry.key == *key => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("store.hits", 1);
                 Ok(Some(entry.rule_bytes))
             }
-            verdict => {
+            _ => {
                 // Corrupt envelope or an entry keyed for something else
                 // (a store-level collision or tamper): quarantine it and
                 // report a miss so the caller re-analyzes.
-                let reason = match verdict {
-                    Err(e) => format!("{e:?}"),
-                    Ok(_) => "key-mismatch".to_string(),
-                };
-                self.quarantine(&name, &reason);
+                self.quarantine(&name);
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("store.misses", 1);
                 Ok(None)
             }
         }
@@ -460,7 +416,6 @@ impl RuleStore {
             let torn = &entry_bytes[..entry_bytes.len() / 2];
             let _ = std::fs::write(self.entries_dir().join(&name), torn);
             self.poisoned.store(true, Ordering::Relaxed);
-            janitizer_telemetry::event!("diag.store_crash_injected", entry = name.as_str());
             return Err(StoreError::Io {
                 op: "write-entry",
                 kind: io::ErrorKind::Other,
@@ -478,21 +433,14 @@ impl RuleStore {
                 _ => Ok(()),
             }
         })?;
-        janitizer_telemetry::counter_add("store.writes", 1);
         Ok(())
     }
 
     /// Moves a corrupt entry into `quarantine/` (unique numeric suffix)
     /// and counts it. Keeping the bytes makes store corruption
     /// diagnosable after the fact instead of silently destroyed.
-    fn quarantine(&self, name: &str, reason: &str) {
+    fn quarantine(&self, name: &str) {
         self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-        janitizer_telemetry::counter_add("store.corrupt", 1);
-        janitizer_telemetry::event!(
-            "diag.store_entry_quarantined",
-            entry = name,
-            reason = reason,
-        );
         if janitizer_telemetry::flight::armed() {
             let id = janitizer_telemetry::flight::intern_module(name);
             janitizer_telemetry::flight::trip("store-quarantine", id, 0, 0);
@@ -546,15 +494,10 @@ impl RuleStore {
                 if !self.entry_valid(&rec.entry_name) {
                     let path = self.entries_dir().join(&rec.entry_name);
                     if path.exists() {
-                        self.quarantine(&rec.entry_name, "torn-commit");
+                        self.quarantine(&rec.entry_name);
                     }
-                    janitizer_telemetry::event!(
-                        "diag.store_rollback",
-                        entry = rec.entry_name.as_str(),
-                    );
                 }
                 self.stats.recovered.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("store.recovered", 1);
                 janitizer_telemetry::flight::record(
                     "store.recovered",
                     janitizer_telemetry::flight::NO_MODULE,
@@ -574,12 +517,10 @@ impl RuleStore {
                     .unwrap_or_default();
                 for name in names {
                     if !self.entry_valid(&name) {
-                        self.quarantine(&name, "torn-journal-scan");
+                        self.quarantine(&name);
                     }
                 }
-                janitizer_telemetry::event!("diag.store_journal_torn");
                 self.stats.recovered.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::counter_add("store.recovered", 1);
                 janitizer_telemetry::flight::record(
                     "store.recovered",
                     janitizer_telemetry::flight::NO_MODULE,
@@ -613,7 +554,7 @@ impl RuleStore {
             if self.entry_valid(&name) {
                 valid += 1;
             } else {
-                self.quarantine(&name, "verify-sweep");
+                self.quarantine(&name);
                 bad += 1;
             }
         }
@@ -853,10 +794,7 @@ mod tests {
         let dir = test_dir("transient");
         let store = RuleStore::open_with(
             &dir,
-            RetryPolicy {
-                attempts: 3,
-                seed: 9,
-            },
+            RetryPolicy { attempts: 3 },
             FailurePlan {
                 transient_write_failures: 2,
                 crash_after_commits: None,
@@ -875,10 +813,7 @@ mod tests {
         let dir = test_dir("exhausted");
         let store = RuleStore::open_with(
             &dir,
-            RetryPolicy {
-                attempts: 1,
-                seed: 0,
-            },
+            RetryPolicy { attempts: 1 },
             FailurePlan {
                 transient_write_failures: 100,
                 crash_after_commits: None,
@@ -925,31 +860,6 @@ mod tests {
         assert_eq!(store.load(&k2).unwrap(), None, "torn entry rolled back");
         assert_eq!(store.load(&k1).unwrap().unwrap(), b"first");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_and_seeded() {
-        let a = RetryPolicy {
-            attempts: 5,
-            seed: 1,
-        };
-        let b = RetryPolicy {
-            attempts: 5,
-            seed: 1,
-        };
-        let c = RetryPolicy {
-            attempts: 5,
-            seed: 2,
-        };
-        let units_a: Vec<u64> = (1..=5).map(|i| a.backoff_units(i)).collect();
-        let units_b: Vec<u64> = (1..=5).map(|i| b.backoff_units(i)).collect();
-        let units_c: Vec<u64> = (1..=5).map(|i| c.backoff_units(i)).collect();
-        assert_eq!(units_a, units_b);
-        assert_ne!(units_a, units_c);
-        for (i, u) in units_a.iter().enumerate() {
-            let base = 1u64 << (i + 1);
-            assert!(*u >= base && *u < 2 * base, "bounded exponential");
-        }
     }
 
     #[test]

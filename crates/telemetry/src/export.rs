@@ -1,98 +1,8 @@
-//! Profile exporters: JSON documents and OpenMetrics-style text.
+//! Exporters: JSON histograms and OpenMetrics-style text.
 
 use crate::json::Json;
 use crate::registry::{Histogram, Registry};
 use std::fmt::Write as _;
-
-/// Renders the full registry as a pretty-printed JSON profile document.
-pub fn to_json(reg: &Registry) -> String {
-    let counters = Json::Obj(
-        reg.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::U64(*v)))
-            .collect(),
-    );
-    let gauges = Json::Obj(
-        reg.gauges
-            .iter()
-            .map(|(k, g)| {
-                (
-                    k.clone(),
-                    Json::obj([
-                        ("value", Json::I64(g.value)),
-                        ("min", Json::I64(g.min)),
-                        ("max", Json::I64(g.max)),
-                        ("updates", Json::U64(g.updates)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let histograms = Json::Obj(
-        reg.histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), histogram_json(h)))
-            .collect(),
-    );
-    let spans = Json::Arr(
-        reg.spans
-            .iter()
-            .map(|(path, s)| {
-                Json::obj([
-                    ("path", Json::str(path.clone())),
-                    ("calls", Json::U64(s.calls)),
-                    ("wall_ns", Json::U64(s.wall_ns)),
-                    ("wall_ms", Json::F64(s.wall_ms())),
-                ])
-            })
-            .collect(),
-    );
-    let event_counts = Json::Obj(
-        reg.event_counts
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::U64(*v)))
-            .collect(),
-    );
-    let events = Json::Arr(
-        reg.events
-            .iter()
-            .map(|e| {
-                Json::obj([
-                    ("seq", Json::U64(e.seq)),
-                    ("name", Json::str(e.name.clone())),
-                    (
-                        "fields",
-                        Json::Obj(
-                            e.fields
-                                .iter()
-                                .map(|(k, v)| (k.clone(), value_json(v)))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    Json::obj([
-        ("spans", spans),
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-        ("event_counts", event_counts),
-        ("events_dropped", Json::U64(reg.events_dropped)),
-        ("events", events),
-    ])
-    .render_pretty()
-}
-
-fn value_json(v: &crate::registry::Value) -> Json {
-    match v {
-        crate::registry::Value::U64(x) => Json::U64(*x),
-        crate::registry::Value::I64(x) => Json::I64(*x),
-        crate::registry::Value::F64(x) => Json::F64(*x),
-        crate::registry::Value::Str(s) => Json::str(s.clone()),
-    }
-}
 
 /// Renders one histogram as a JSON object (count/sum/min/max/mean plus
 /// the non-empty power-of-two buckets keyed by inclusive lower bound).
@@ -136,9 +46,9 @@ fn openmetrics_name(name: &str) -> String {
     out
 }
 
-/// Renders counters, gauges and histograms as a deterministic
-/// OpenMetrics-style text exposition: counters become `<name>_total`,
-/// gauges plain samples, and power-of-two histograms cumulative
+/// Renders counters and histograms as a deterministic OpenMetrics-style
+/// text exposition: counters become `<name>_total`, and power-of-two
+/// histograms cumulative
 /// `_bucket{le="..."}` series (each `le` is a bucket's inclusive upper
 /// bound, `2^i - 1`) plus `_sum`/`_count` and a terminal `+Inf` bucket.
 /// BTreeMap iteration keeps the output byte-stable for a given registry,
@@ -149,12 +59,6 @@ pub fn to_openmetrics(reg: &Registry) -> String {
         let n = openmetrics_name(name);
         let _ = writeln!(out, "# TYPE {n} counter");
         let _ = writeln!(out, "{n}_total {v}");
-    }
-    for (name, g) in &reg.gauges {
-        let n = openmetrics_name(name);
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        let _ = writeln!(out, "{n} {}", g.value);
-        let _ = writeln!(out, "{n}_max {}", g.max);
     }
     for (name, h) in &reg.histograms {
         let n = openmetrics_name(name);
@@ -179,34 +83,6 @@ pub fn to_openmetrics(reg: &Registry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Value;
-
-    fn sample() -> Registry {
-        let mut r = Registry::new();
-        r.span_complete("static;liveness", 1_500);
-        r.span_complete("static;canaries", 9_000);
-        r.counter_add("dbt.blocks_translated", 4);
-        r.histogram_record("dbt.block_insns", 12);
-        r.event("vm.syscall", vec![("no".into(), Value::U64(3))]);
-        r
-    }
-
-    #[test]
-    fn json_profile_is_complete_and_stable() {
-        let a = to_json(&sample());
-        let b = to_json(&sample());
-        assert_eq!(a, b, "export must be deterministic");
-        for needle in [
-            "\"static;liveness\"",
-            "\"wall_ms\": 0.0015",
-            "\"dbt.blocks_translated\": 4",
-            "\"vm.syscall\": 1",
-            "\"buckets_pow2\"",
-        ] {
-            assert!(a.contains(needle), "missing {needle} in:\n{a}");
-        }
-        assert!(!a.contains("cycles"), "spans carry no model cycles:\n{a}");
-    }
 
     /// Golden-file check: the OpenMetrics exposition format is a public
     /// contract (scrapers parse it line by line).
@@ -214,16 +90,14 @@ mod tests {
     fn openmetrics_golden() {
         let mut r = Registry::new();
         r.counter_add("serve.requests", 7);
-        r.gauge_set("serve.queue-depth", 3);
-        r.gauge_set("serve.queue-depth", 2);
+        r.counter_add("serve.store-failures", 2);
         r.histogram_record("serve.analyze_units", 0);
         r.histogram_record("serve.analyze_units", 5);
         let golden = "\
 # TYPE serve_requests counter
 serve_requests_total 7
-# TYPE serve_queue_depth gauge
-serve_queue_depth 2
-serve_queue_depth_max 3
+# TYPE serve_store_failures counter
+serve_store_failures_total 2
 # TYPE serve_analyze_units histogram
 serve_analyze_units_bucket{le=\"0\"} 1
 serve_analyze_units_bucket{le=\"1\"} 1

@@ -1,8 +1,8 @@
 //! The flight recorder: a bounded, always-on black-box event ring.
 //!
-//! Unlike the [`crate::Registry`] (which aggregates, and is only active
-//! when telemetry is enabled for a profiling run), the flight recorder
-//! keeps the *last N raw lifecycle events* so that when something goes
+//! Unlike the [`crate::Registry`] (which aggregates the analysis
+//! service's counters), the flight recorder keeps the *last N raw
+//! lifecycle events* so that when something goes
 //! wrong in production — a panic, a violation-report overflow, a module
 //! degradation — the service can dump a schema-stable JSON black box
 //! showing what led up to it.

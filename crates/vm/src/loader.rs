@@ -313,12 +313,6 @@ fn map_module(p: &mut Process, image: Arc<Image>) -> Result<usize, LoadError> {
         id,
         dlopened: false,
     });
-    janitizer_telemetry::event!(
-        "vm.module_load",
-        id = id,
-        name = p.modules[id].image.name.as_str(),
-        base = base,
-    );
     janitizer_telemetry::flight::record_for(
         "vm.module_load",
         p.modules[id].image.name.as_str(),

@@ -45,35 +45,11 @@ pub const SYS_ABORT: u64 = 12;
 /// host-side tools that guest-maintained metadata (shadow memory) changed.
 pub const SYS_NOTE: u64 = 13;
 
-/// Stable name of a syscall number (for telemetry and diagnostics).
-pub fn syscall_name(num: u64) -> &'static str {
-    match num {
-        SYS_EXIT => "exit",
-        SYS_WRITE => "write",
-        SYS_SBRK => "sbrk",
-        SYS_MMAP => "mmap",
-        SYS_MMAP_FIXED => "mmap_fixed",
-        SYS_DLOPEN => "dlopen",
-        SYS_DLSYM => "dlsym",
-        SYS_DLINIT => "dlinit",
-        SYS_DLFIXUP => "dl_fixup",
-        SYS_GETARG => "getarg",
-        SYS_RAND => "rand",
-        SYS_CYCLES => "cycles",
-        SYS_ABORT => "abort",
-        SYS_NOTE => "note",
-        _ => "unknown",
-    }
-}
-
 /// Executes the syscall selected by the guest's `r0`.
 pub fn dispatch(p: &mut Process) -> Step {
     let num = p.cpu.reg(Reg::R0);
-    janitizer_telemetry::event!("vm.syscall", no = num, name = syscall_name(num));
-    janitizer_telemetry::counter_add("vm.syscalls", 1);
     let step = dispatch_inner(p, num);
-    if let Step::Fault(kind) = &step {
-        janitizer_telemetry::event!("vm.fault", pc = p.cpu.pc, kind = format!("{kind:?}"));
+    if let Step::Fault(_) = &step {
         janitizer_telemetry::flight::record(
             "vm.fault",
             janitizer_telemetry::flight::NO_MODULE,

@@ -275,6 +275,110 @@ jtab:
     }
 }
 
+/// `tiebreak-overlap-jt`: two overlapping instructions end where a
+/// `jmp r2` starts — the `ld8` of a bounds-checked jump-table dispatch
+/// and a `nop` decoded from that `ld8`'s last displacement byte, which a
+/// never-taken branch reaches. The jump-table walk keeps one of the two
+/// as the jump's predecessor, and only the `ld8` leads back to the table.
+fn overlap_jump_table_fixture() -> Image {
+    let asm = "\
+.section text
+.global main
+main:
+ mov r3, 1
+ cmp r3, 0
+ je tb_decoy
+ cmp r3, 3
+ jae tb_done
+ la r2, tb_tab
+ .byte 0x2b, 0x22, 0x33, 0x00, 0x00, 0x00
+tb_decoy:
+ .byte 0x00
+ jmp r2
+tb_done:
+ mov r0, 0
+ ret
+tb_case0:
+ mov r4, 10
+ jmp tb_done
+tb_case1:
+ mov r4, 11
+ jmp tb_done
+tb_case2:
+ mov r4, 12
+ jmp tb_done
+.section rodata
+.align 8
+tb_tab:
+ .quad tb_case0
+ .quad tb_case1
+ .quad tb_case2
+";
+    build_exe(
+        "tiebreak-overlap-jt",
+        "",
+        Some(asm),
+        &CompileOptions::default(),
+        false,
+        false,
+    )
+    .to_stripped()
+}
+
+/// `tiebreak-overlaid`: a `.rodata` section laid over a helper's code,
+/// ahead of `.text` in section order. The first section (in image
+/// order) that contains an address owns it, so to the analyzer the
+/// helper's bytes are data and the call into it leads nowhere.
+fn overlaid_sections_fixture() -> Image {
+    let asm = "\
+.section text
+.global main
+main:
+ mov r0, 8
+ call malloc
+ mov r9, r0
+ call ov_helper
+ mov r0, 0
+ ret
+ov_helper:
+ st8 [r9], r9
+ ld8 r1, [r9]
+ ret
+ov_helper_end:
+";
+    let mut image = build_exe(
+        "tiebreak-overlaid",
+        "",
+        Some(asm),
+        &CompileOptions::default(),
+        false,
+        false,
+    );
+    let (start, end) = (label(&image, "ov_helper"), label(&image, "ov_helper_end"));
+    let text = image
+        .section_containing(start)
+        .expect("helper lies in .text");
+    let off = (start - text.addr) as usize..(end - text.addr) as usize;
+    let overlay = janitizer_obj::Section {
+        kind: janitizer_obj::SectionKind::Rodata,
+        addr: start,
+        data: text.data[off].to_vec(),
+        mem_size: end - start,
+    };
+    image.sections.insert(0, overlay);
+    image.to_stripped()
+}
+
+/// Two fixtures for the analyzer's first-match tie-breaks, which no
+/// world module and no [`hostile_suite`] image exercises: the
+/// predecessor the jump-table walk keeps among overlapping instructions,
+/// and the section that owns an address where sections overlap. They
+/// stay out of the suite, so the gauntlet and every corpus built from
+/// it keep their results.
+pub fn first_match_fixtures() -> Vec<Image> {
+    vec![overlap_jump_table_fixture(), overlaid_sections_fixture()]
+}
+
 /// Builds the full gauntlet, one module per hostility class.
 pub fn hostile_suite() -> Vec<HostileModule> {
     vec![

@@ -16,7 +16,7 @@ mod juliet;
 mod libc;
 mod programs;
 
-pub use hostile::{hostile_suite, HostileModule};
+pub use hostile::{first_match_fixtures, hostile_suite, HostileModule};
 
 pub use juliet::{
     juliet_suite, JulietCase, JulietCategory, N_HEAP, N_HEAP_TO_STACK, N_HEAP_WIDE,
