@@ -857,10 +857,16 @@ pub struct JulietResult {
 }
 
 impl JulietResult {
-    /// Renders the Figure 10 table.
+    /// Renders the Figure 10 table, headed by the number of case pairs
+    /// run: each pair is one good variant (a false positive or a true
+    /// negative) and one bad variant (a true positive or a false
+    /// negative).
     pub fn render(&self) -> String {
+        let j = &self.jasan;
+        let pairs = j.false_positives + j.true_negatives;
+        debug_assert_eq!(pairs, j.true_positives + j.false_negatives);
         let mut out = String::new();
-        let _ = writeln!(out, "== Figure 10: Juliet CWE-122 (624 case pairs) ==");
+        let _ = writeln!(out, "== Figure 10: Juliet CWE-122 ({pairs} case pairs) ==");
         let _ = writeln!(out, "{:<28}{:>10}{:>10}", "", "Valgrind", "JASan");
         let _ = writeln!(
             out,

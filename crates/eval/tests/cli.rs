@@ -102,6 +102,19 @@ fn fig10_honours_fault_injection() {
     assert!(loads > 0, "no degraded load under rate=1: {stdout}");
 }
 
+/// The Figure 10 header counts the case pairs actually run.
+#[test]
+fn fig10_header_counts_its_case_pairs() {
+    let args = ["--scale", "0.05", "fig10", "--juliet-limit", "4"];
+    let out = eval(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+    assert!(
+        stdout.contains("== Figure 10: Juliet CWE-122 (4 case pairs) =="),
+        "{args:?}: {stdout}"
+    );
+}
+
 /// Asserts that `args` exit with status 1 after naming `needle` on
 /// stderr; returns stderr.
 fn fails(args: &[&str], needle: &str) -> String {

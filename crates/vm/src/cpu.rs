@@ -98,6 +98,11 @@ impl fmt::Display for Fault {
 impl std::error::Error for Fault {}
 
 /// Result of executing one instruction.
+///
+/// The fault kind is boxed so that `Step` is a dense four-way tag plus
+/// one word: the kernel's match on it then folds into each instruction's
+/// arm, and an instruction that falls through jumps straight back to the
+/// loop head.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Step {
     /// Fall through to the next sequential instruction.
@@ -107,7 +112,16 @@ pub enum Step {
     /// The process exited with a status code.
     Exit(i64),
     /// Execution faulted.
-    Fault(FaultKind),
+    Fault(Box<FaultKind>),
+}
+
+impl Step {
+    /// [`Step::Fault`] of `kind`, built out of line.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn fault(kind: FaultKind) -> Step {
+        Step::Fault(Box::new(kind))
+    }
 }
 
 fn alu(op: AluOp, a: u64, b: u64) -> Result<(u64, Flags), FaultKind> {
@@ -192,13 +206,15 @@ fn pop(p: &mut Process) -> Result<u64, MemFault> {
 /// encoding; relative branches and `call` return addresses are computed
 /// from it. The caller is responsible for updating `process.cpu.pc` and
 /// for cycle accounting (so the DBT can charge instrumentation cycles
-/// separately).
+/// separately). `unpaid` holds cycles the caller has charged but not yet
+/// added to `p.cycles`; `syscall`, the one instruction that reads
+/// `p.cycles`, adds them first.
 #[inline(always)]
-pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
+pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64, unpaid: &mut u64) -> Step {
     match *insn {
         Instr::Nop => Step::Next,
-        Instr::Halt => Step::Fault(FaultKind::Halt),
-        Instr::Trap => Step::Fault(FaultKind::Trap),
+        Instr::Halt => Step::fault(FaultKind::Halt),
+        Instr::Trap => Step::fault(FaultKind::Trap),
         Instr::MovRr { rd, rs } => {
             let v = p.cpu.reg(rs);
             p.cpu.set_reg(rd, v);
@@ -233,7 +249,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
                     p.cpu.set_reg(rd, v);
                     Step::Next
                 }
-                Err(f) => Step::Fault(FaultKind::Mem(f)),
+                Err(f) => Step::fault(FaultKind::Mem(f)),
             }
         }
         Instr::St {
@@ -245,7 +261,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
             let a = mem_addr(&p.cpu, base, None, disp);
             match p.mem.write_int(a, size.bytes(), p.cpu.reg(rs)) {
                 Ok(()) => Step::Next,
-                Err(f) => Step::Fault(FaultKind::Mem(f)),
+                Err(f) => Step::fault(FaultKind::Mem(f)),
             }
         }
         Instr::LdIdx {
@@ -262,7 +278,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
                     p.cpu.set_reg(rd, v);
                     Step::Next
                 }
-                Err(f) => Step::Fault(FaultKind::Mem(f)),
+                Err(f) => Step::fault(FaultKind::Mem(f)),
             }
         }
         Instr::StIdx {
@@ -276,7 +292,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
             let a = mem_addr(&p.cpu, base, Some((idx, scale)), disp);
             match p.mem.write_int(a, size.bytes(), p.cpu.reg(rs)) {
                 Ok(()) => Step::Next,
-                Err(f) => Step::Fault(FaultKind::Mem(f)),
+                Err(f) => Step::fault(FaultKind::Mem(f)),
             }
         }
         Instr::AluRr { op, rd, rs } => match alu(op, p.cpu.reg(rd), p.cpu.reg(rs)) {
@@ -287,7 +303,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
                 p.cpu.flags = fl;
                 Step::Next
             }
-            Err(k) => Step::Fault(k),
+            Err(k) => Step::fault(k),
         },
         Instr::AluRi { op, rd, imm } => match alu(op, p.cpu.reg(rd), imm as i64 as u64) {
             Ok((v, fl)) => {
@@ -297,7 +313,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
                 p.cpu.flags = fl;
                 Step::Next
             }
-            Err(k) => Step::Fault(k),
+            Err(k) => Step::fault(k),
         },
         Instr::Neg { rd } => {
             let (v, fl) = alu(AluOp::Sub, 0, p.cpu.reg(rd)).expect("sub cannot fault");
@@ -320,7 +336,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
             let v = p.cpu.reg(rs);
             match push(p, v) {
                 Ok(()) => Step::Next,
-                Err(f) => Step::Fault(FaultKind::Mem(f)),
+                Err(f) => Step::fault(FaultKind::Mem(f)),
             }
         }
         Instr::Pop { rd } => match pop(p) {
@@ -328,13 +344,13 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
                 p.cpu.set_reg(rd, v);
                 Step::Next
             }
-            Err(f) => Step::Fault(FaultKind::Mem(f)),
+            Err(f) => Step::fault(FaultKind::Mem(f)),
         },
         Instr::PushF => {
             let v = p.cpu.flags.to_byte() as u64;
             match push(p, v) {
                 Ok(()) => Step::Next,
-                Err(f) => Step::Fault(FaultKind::Mem(f)),
+                Err(f) => Step::fault(FaultKind::Mem(f)),
             }
         }
         Instr::PopF => match pop(p) {
@@ -342,7 +358,7 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
                 p.cpu.flags = Flags::from_byte(v as u8);
                 Step::Next
             }
-            Err(f) => Step::Fault(FaultKind::Mem(f)),
+            Err(f) => Step::fault(FaultKind::Mem(f)),
         },
         Instr::Jmp { rel } => Step::Jump(next_pc.wrapping_add(rel as i64 as u64)),
         Instr::Jcc { cc, rel } => {
@@ -354,21 +370,24 @@ pub(crate) fn execute(p: &mut Process, insn: &Instr, next_pc: u64) -> Step {
         }
         Instr::Call { rel } => match push(p, next_pc) {
             Ok(()) => Step::Jump(next_pc.wrapping_add(rel as i64 as u64)),
-            Err(f) => Step::Fault(FaultKind::Mem(f)),
+            Err(f) => Step::fault(FaultKind::Mem(f)),
         },
         Instr::CallInd { rs } => {
             let target = p.cpu.reg(rs);
             match push(p, next_pc) {
                 Ok(()) => Step::Jump(target),
-                Err(f) => Step::Fault(FaultKind::Mem(f)),
+                Err(f) => Step::fault(FaultKind::Mem(f)),
             }
         }
         Instr::JmpInd { rs } => Step::Jump(p.cpu.reg(rs)),
         Instr::Ret => match pop(p) {
             Ok(t) => Step::Jump(t),
-            Err(f) => Step::Fault(FaultKind::Mem(f)),
+            Err(f) => Step::fault(FaultKind::Mem(f)),
         },
-        Instr::Syscall => syscall::dispatch(p),
+        Instr::Syscall => {
+            p.cycles += std::mem::take(unpaid);
+            syscall::dispatch(p)
+        }
         Instr::RdTls { rd, off } => {
             let v = p.read_tls(off);
             p.cpu.set_reg(rd, v);

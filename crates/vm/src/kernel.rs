@@ -4,9 +4,9 @@
 //!
 //! A block is decoded once into [`Op`]s, each carrying its static cost,
 //! so the loop charges a stored number instead of re-matching the
-//! instruction. Costs are charged one op at a time, before the op runs,
-//! so a fault, an exit or a `cycles` syscall at op `k` sees exactly the
-//! costs of ops `1..=k`.
+//! instruction. Each op's cost counts before the op runs, so a fault,
+//! an exit or a `cycles` syscall at op `k` sees exactly the costs of ops
+//! `1..=k`.
 
 use crate::cpu::{execute, Fault, Step};
 use crate::process::Process;
@@ -61,48 +61,54 @@ pub struct Ran {
 /// The loop. With `EXACT`, it also keeps `p.cpu.pc` at the running op,
 /// stops before an op once `fuel` cycles are spent, and stops after an
 /// op that changed executable memory, so the caller can re-check both
-/// between any two instructions.
+/// between any two instructions. Without it, op costs add up in a local
+/// that is paid into `p.cycles` before a `syscall` runs and when the
+/// run returns, which are the only points where the count is read.
 #[inline(always)]
 fn run<const EXACT: bool>(p: &mut Process, ops: &[Op], fuel: u64, code_gen: u64) -> Ran {
     let mut next = ops.first().map_or(p.cpu.pc, |o| o.pc);
+    let mut unpaid = 0;
+    let mut ran = ops.len();
+    let mut end = None;
     for (i, op) in ops.iter().enumerate() {
         if EXACT && p.cycles >= fuel {
-            p.insns += i as u64;
-            return Ran {
-                insns: i as u64,
-                end: RunEnd::Next(op.pc),
-            };
+            ran = i;
+            next = op.pc;
+            break;
         }
         if EXACT {
             p.cpu.pc = op.pc;
+            p.cycles += op.cost;
+        } else {
+            unpaid += op.cost;
         }
-        p.cycles += op.cost;
-        let end = match execute(p, &op.insn, op.next) {
-            Step::Next => {
-                next = op.next;
-                None
+        match execute(p, &op.insn, op.next, &mut unpaid) {
+            Step::Next => next = op.next,
+            Step::Jump(t) => next = t,
+            Step::Exit(c) => {
+                end = Some(RunEnd::Exited(c));
+                ran = i + 1;
+                break;
             }
-            Step::Jump(t) => {
-                next = t;
-                None
+            Step::Fault(kind) => {
+                end = Some(RunEnd::Fault(Fault {
+                    pc: op.pc,
+                    kind: *kind,
+                }));
+                ran = i + 1;
+                break;
             }
-            Step::Exit(c) => Some(RunEnd::Exited(c)),
-            Step::Fault(kind) => Some(RunEnd::Fault(Fault { pc: op.pc, kind })),
-        };
-        let stop = EXACT && p.mem.code_generation() != code_gen;
-        if end.is_some() || stop {
-            let n = i as u64 + 1;
-            p.insns += n;
-            return Ran {
-                insns: n,
-                end: end.unwrap_or(RunEnd::Next(next)),
-            };
+        }
+        if EXACT && p.mem.code_generation() != code_gen {
+            ran = i + 1;
+            break;
         }
     }
-    p.insns += ops.len() as u64;
+    p.cycles += unpaid;
+    p.insns += ran as u64;
     Ran {
-        insns: ops.len() as u64,
-        end: RunEnd::Next(next),
+        insns: ran as u64,
+        end: end.unwrap_or(RunEnd::Next(next)),
     }
 }
 

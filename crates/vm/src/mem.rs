@@ -93,21 +93,56 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// Size of one backing page. Pages are counted from each region's start.
+/// Size of one backing page (a frame). Pages are counted from each
+/// region's start.
 const PAGE: usize = 4096;
 
-type Page = Box<[u8; PAGE]>;
+type Frame = Box<[u8; PAGE]>;
+
+/// Index of the zero frame in `Memory::frames`: it backs every page never
+/// written and is itself never written.
+const ZERO_FRAME: u32 = 0;
+
+/// Slots in each TLB array; `addr` uses slot `(addr >> 12) % TLB_SLOTS`.
+const TLB_SLOTS: usize = 256;
+
+/// One TLB entry: the guest bytes `[lo, lo + span)` are bytes
+/// `0..span` of frame `frame`. The range lies inside one backing page
+/// and one region, so a hit never straddles either. The all-zero entry
+/// (`span == 0`) is the empty one.
+#[derive(Clone, Copy, Default)]
+struct TlbEntry {
+    lo: u64,
+    span: u32,
+    frame: u32,
+}
+
+impl TlbEntry {
+    /// The frame offset of `[addr, addr + len)` if this entry holds all
+    /// of it.
+    #[inline(always)]
+    fn hit(self, addr: u64, len: u64) -> Option<usize> {
+        let off = addr.wrapping_sub(self.lo);
+        let span = u64::from(self.span);
+        (off < span && len <= span - off).then_some(off as usize)
+    }
+}
+
+#[inline(always)]
+fn slot(addr: u64) -> usize {
+    (addr >> 12) as usize % TLB_SLOTS
+}
 
 struct Region {
     start: u64,
     size: u64,
     perm: Perm,
     label: String,
-    /// One slot per `PAGE` bytes of the region, up to the highest page
-    /// ever written, so mapping or growing a region allocates nothing. A
-    /// page is `None` until first written; reads of a `None` page, or of
-    /// one past the table's end, see zeros.
-    pages: Vec<Option<Page>>,
+    /// The frame of each `PAGE` bytes of the region, up to the highest
+    /// page ever written, so mapping or growing a region allocates
+    /// nothing. A page is `ZERO_FRAME` until first written, and so is
+    /// every page past the table's end.
+    pages: Vec<u32>,
 }
 
 impl Region {
@@ -115,123 +150,57 @@ impl Region {
         self.start + self.size
     }
 
-    /// Copies the bytes at region offset `off` into `buf`; pages never
-    /// written read as zeros and stay unbacked.
-    #[inline]
-    fn load(&self, off: usize, buf: &mut [u8]) {
-        let at = off % PAGE;
-        if at + buf.len() > PAGE {
-            return self.load_straddling(off, buf);
-        }
-        match self.pages.get(off / PAGE) {
-            Some(Some(page)) => buf.copy_from_slice(&page[at..at + buf.len()]),
-            _ => buf.fill(0),
-        }
-    }
-
-    /// The byte at region offset `off` (0 on a page never written).
-    #[inline]
-    fn byte(&self, off: usize) -> u8 {
-        match self.pages.get(off / PAGE) {
-            Some(Some(page)) => page[off % PAGE],
-            _ => 0,
-        }
-    }
-
-    /// [`Region::load`] of a fixed width, so an in-page read is one
-    /// fixed-size copy.
-    #[inline]
-    fn load_n<const N: usize>(&self, off: usize) -> [u8; N] {
-        let mut buf = [0u8; N];
-        let at = off % PAGE;
-        if at + N > PAGE {
-            self.load_straddling(off, &mut buf);
-        } else if let Some(Some(page)) = self.pages.get(off / PAGE) {
-            buf.copy_from_slice(&page[at..at + N]);
-        }
-        buf
-    }
-
-    /// [`Region::store`] of a fixed width: one fixed-size copy into an
-    /// already backed page, else the general path.
-    #[inline]
-    fn store_n<const N: usize>(&mut self, off: usize, bytes: [u8; N]) {
-        let at = off % PAGE;
-        match self.pages.get_mut(off / PAGE) {
-            Some(Some(page)) if at + N <= PAGE => page[at..at + N].copy_from_slice(&bytes),
-            _ => self.store_backing(off, &bytes),
-        }
-    }
-
-    /// [`Region::store`] where it may have to back a page.
-    #[cold]
-    #[inline(never)]
-    fn store_backing(&mut self, off: usize, bytes: &[u8]) {
-        self.store(off, bytes);
-    }
-
-    /// Copies `bytes` to region offset `off`, backing only the pages they
-    /// touch (and extending the table to reach them).
-    #[inline]
-    fn store(&mut self, off: usize, bytes: &[u8]) {
-        let at = off % PAGE;
-        if at + bytes.len() > PAGE {
-            return self.store_straddling(off, bytes);
-        }
-        let idx = off / PAGE;
-        if idx >= self.pages.len() {
-            self.pages.resize_with(idx + 1, || None);
-        }
-        let page = self.pages[idx].get_or_insert_with(zeroed_page);
-        page[at..at + bytes.len()].copy_from_slice(bytes);
-    }
-
-    /// The slow path of [`Region::load`]: one in-page load per page.
-    #[cold]
-    fn load_straddling(&self, off: usize, buf: &mut [u8]) {
-        let mut done = 0;
-        while done < buf.len() {
-            let n = (PAGE - (off + done) % PAGE).min(buf.len() - done);
-            self.load(off + done, &mut buf[done..done + n]);
-            done += n;
-        }
-    }
-
-    /// The slow path of [`Region::store`]: one in-page store per page.
-    #[cold]
-    fn store_straddling(&mut self, off: usize, bytes: &[u8]) {
-        let mut done = 0;
-        while done < bytes.len() {
-            let n = (PAGE - (off + done) % PAGE).min(bytes.len() - done);
-            self.store(off + done, &bytes[done..done + n]);
-            done += n;
-        }
+    fn frame(&self, page: usize) -> u32 {
+        self.pages.get(page).copied().unwrap_or(ZERO_FRAME)
     }
 }
 
-fn zeroed_page() -> Page {
+fn zeroed_frame() -> Frame {
     vec![0u8; PAGE]
         .into_boxed_slice()
         .try_into()
         .expect("PAGE-sized buffer")
 }
 
-/// Number of slots in the region-hint table; a guest page hints slot
-/// `page % HINT_SLOTS`.
-const HINT_SLOTS: usize = 64;
+/// The `N` bytes of `frame` at `at`.
+#[inline(always)]
+fn frame_get<const N: usize>(frame: &[u8; PAGE], at: usize) -> [u8; N] {
+    frame[at..at + N].try_into().expect("N-byte slice")
+}
 
 /// Sparse guest memory.
 ///
 /// Regions are mapped explicitly with [`Memory::map`]; any access outside a
 /// region faults, which is how wild pointers in the guest surface as
 /// [`MemFault`]s instead of silent corruption.
+///
+/// Guest loads and stores go through a software TLB: two direct-mapped
+/// arrays, one for reads and one for writes, that map a guest page to
+/// the frame backing it. A miss takes the full region lookup and
+/// permission check, then fills the entry. Entries hold no region
+/// index, and each one is clamped to its region's end at fill time, so:
+///
+/// * `map` needs no flush: regions are disjoint, so no entry covers the
+///   new region;
+/// * `grow` needs none: an entry of the old last page still ends at the
+///   old end, and the grown bytes miss and refill;
+/// * `protect` flushes both arrays, since any entry may carry a
+///   permission the region no longer grants;
+/// * backing a page clears the (at most two) read slots that may cache
+///   its zero frame. Write entries are only filled for backed pages.
+///
+/// Write entries are filled only for writable, non-executable regions,
+/// so every write to executable memory takes the checked path and bumps
+/// [`Memory::code_generation`].
 pub struct Memory {
     regions: Vec<Region>,
-    /// The region index last found for each guest page (direct-mapped by
-    /// page number). A hint is trusted only if that region still contains
-    /// the address; regions are disjoint, so such a region is the right
-    /// one even after `map`, `grow` or `protect` left the index stale.
-    hints: [u32; HINT_SLOTS],
+    /// Backing pages of every region; `frames[ZERO_FRAME]` is the zero
+    /// frame. Regions are never unmapped, so frames are never freed.
+    frames: Vec<Frame>,
+    /// Read TLB.
+    reads: [TlbEntry; TLB_SLOTS],
+    /// Write TLB.
+    writes: [TlbEntry; TLB_SLOTS],
     /// Bumped whenever executable bytes are written, so instruction-decode
     /// caches can invalidate (needed for JIT-generated code).
     code_generation: u64,
@@ -241,7 +210,9 @@ impl Default for Memory {
     fn default() -> Memory {
         Memory {
             regions: Vec::new(),
-            hints: [0; HINT_SLOTS],
+            frames: vec![zeroed_frame()],
+            reads: [TlbEntry::default(); TLB_SLOTS],
+            writes: [TlbEntry::default(); TLB_SLOTS],
             code_generation: 0,
         }
     }
@@ -311,6 +282,8 @@ impl Memory {
             self.code_generation += 1;
         }
         r.perm = perm;
+        self.reads = [TlbEntry::default(); TLB_SLOTS];
+        self.writes = [TlbEntry::default(); TLB_SLOTS];
         Ok(())
     }
 
@@ -363,36 +336,16 @@ impl Memory {
         (addr < r.end()).then_some(idx - 1)
     }
 
-    /// [`Memory::find`] through the page's hint: the hinted region if it
-    /// contains `addr`, else a binary search whose hit re-hints the page.
-    #[inline]
-    fn find_hinted(&mut self, addr: u64) -> Option<usize> {
-        let slot = (addr / PAGE as u64) as usize % HINT_SLOTS;
-        let hint = self.hints[slot] as usize;
-        if let Some(r) = self.regions.get(hint) {
-            if r.start <= addr && addr < r.end() {
-                return Some(hint);
-            }
-        }
-        let idx = self.find(addr)?;
-        // A truncated index would only be a hint that fails the check above.
-        self.hints[slot] = idx as u32;
-        Some(idx)
-    }
-
-    #[inline]
-    fn access(
-        &mut self,
-        addr: u64,
-        len: u64,
-        access: Access,
-    ) -> Result<(&mut Region, usize), MemFault> {
+    /// The checks of a guest access: the index of the region holding all
+    /// of `[addr, addr+len)` with the permission `access` needs, and the
+    /// offset of `addr` in it.
+    fn access(&mut self, addr: u64, len: u64, access: Access) -> Result<(usize, usize), MemFault> {
         let fault = |mapped| MemFault {
             addr,
             access,
             mapped,
         };
-        let idx = self.find_hinted(addr).ok_or(fault(false))?;
+        let idx = self.find(addr).ok_or(fault(false))?;
         let r = &self.regions[idx];
         if addr + len > r.end() {
             return Err(fault(false));
@@ -408,13 +361,77 @@ impl Memory {
         if access == Access::Write && r.perm.x {
             self.code_generation += 1;
         }
-        let r = &mut self.regions[idx];
-        let off = (addr - r.start) as usize;
-        Ok((r, off))
+        Ok((idx, (addr - r.start) as usize))
     }
 
-    /// Reads `len ≤ 8` bytes, zero-extended. Widths 1, 2, 4 and 8 take
-    /// a fixed-size copy.
+    /// Fills the TLB entry of `addr`, which an access of region `idx`
+    /// just passed the checks for: the read entry, or the write entry if
+    /// the region is not executable and `addr`'s page is backed.
+    fn fill(&mut self, idx: usize, addr: u64, write: bool) {
+        let r = &self.regions[idx];
+        let page = (addr - r.start) as usize / PAGE;
+        let lo = r.start + (page * PAGE) as u64;
+        let entry = TlbEntry {
+            lo,
+            span: (r.end() - lo).min(PAGE as u64) as u32,
+            frame: r.frame(page),
+        };
+        if !write {
+            self.reads[slot(addr)] = entry;
+        } else if !r.perm.x && entry.frame != ZERO_FRAME {
+            self.writes[slot(addr)] = entry;
+        }
+    }
+
+    /// Copies the bytes at offset `off` of region `idx` into `buf`, one
+    /// page at a time; pages never written read as zeros.
+    fn load(&self, idx: usize, off: usize, buf: &mut [u8]) {
+        let r = &self.regions[idx];
+        let mut done = 0;
+        while done < buf.len() {
+            let at = (off + done) % PAGE;
+            let n = (PAGE - at).min(buf.len() - done);
+            let frame = &self.frames[r.frame((off + done) / PAGE) as usize];
+            buf[done..done + n].copy_from_slice(&frame[at..at + n]);
+            done += n;
+        }
+    }
+
+    /// Copies `bytes` to offset `off` of region `idx`, one page at a
+    /// time, backing only the pages they touch.
+    fn store(&mut self, idx: usize, off: usize, bytes: &[u8]) {
+        let mut done = 0;
+        while done < bytes.len() {
+            let at = (off + done) % PAGE;
+            let n = (PAGE - at).min(bytes.len() - done);
+            let frame = self.back(idx, (off + done) / PAGE);
+            self.frames[frame][at..at + n].copy_from_slice(&bytes[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// The frame of page `page` of region `idx`, allocated (and its zero
+    /// frame dropped from the read TLB) on first use.
+    fn back(&mut self, idx: usize, page: usize) -> usize {
+        let r = &mut self.regions[idx];
+        if page >= r.pages.len() {
+            r.pages.resize(page + 1, ZERO_FRAME);
+        }
+        if r.pages[page] == ZERO_FRAME {
+            r.pages[page] = u32::try_from(self.frames.len()).expect("frame index fits u32");
+            self.frames.push(zeroed_frame());
+            // The page's bytes span at most two guest pages, so a read
+            // entry of its zero frame sits in one of their two slots.
+            let lo = r.start + (page * PAGE) as u64;
+            let last = (lo + PAGE as u64).min(r.end()) - 1;
+            self.reads[slot(lo)] = TlbEntry::default();
+            self.reads[slot(last)] = TlbEntry::default();
+        }
+        r.pages[page] as usize
+    }
+
+    /// Reads `len ≤ 8` bytes, zero-extended. A TLB hit of width 1, 2, 4
+    /// or 8 is one fixed-size copy.
     ///
     /// # Errors
     ///
@@ -422,34 +439,43 @@ impl Memory {
     #[inline(always)]
     pub fn read_int(&mut self, addr: u64, len: u64) -> Result<u64, MemFault> {
         debug_assert!(len <= 8);
-        let (r, off) = self.access(addr, len, Access::Read)?;
-        Ok(match len {
-            1 => u64::from(r.byte(off)),
-            2 => u64::from(u16::from_le_bytes(r.load_n(off))),
-            4 => u64::from(u32::from_le_bytes(r.load_n(off))),
-            8 => u64::from_le_bytes(r.load_n(off)),
-            _ => {
-                let mut buf = [0u8; 8];
-                r.load(off, &mut buf[..len as usize]);
-                u64::from_le_bytes(buf)
+        let e = self.reads[slot(addr)];
+        if let Some(at) = e.hit(addr, len) {
+            let frame = &self.frames[e.frame as usize];
+            match len {
+                1 => return Ok(u64::from(frame[at])),
+                2 => return Ok(u64::from(u16::from_le_bytes(frame_get(frame, at)))),
+                4 => return Ok(u64::from(u32::from_le_bytes(frame_get(frame, at)))),
+                8 => return Ok(u64::from_le_bytes(frame_get(frame, at))),
+                _ => {}
             }
-        })
+        }
+        self.read_int_missed(addr, len)
     }
 
-    /// Reads one byte: [`Memory::read_int`] with `len == 1`, without the
-    /// variable-length copy.
+    /// [`Memory::read_int`] past the TLB: checks, fills and loads.
+    #[cold]
+    #[inline(never)]
+    fn read_int_missed(&mut self, addr: u64, len: u64) -> Result<u64, MemFault> {
+        let (idx, off) = self.access(addr, len, Access::Read)?;
+        self.fill(idx, addr, false);
+        let mut buf = [0u8; 8];
+        self.load(idx, off, &mut buf[..len as usize]);
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    /// Reads one byte: [`Memory::read_int`] with `len == 1`.
     ///
     /// # Errors
     ///
     /// Returns a [`MemFault`] for unmapped or unreadable addresses.
     #[inline]
     pub fn read_u8(&mut self, addr: u64) -> Result<u8, MemFault> {
-        let (r, off) = self.access(addr, 1, Access::Read)?;
-        Ok(r.byte(off))
+        self.read_int(addr, 1).map(|v| v as u8)
     }
 
-    /// Writes the low `len ≤ 8` bytes of `value`. Widths 1, 2, 4 and 8
-    /// take a fixed-size copy into an already backed page.
+    /// Writes the low `len ≤ 8` bytes of `value`. A TLB hit of width 1,
+    /// 2, 4 or 8 is one fixed-size copy.
     ///
     /// # Errors
     ///
@@ -457,14 +483,28 @@ impl Memory {
     #[inline(always)]
     pub fn write_int(&mut self, addr: u64, len: u64, value: u64) -> Result<(), MemFault> {
         debug_assert!(len <= 8);
-        let (r, off) = self.access(addr, len, Access::Write)?;
-        match len {
-            1 => r.store_n(off, (value as u8).to_le_bytes()),
-            2 => r.store_n(off, (value as u16).to_le_bytes()),
-            4 => r.store_n(off, (value as u32).to_le_bytes()),
-            8 => r.store_n(off, value.to_le_bytes()),
-            _ => r.store(off, &value.to_le_bytes()[..len as usize]),
+        let e = self.writes[slot(addr)];
+        if let Some(at) = e.hit(addr, len) {
+            let frame = &mut self.frames[e.frame as usize];
+            match len {
+                1 => frame[at] = value as u8,
+                2 => frame[at..at + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+                4 => frame[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes()),
+                8 => frame[at..at + 8].copy_from_slice(&value.to_le_bytes()),
+                _ => return self.write_int_missed(addr, len, value),
+            }
+            return Ok(());
         }
+        self.write_int_missed(addr, len, value)
+    }
+
+    /// [`Memory::write_int`] past the TLB: checks, stores and fills.
+    #[cold]
+    #[inline(never)]
+    fn write_int_missed(&mut self, addr: u64, len: u64, value: u64) -> Result<(), MemFault> {
+        let (idx, off) = self.access(addr, len, Access::Write)?;
+        self.store(idx, off, &value.to_le_bytes()[..len as usize]);
+        self.fill(idx, addr, true);
         Ok(())
     }
 
@@ -474,9 +514,9 @@ impl Memory {
     ///
     /// Returns a [`MemFault`] if any byte is unmapped or unreadable.
     pub fn read_bytes(&mut self, addr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
-        let (r, off) = self.access(addr, len, Access::Read)?;
+        let (idx, off) = self.access(addr, len, Access::Read)?;
         let mut buf = vec![0; len as usize];
-        r.load(off, &mut buf);
+        self.load(idx, off, &mut buf);
         Ok(buf)
     }
 
@@ -486,8 +526,8 @@ impl Memory {
     ///
     /// Returns a [`MemFault`] if any byte is unmapped or unwritable.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
-        let (r, off) = self.access(addr, bytes.len() as u64, Access::Write)?;
-        r.store(off, bytes);
+        let (idx, off) = self.access(addr, bytes.len() as u64, Access::Write)?;
+        self.store(idx, off, bytes);
         Ok(())
     }
 
@@ -501,15 +541,16 @@ impl Memory {
             access: Access::Write,
             mapped: false,
         };
-        let idx = self.find_hinted(addr).ok_or(fault)?;
-        if addr + len > self.regions[idx].end() {
+        let idx = self.find(addr).ok_or(fault)?;
+        let r = &self.regions[idx];
+        if addr + len > r.end() {
             return Err(fault);
         }
-        if self.regions[idx].perm.x {
+        let off = (addr - r.start) as usize;
+        if r.perm.x {
             self.code_generation += 1;
         }
-        let r = &mut self.regions[idx];
-        r.store((addr - r.start) as usize, bytes);
+        self.store(idx, off, bytes);
         Ok(())
     }
 
@@ -526,31 +567,25 @@ impl Memory {
             access: Access::Fetch,
             mapped: false,
         };
-        let idx = self.find_hinted(addr).ok_or(fault)?;
-        if !self.regions[idx].perm.x {
+        let idx = self.find(addr).ok_or(fault)?;
+        let r = &self.regions[idx];
+        if !r.perm.x {
             return Err(MemFault {
                 addr,
                 access: Access::Fetch,
                 mapped: true,
             });
         }
-        let avail = self.regions[idx].end() - addr;
-        let take = avail.min(len);
-        let r = &self.regions[idx];
-        let mut buf = vec![0; take as usize];
-        r.load((addr - r.start) as usize, &mut buf);
+        let off = (addr - r.start) as usize;
+        let mut buf = vec![0; (r.end() - addr).min(len) as usize];
+        self.load(idx, off, &mut buf);
         Ok(buf)
     }
 
     /// Bytes of backing actually allocated: one `PAGE` per page ever
     /// written. Reads never add to it.
     pub fn backed_bytes(&self) -> u64 {
-        let pages: usize = self
-            .regions
-            .iter()
-            .map(|r| r.pages.iter().filter(|p| p.is_some()).count())
-            .sum();
-        (pages * PAGE) as u64
+        ((self.frames.len() - 1) * PAGE) as u64
     }
 
     /// Lists mapped regions as `(start, size, perm, label)`.
@@ -651,16 +686,20 @@ mod tests {
     }
 
     #[test]
-    fn map_below_hinted_regions_shifts_their_indices() {
+    fn map_below_cached_regions_leaves_their_entries_valid() {
         let mut m = Memory::new();
         m.map(0x1000_0040, 0x640, Perm::RX, "text").unwrap();
         m.map(0x1000_0680, 0x100, Perm::RW, "got").unwrap();
         assert_eq!(m.fetch_bytes(0x1000_0040, 1).unwrap(), vec![0]);
         m.write_int(0x1000_0680, 8, 0x77).unwrap();
-        // Both regions share one page, so its hint now names `got` (index
-        // 1). Mapping `plt` below them moves `text` to index 1, and `got`
-        // to 2.
+        assert_eq!(m.read_int(0x1000_0680, 8).unwrap(), 0x77);
+        // Both regions share one guest page, whose read and write TLB
+        // entries now cover `got`. Mapping `plt` below them shifts both
+        // region indices; the entries hold none, so `map` flushes nothing
+        // and they must still serve `got` alone.
         m.map(0x1000_0000, 0x40, Perm::RX, "plt").unwrap();
+        m.write_int(0x1000_0688, 8, 0x78).unwrap();
+        assert_eq!(m.read_int(0x1000_0688, 8).unwrap(), 0x78);
         assert_eq!(m.read_int(0x1000_0680, 8).unwrap(), 0x77);
         let f = m.write_int(0x1000_0040, 8, 1).unwrap_err();
         assert!(f.mapped, "text is not writable");

@@ -75,23 +75,23 @@ fn dispatch_inner(p: &mut Process, num: u64) -> Step {
                     }
                     len
                 }
-                Err(f) => return Step::Fault(FaultKind::Mem(f)),
+                Err(f) => return Step::fault(FaultKind::Mem(f)),
             }
         }
         SYS_SBRK => {
             let delta = a1 as i64;
             match p.sbrk(delta) {
                 Ok(old) => old,
-                Err(msg) => return Step::Fault(FaultKind::Abort(format!("sbrk failed: {msg}"))),
+                Err(msg) => return Step::fault(FaultKind::Abort(format!("sbrk failed: {msg}"))),
             }
         }
         SYS_MMAP => match p.mmap(a1, a2 & 1 != 0) {
             Ok(addr) => addr,
-            Err(msg) => return Step::Fault(FaultKind::Abort(format!("mmap failed: {msg}"))),
+            Err(msg) => return Step::fault(FaultKind::Abort(format!("mmap failed: {msg}"))),
         },
         SYS_MMAP_FIXED => match p.mmap_fixed(a1, a2) {
             Ok(addr) => addr,
-            Err(msg) => return Step::Fault(FaultKind::Abort(format!("mmap_fixed failed: {msg}"))),
+            Err(msg) => return Step::fault(FaultKind::Abort(format!("mmap_fixed failed: {msg}"))),
         },
         SYS_DLOPEN => {
             let name = match read_str(p, a1, a2) {
@@ -113,7 +113,7 @@ fn dispatch_inner(p: &mut Process, num: u64) -> Step {
         SYS_DLINIT => p.dlinit(a1 as usize).unwrap_or(0),
         SYS_DLFIXUP => match p.dl_fixup(a1) {
             Ok(target) => target,
-            Err(sym) => return Step::Fault(FaultKind::UnresolvedSymbol(sym)),
+            Err(sym) => return Step::fault(FaultKind::UnresolvedSymbol(sym)),
         },
         SYS_GETARG => p.args.get(a1 as usize).copied().unwrap_or(0),
         SYS_RAND => p.next_rand(),
@@ -124,9 +124,9 @@ fn dispatch_inner(p: &mut Process, num: u64) -> Step {
         }
         SYS_ABORT => {
             let msg = read_str(p, a1, a2).unwrap_or_else(|_| "abort".into());
-            return Step::Fault(FaultKind::Abort(msg));
+            return Step::fault(FaultKind::Abort(msg));
         }
-        n => return Step::Fault(FaultKind::BadSyscall(n)),
+        n => return Step::fault(FaultKind::BadSyscall(n)),
     };
     p.cpu.set_reg(Reg::R0, ret);
     Step::Next
@@ -134,10 +134,10 @@ fn dispatch_inner(p: &mut Process, num: u64) -> Step {
 
 fn read_str(p: &mut Process, ptr: u64, len: u64) -> Result<String, Step> {
     if len > 4096 {
-        return Err(Step::Fault(FaultKind::Abort("string too long".into())));
+        return Err(Step::fault(FaultKind::Abort("string too long".into())));
     }
     match p.mem.read_bytes(ptr, len) {
         Ok(bytes) => Ok(String::from_utf8_lossy(&bytes).into_owned()),
-        Err(f) => Err(Step::Fault(FaultKind::Mem(f))),
+        Err(f) => Err(Step::fault(FaultKind::Mem(f))),
     }
 }

@@ -121,14 +121,14 @@ impl SparseModel {
 
 /// The multi-region layout: a loader-style `.plt`/`.text`/`.got` trio
 /// sharing one 4 KiB page, a small heap that grows into unmapped pages
-/// up to an mmap region, and a region 64 pages above the trio, whose page
-/// shares the trio's slot in `Memory`'s 64-entry page-hint table.
+/// up to an mmap region, and a region 256 pages above the trio, whose
+/// page shares the trio's slot in `Memory`'s 256-entry TLB arrays.
 const PLT: u64 = 0x1000_0000;
 const TEXT: u64 = 0x1000_0040;
 const GOT: u64 = 0x1000_0680;
 const HEAP: u64 = 0x1000_2000;
 const MMAP: u64 = 0x1000_6000;
-const ALIAS: u64 = PLT + 64 * PAGE;
+const ALIAS: u64 = PLT + 256 * PAGE;
 
 /// Regions mapped at the start, as `(start, size, perm)`.
 const INITIAL: [(u64, u64, Perm); 6] = [
@@ -141,30 +141,63 @@ const INITIAL: [(u64, u64, Perm); 6] = [
 ];
 
 /// Regions `MultiOp::Map` may add later: one below every other region
-/// (shifting all their indices), one in the heap's growth path, one
-/// aliasing the heap's hint slot, and one that always overlaps.
+/// (TLB entries hold no region index, so shifting every index must not
+/// disturb them), one in the heap's growth path, an RWX one 256 pages
+/// above the heap (aliasing its TLB slot), and one that always overlaps.
 const LATE: [(u64, u64, Perm); 4] = [
     (PLT - PAGE, PAGE, Perm::RW),
     (HEAP + 2 * PAGE, PAGE, Perm::RW),
-    (HEAP + 64 * PAGE, PAGE, Perm::RWX),
+    (HEAP + 256 * PAGE, PAGE, Perm::RWX),
     (TEXT + 0x600, 0x100, Perm::RW),
 ];
 
 #[derive(Clone, Debug)]
 enum MultiOp {
-    Write { addr: u64, len: u8, value: u64 },
-    Read { addr: u64, len: u8 },
-    WriteBytes { addr: u64, data: Vec<u8> },
-    ReadBytes { addr: u64, len: u16 },
-    Poke { addr: u64, data: Vec<u8> },
-    Fetch { addr: u64, len: u16 },
-    Map { which: usize },
-    Grow { delta: u64 },
-    Protect { start: u64, perm: Perm },
+    Write {
+        addr: u64,
+        len: u8,
+        value: u64,
+    },
+    Read {
+        addr: u64,
+        len: u8,
+    },
+    WriteBytes {
+        addr: u64,
+        data: Vec<u8>,
+    },
+    ReadBytes {
+        addr: u64,
+        len: u16,
+    },
+    Poke {
+        addr: u64,
+        data: Vec<u8>,
+    },
+    Fetch {
+        addr: u64,
+        len: u16,
+    },
+    Map {
+        which: usize,
+    },
+    Grow {
+        delta: u64,
+    },
+    Protect {
+        start: u64,
+        perm: Perm,
+    },
+    /// Reads the heap's last byte (filling its TLB entry, clamped to the
+    /// heap's end), grows the heap by `delta`, then reads across the old
+    /// end and writes and reads just past it.
+    GrowCached {
+        delta: u64,
+    },
 }
 
 /// An address a few bytes around a region edge or page boundary of the
-/// multi-region layout, or anywhere in the window that spans it.
+/// multi-region layout, or anywhere in the windows that span it.
 fn arb_multi_addr() -> impl Strategy<Value = u64> {
     let mut anchors = vec![GOT + 0x100, HEAP + 0x10, ALIAS + 0x800];
     for &(start, size, _) in INITIAL.iter().chain(&LATE) {
@@ -173,7 +206,9 @@ fn arb_multi_addr() -> impl Strategy<Value = u64> {
     anchors.extend((1..5).map(|p| HEAP + p * PAGE));
     prop_oneof![
         (prop::sample::select(anchors), -16i64..40).prop_map(|(a, d)| a.wrapping_add(d as u64)),
-        PLT - PAGE..HEAP + 65 * PAGE,
+        PLT - PAGE..HEAP + 5 * PAGE,
+        ALIAS - PAGE..ALIAS + PAGE,
+        HEAP + 255 * PAGE..HEAP + 258 * PAGE,
     ]
 }
 
@@ -197,6 +232,83 @@ fn arb_multi_op() -> impl Strategy<Value = MultiOp> {
             .prop_map(|delta| MultiOp::Grow { delta }),
         (prop::sample::select(starts), perm)
             .prop_map(|(start, perm)| MultiOp::Protect { start, perm }),
+    ]
+}
+
+/// A writable region of the layout and an 8-byte-aligned address in its
+/// first page.
+fn arb_rw_target() -> impl Strategy<Value = (u64, u64)> {
+    let rw: Vec<(u64, u64)> = INITIAL
+        .iter()
+        .chain(&LATE)
+        .filter(|r| r.2 == Perm::RW)
+        .map(|r| (r.0, r.1))
+        .collect();
+    (prop::sample::select(rw), any::<u64>())
+        .prop_map(|((start, size), k)| (start, start + (k % size.min(PAGE)) / 8 * 8))
+}
+
+/// One op, or a short sequence that drives one TLB transition:
+/// - a read, first write and read again of one address, whose page is
+///   usually never written before (a zero-frame entry, then its backing);
+/// - a write (filling a write entry), `protect` to read-only and a write
+///   that must fault, then `protect` back;
+/// - `protect` to RWX, then a read (filling a read entry) and two writes,
+///   each of which must bump the code generation, then `protect` back;
+/// - [`MultiOp::GrowCached`].
+fn arb_multi_ops() -> impl Strategy<Value = Vec<MultiOp>> {
+    prop_oneof![
+        arb_multi_op().prop_map(|op| vec![op]),
+        (arb_multi_addr(), arb_len(), any::<u64>()).prop_map(|(addr, len, value)| vec![
+            MultiOp::Read { addr, len },
+            MultiOp::Write { addr, len, value },
+            MultiOp::Read { addr, len },
+        ]),
+        (arb_rw_target(), any::<u64>()).prop_map(|((start, addr), value)| vec![
+            MultiOp::Write {
+                addr,
+                len: 8,
+                value
+            },
+            MultiOp::Protect {
+                start,
+                perm: Perm::R
+            },
+            MultiOp::Write {
+                addr,
+                len: 8,
+                value: !value
+            },
+            MultiOp::Read { addr, len: 8 },
+            MultiOp::Protect {
+                start,
+                perm: Perm::RW
+            },
+        ]),
+        (arb_rw_target(), any::<u64>()).prop_map(|((start, addr), value)| vec![
+            MultiOp::Protect {
+                start,
+                perm: Perm::RWX
+            },
+            MultiOp::Read { addr, len: 8 },
+            MultiOp::Write {
+                addr,
+                len: 8,
+                value
+            },
+            MultiOp::Write {
+                addr,
+                len: 4,
+                value: !value
+            },
+            MultiOp::Read { addr, len: 8 },
+            MultiOp::Protect {
+                start,
+                perm: Perm::RW
+            },
+        ]),
+        prop::sample::select(vec![1, 8, 0x100, PAGE])
+            .prop_map(|delta| vec![MultiOp::GrowCached { delta }]),
     ]
 }
 
@@ -274,16 +386,180 @@ impl MultiModel {
     }
 }
 
+/// Applies `op` to `mem` and to `model` and checks that they agree on its
+/// result, the code generation and the region list.
+fn step(mem: &mut Memory, model: &mut MultiModel, op: MultiOp) -> Result<(), TestCaseError> {
+    match op {
+        MultiOp::Write { addr, len, value } => {
+            let data = &value.to_le_bytes()[..len as usize];
+            prop_assert_eq!(
+                mem.write_int(addr, len as u64, value),
+                model.write(addr, data),
+                "write_int {:#x}+{}",
+                addr,
+                len
+            );
+        }
+        MultiOp::Read { addr, len } => {
+            let expect = model.check(addr, len as u64, Access::Read).map(|_| {
+                let mut buf = [0u8; 8];
+                buf[..len as usize].copy_from_slice(&model.read(addr, len as u64));
+                u64::from_le_bytes(buf)
+            });
+            prop_assert_eq!(
+                mem.read_int(addr, len as u64),
+                expect,
+                "read_int {:#x}+{}",
+                addr,
+                len
+            );
+        }
+        MultiOp::WriteBytes { addr, data } => {
+            prop_assert_eq!(
+                mem.write_bytes(addr, &data),
+                model.write(addr, &data),
+                "write_bytes {:#x}+{}",
+                addr,
+                data.len()
+            );
+        }
+        MultiOp::ReadBytes { addr, len } => {
+            let expect = model
+                .check(addr, len as u64, Access::Read)
+                .map(|_| model.read(addr, len as u64));
+            prop_assert_eq!(
+                mem.read_bytes(addr, len as u64),
+                expect,
+                "read_bytes {:#x}+{}",
+                addr,
+                len
+            );
+        }
+        MultiOp::Poke { addr, data } => {
+            // The loader's write: only the bounds are checked.
+            let expect = model
+                .bounds(addr, data.len() as u64, Access::Write)
+                .map(|i| model.store(i, addr, &data));
+            prop_assert_eq!(
+                mem.poke_bytes(addr, &data),
+                expect,
+                "poke_bytes {:#x}+{}",
+                addr,
+                data.len()
+            );
+        }
+        MultiOp::Fetch { addr, len } => {
+            // A fetch needs only its first byte mapped and is
+            // clipped at the region's end.
+            let expect = model.check(addr, 1, Access::Fetch).map(|i| {
+                let (start, size, _) = model.regions[i];
+                model.read(addr, (len as u64).min(start + size - addr))
+            });
+            prop_assert_eq!(
+                mem.fetch_bytes(addr, len as u64),
+                expect,
+                "fetch_bytes {:#x}+{}",
+                addr,
+                len
+            );
+        }
+        MultiOp::Map { which } => {
+            let (start, size, perm) = LATE[which];
+            let free = model
+                .regions
+                .iter()
+                .all(|&(s, n, _)| start + size <= s || s + n <= start);
+            prop_assert_eq!(
+                mem.map(start, size, perm, "late").is_ok(),
+                free,
+                "map {:#x}",
+                start
+            );
+            if free {
+                model.regions.push((start, size, perm));
+            }
+        }
+        MultiOp::Grow { delta } => {
+            let i = model.region(HEAP).unwrap();
+            let new_end = HEAP + model.regions[i].1 + delta;
+            let fits = model
+                .regions
+                .iter()
+                .all(|&(s, _, _)| s <= HEAP || new_end <= s);
+            prop_assert_eq!(mem.grow(HEAP, delta).is_ok(), fits, "grow by {:#x}", delta);
+            if fits {
+                model.regions[i].1 += delta;
+            }
+        }
+        MultiOp::GrowCached { delta } => {
+            let end = HEAP + model.regions[model.region(HEAP).unwrap()].1;
+            step(
+                mem,
+                model,
+                MultiOp::Read {
+                    addr: end - 1,
+                    len: 1,
+                },
+            )?;
+            step(mem, model, MultiOp::Grow { delta })?;
+            step(
+                mem,
+                model,
+                MultiOp::Read {
+                    addr: end - 4,
+                    len: 8,
+                },
+            )?;
+            step(
+                mem,
+                model,
+                MultiOp::Write {
+                    addr: end,
+                    len: 8,
+                    value: delta,
+                },
+            )?;
+            step(mem, model, MultiOp::Read { addr: end, len: 8 })?;
+        }
+        MultiOp::Protect { start, perm } => {
+            let i = model.regions.iter().position(|r| r.0 == start);
+            prop_assert_eq!(
+                mem.protect(start, perm).is_ok(),
+                i.is_some(),
+                "protect {:#x}",
+                start
+            );
+            if let Some(i) = i {
+                if model.regions[i].2.x || perm.x {
+                    model.code_generation += 1;
+                }
+                model.regions[i].2 = perm;
+            }
+        }
+    }
+    prop_assert_eq!(mem.code_generation(), model.code_generation);
+    let mut regions = model.regions.clone();
+    regions.sort_by_key(|r| r.0);
+    let mapped: Vec<_> = mem
+        .regions()
+        .into_iter()
+        .map(|(s, n, p, _)| (s, n, p))
+        .collect();
+    prop_assert_eq!(mapped, regions);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Guest accesses across several small regions, some sharing a page
-    /// and some aliasing one page-hint slot, interleaved with `map` below
-    /// and between them, `grow` into unmapped pages and `protect`. Every
-    /// value, fault, region list and code generation matches the model, so
-    /// a stale page hint can never serve the wrong region.
+    /// and some aliasing one TLB slot, interleaved with `map` below and
+    /// between them, `grow` into unmapped pages and `protect`, and with
+    /// the sequences of [`arb_multi_ops`]. Every value, fault, region
+    /// list and code generation matches the model, so a stale TLB entry
+    /// can never serve a wrong frame or a revoked permission.
     #[test]
-    fn multi_region_memory_matches_reference_model(ops in prop::collection::vec(arb_multi_op(), 1..160)) {
+    fn multi_region_memory_matches_reference_model(ops in prop::collection::vec(arb_multi_ops(), 1..120)) {
         let mut mem = Memory::new();
         for (i, &(start, size, perm)) in INITIAL.iter().enumerate() {
             mem.map(start, size, perm, format!("r{i}")).unwrap();
@@ -294,78 +570,8 @@ proptest! {
             code_generation: 0,
         };
 
-        for op in ops {
-            match op {
-                MultiOp::Write { addr, len, value } => {
-                    let data = &value.to_le_bytes()[..len as usize];
-                    prop_assert_eq!(mem.write_int(addr, len as u64, value), model.write(addr, data), "write_int {:#x}+{}", addr, len);
-                }
-                MultiOp::Read { addr, len } => {
-                    let expect = model.check(addr, len as u64, Access::Read).map(|_| {
-                        let mut buf = [0u8; 8];
-                        buf[..len as usize].copy_from_slice(&model.read(addr, len as u64));
-                        u64::from_le_bytes(buf)
-                    });
-                    prop_assert_eq!(mem.read_int(addr, len as u64), expect, "read_int {:#x}+{}", addr, len);
-                }
-                MultiOp::WriteBytes { addr, data } => {
-                    prop_assert_eq!(mem.write_bytes(addr, &data), model.write(addr, &data), "write_bytes {:#x}+{}", addr, data.len());
-                }
-                MultiOp::ReadBytes { addr, len } => {
-                    let expect = model
-                        .check(addr, len as u64, Access::Read)
-                        .map(|_| model.read(addr, len as u64));
-                    prop_assert_eq!(mem.read_bytes(addr, len as u64), expect, "read_bytes {:#x}+{}", addr, len);
-                }
-                MultiOp::Poke { addr, data } => {
-                    // The loader's write: only the bounds are checked.
-                    let expect = model
-                        .bounds(addr, data.len() as u64, Access::Write)
-                        .map(|i| model.store(i, addr, &data));
-                    prop_assert_eq!(mem.poke_bytes(addr, &data), expect, "poke_bytes {:#x}+{}", addr, data.len());
-                }
-                MultiOp::Fetch { addr, len } => {
-                    // A fetch needs only its first byte mapped and is
-                    // clipped at the region's end.
-                    let expect = model.check(addr, 1, Access::Fetch).map(|i| {
-                        let (start, size, _) = model.regions[i];
-                        model.read(addr, (len as u64).min(start + size - addr))
-                    });
-                    prop_assert_eq!(mem.fetch_bytes(addr, len as u64), expect, "fetch_bytes {:#x}+{}", addr, len);
-                }
-                MultiOp::Map { which } => {
-                    let (start, size, perm) = LATE[which];
-                    let free = model.regions.iter().all(|&(s, n, _)| start + size <= s || s + n <= start);
-                    prop_assert_eq!(mem.map(start, size, perm, "late").is_ok(), free, "map {:#x}", start);
-                    if free {
-                        model.regions.push((start, size, perm));
-                    }
-                }
-                MultiOp::Grow { delta } => {
-                    let i = model.region(HEAP).unwrap();
-                    let new_end = HEAP + model.regions[i].1 + delta;
-                    let fits = model.regions.iter().all(|&(s, _, _)| s <= HEAP || new_end <= s);
-                    prop_assert_eq!(mem.grow(HEAP, delta).is_ok(), fits, "grow by {:#x}", delta);
-                    if fits {
-                        model.regions[i].1 += delta;
-                    }
-                }
-                MultiOp::Protect { start, perm } => {
-                    let i = model.regions.iter().position(|r| r.0 == start);
-                    prop_assert_eq!(mem.protect(start, perm).is_ok(), i.is_some(), "protect {:#x}", start);
-                    if let Some(i) = i {
-                        if model.regions[i].2.x || perm.x {
-                            model.code_generation += 1;
-                        }
-                        model.regions[i].2 = perm;
-                    }
-                }
-            }
-            prop_assert_eq!(mem.code_generation(), model.code_generation);
-            let mut regions = model.regions.clone();
-            regions.sort_by_key(|r| r.0);
-            let mapped: Vec<_> = mem.regions().into_iter().map(|(s, n, p, _)| (s, n, p)).collect();
-            prop_assert_eq!(mapped, regions);
+        for op in ops.into_iter().flatten() {
+            step(&mut mem, &mut model, op)?;
         }
     }
 
