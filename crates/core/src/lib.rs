@@ -1010,7 +1010,7 @@ fn verify_rule_bytes(image: &Image, bytes: &[u8]) -> Result<RuleFile, Degradatio
 /// module is dropped into dynamic-only conservative mode (its blocks all
 /// miss the classifier and take the plugin's dynamic fallback), the
 /// demotion and its cause are recorded in [`HybridRun::degraded`], and
-/// an armed flight recorder trips a `module-degraded` dump.
+/// the flight recorder of `opts.load` trips a `module-degraded` dump.
 ///
 /// # Errors
 ///
@@ -1063,14 +1063,9 @@ pub fn run_hybrid<P: SecurityPlugin>(
                         }
                         analysis::RegionCause::Conflict => DegradationReason::DisasmConflict,
                     };
-                    if janitizer_telemetry::flight::armed() {
-                        janitizer_telemetry::flight::record_for(
-                            "disasm.degraded",
-                            &name,
-                            r.start,
-                            r.len,
-                        );
-                    }
+                    opts.load
+                        .flight
+                        .record("disasm.degraded", Some(&name), r.start, r.len);
                     degraded.push(ModuleDegradation {
                         module: name.clone(),
                         reason,
@@ -1110,10 +1105,7 @@ pub fn run_hybrid<P: SecurityPlugin>(
             match verify_rule_bytes(&image, &bytes) {
                 Ok(f) => repo.add(f),
                 Err(reason) => {
-                    if janitizer_telemetry::flight::armed() {
-                        let id = janitizer_telemetry::flight::intern_module(&name);
-                        janitizer_telemetry::flight::trip("module-degraded", id, 0, 0);
-                    }
+                    opts.load.flight.trip("module-degraded", Some(&name), 0, 0);
                     degraded.push(ModuleDegradation {
                         module: name.clone(),
                         reason,
@@ -1193,6 +1185,7 @@ mod tests {
     use janitizer_asm::{assemble, AsmOptions};
     use janitizer_isa::Instr;
     use janitizer_link::{link, LinkOptions};
+    use janitizer_telemetry::flight::Flight;
 
     /// A plugin that counts memory accesses, statically marking them with
     /// rule id 7 and dynamically instrumenting everything.
@@ -1499,10 +1492,14 @@ mod tests {
 
     #[test]
     fn fault_injection_is_deterministic_and_never_aborts() {
-        let run_once = |seed: u64| {
+        let run_with = |seed: u64, flight: Flight| {
             let store = test_store(MEM_LOOP);
             let (plugin, ..) = count_plugin();
             let opts = HybridOptions {
+                load: LoadOptions {
+                    flight,
+                    ..LoadOptions::default()
+                },
                 inject_faults: Some(FaultInjection { seed, rate: 1.0 }),
                 ..HybridOptions::default()
             };
@@ -1510,12 +1507,26 @@ mod tests {
             assert_eq!(run.outcome.code(), Some(2), "faults never break the guest");
             run.degraded
         };
+        let run_once = |seed: u64| run_with(seed, Flight::default());
         for seed in 0..8 {
             assert_eq!(run_once(seed), run_once(seed), "same seed, same outcome");
         }
         // At rate 1.0 every module's rules are mutated; across a handful
         // of seeds at least one mutation must actually break verification.
-        assert!((0..8).any(|s| !run_once(s).is_empty()));
+        let seed = (0..8)
+            .find(|&s| !run_once(s).is_empty())
+            .expect("some seed degrades");
+        // Each degraded module trips the run's flight recorder, which
+        // dumps into its own directory.
+        let dir = janitizer_store::scratch_dir("core-degraded");
+        let flight = Flight::armed(Some(dir.clone()));
+        let degraded = run_with(seed, flight.clone());
+        let dump = std::fs::read_to_string(dir.join("flight-module-degraded.json"))
+            .expect("module-degraded dump written");
+        assert!(dump.contains("\"t\""), "the dump names the module");
+        let trips = flight.dump_json("test").expect("armed");
+        assert_eq!(trips.matches("\"module-degraded\"").count(), degraded.len());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

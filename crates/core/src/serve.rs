@@ -32,14 +32,15 @@ use janitizer_analysis::budget;
 use janitizer_obj::Image;
 use janitizer_rules::RuleFile;
 use janitizer_store::RetryPolicy;
+use janitizer_telemetry::flight::Flight;
 use janitizer_telemetry::json::Json;
-use janitizer_telemetry::{flight, Histogram, Registry, WindowedHistogram};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Supervision knobs of an [`AnalysisService`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ServiceOptions {
     /// Per-request analysis work budget (units of block visits);
     /// [`budget::UNLIMITED`] disarms the deadline.
@@ -49,6 +50,9 @@ pub struct ServiceOptions {
     /// Maximum concurrently running analyses; further requests queue in
     /// FIFO ticket order.
     pub max_in_flight: usize,
+    /// Flight recorder for the request lifecycle and `serve-degraded`
+    /// trips (disarmed by default).
+    pub flight: Flight,
 }
 
 impl Default for ServiceOptions {
@@ -57,6 +61,7 @@ impl Default for ServiceOptions {
             budget_units: budget::UNLIMITED,
             retry: RetryPolicy::default(),
             max_in_flight: 4,
+            flight: Flight::default(),
         }
     }
 }
@@ -253,7 +258,8 @@ impl AnalysisService {
         let _permit = self.gate.acquire();
         self.metrics.queue_waiting.fetch_sub(1, Ordering::Relaxed);
         let queue_wait_ns = arrived.elapsed().as_nanos() as u64;
-        flight::record("serve.admit", flight::NO_MODULE, queue_wait_ns, waiting);
+        let flight = &self.opts.flight;
+        flight.record("serve.admit", None, queue_wait_ns, waiting);
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_in_flight.fetch_max(now, Ordering::Relaxed);
         let (reply, analyze_units) = self.request_admitted(image, plugin, emit_noop_rules);
@@ -292,10 +298,7 @@ impl AnalysisService {
                     module: image.name.clone(),
                     reason,
                 });
-            if flight::armed() {
-                let id = flight::intern_module(&image.name);
-                flight::trip("serve-degraded", id, reason as u64, 0);
-            }
+            flight.trip("serve-degraded", Some(&image.name), reason as u64, 0);
         }
         if reply.rules.is_some() {
             self.served.fetch_add(1, Ordering::Relaxed);
@@ -317,7 +320,7 @@ impl AnalysisService {
                 .unwrap_or_else(|e| e.into_inner());
             w.record(wall_ns);
         }
-        flight::record("serve.reply", flight::NO_MODULE, wall_ns, analyze_units);
+        flight.record("serve.reply", None, wall_ns, analyze_units);
         reply
     }
 
@@ -344,7 +347,9 @@ impl AnalysisService {
                         // already discarded (not memoized, not persisted)
                         // the truncated result — degrade, don't serve it.
                         self.timeouts.fetch_add(1, Ordering::Relaxed);
-                        flight::record("serve.timeout", flight::NO_MODULE, spent_units, 0);
+                        self.opts
+                            .flight
+                            .record("serve.timeout", None, spent_units, 0);
                         drop(file);
                         return (
                             ServeReply {
@@ -373,12 +378,9 @@ impl AnalysisService {
                 }
                 Err(_) => {
                     self.panics.fetch_add(1, Ordering::Relaxed);
-                    flight::record(
-                        "serve.panic",
-                        flight::NO_MODULE,
-                        u64::from(attempt),
-                        spent_units,
-                    );
+                    self.opts
+                        .flight
+                        .record("serve.panic", None, u64::from(attempt), spent_units);
                     if attempt < self.opts.retry.attempts {
                         attempt += 1;
                         self.retries.fetch_add(1, Ordering::Relaxed);
@@ -410,48 +412,40 @@ impl AnalysisService {
         }
     }
 
-    /// The deterministic metrics as a [`Registry`] (counters and the
-    /// analyze-cost histogram only — byte-stable across thread counts
-    /// and hosts), ready for the OpenMetrics exporter.
-    pub fn metrics_registry(&self) -> Registry {
-        let mut r = Registry::new();
+    /// Renders the deterministic metrics (counters and the analyze-cost
+    /// histogram only — byte-stable across thread counts and hosts) as
+    /// an OpenMetrics-style text exposition, in sorted-name order:
+    /// counters become `<name>_total`, and the power-of-two histogram
+    /// cumulative `_bucket{le="..."}` series (each `le` is a bucket's
+    /// inclusive upper bound, `2^i - 1`) plus a terminal `+Inf` bucket
+    /// and `_sum`/`_count`. Names map dots to underscores. Terminated by
+    /// `# EOF`, so snapshots can be diffed and golden-tested.
+    pub fn openmetrics(&self) -> String {
         let s = self.stats();
-        r.counter_add(
-            "serve.requests",
-            self.metrics.requests.load(Ordering::Relaxed),
-        );
-        r.counter_add("serve.served", s.served);
-        r.counter_add("serve.degraded", s.degraded);
-        r.counter_add("serve.timeouts", s.timeouts);
-        r.counter_add("serve.panics_isolated", s.panics_isolated);
-        r.counter_add("serve.retries", s.retries);
-        r.counter_add("serve.store_failures", s.store_failures);
-        r.counter_add(
-            "serve.src.memory",
-            self.metrics.src_memory.load(Ordering::Relaxed),
-        );
-        r.counter_add(
-            "serve.src.store",
-            self.metrics.src_store.load(Ordering::Relaxed),
-        );
-        r.counter_add(
-            "serve.src.analyzed",
-            self.metrics.src_analyzed.load(Ordering::Relaxed),
-        );
-        r.counter_add(
-            "serve.src.analyzed_store_failed",
-            self.metrics.src_store_failed.load(Ordering::Relaxed),
-        );
-        let h = self
-            .metrics
+        let m = &self.metrics;
+        let mut counters = [
+            ("serve.requests", m.requests.load(Ordering::Relaxed)),
+            ("serve.served", s.served),
+            ("serve.degraded", s.degraded),
+            ("serve.timeouts", s.timeouts),
+            ("serve.panics_isolated", s.panics_isolated),
+            ("serve.retries", s.retries),
+            ("serve.store_failures", s.store_failures),
+            ("serve.src.memory", m.src_memory.load(Ordering::Relaxed)),
+            ("serve.src.store", m.src_store.load(Ordering::Relaxed)),
+            ("serve.src.analyzed", m.src_analyzed.load(Ordering::Relaxed)),
+            (
+                "serve.src.analyzed_store_failed",
+                m.src_store_failed.load(Ordering::Relaxed),
+            ),
+        ];
+        counters.sort_unstable_by_key(|&(name, _)| name);
+        let h = m
             .analyze_units
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        if h.count > 0 {
-            r.histograms.insert("serve.analyze_units".to_string(), h);
-        }
-        r
+        openmetrics_text(&counters, ("serve.analyze_units", &h))
     }
 
     /// Health/readiness summary: `ok` when every request was served at
@@ -534,10 +528,7 @@ impl AnalysisService {
                     ),
                 ]),
             ),
-            (
-                "analyze_units",
-                janitizer_telemetry::export::histogram_json(&h),
-            ),
+            ("analyze_units", histogram_json(&h)),
             (
                 // Quarantine growth is operator-visible here so a store
                 // accumulating corrupt entries is caught before the disk
@@ -562,7 +553,7 @@ impl AnalysisService {
     pub fn host_metrics_json(&self) -> String {
         let quantiles = |w: &WindowedHistogram| {
             Json::obj([
-                ("window", Json::U64(w.window_len() as u64)),
+                ("window", Json::U64(w.len as u64)),
                 ("count", Json::U64(w.total.count)),
                 ("mean_ns", Json::F64(w.total.mean())),
                 (
@@ -625,6 +616,169 @@ impl AnalysisService {
         });
         v
     }
+}
+
+/// Number of histogram buckets: bucket 0 holds zeros, bucket `i >= 1`
+/// holds values in `[2^(i-1), 2^i)`.
+const HISTOGRAM_BUCKETS: usize = 65;
+
+/// A power-of-two-bucketed histogram over `u64` samples.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Histogram {
+    count: u64,
+    /// Sum of all samples (saturating).
+    sum: u64,
+    /// Smallest sample (0 when empty).
+    min: u64,
+    /// Largest sample (0 when empty).
+    max: u64,
+    /// `buckets[0]` counts zeros; `buckets[i]` counts `[2^(i-1), 2^i)`.
+    buckets: Vec<u64>,
+}
+
+impl Histogram {
+    /// Index of the bucket `value` falls into.
+    fn bucket_index(value: u64) -> usize {
+        if value == 0 {
+            0
+        } else {
+            value.ilog2() as usize + 1
+        }
+    }
+
+    /// Lower bound (inclusive) of bucket `i`.
+    fn bucket_lo(i: usize) -> u64 {
+        match i {
+            0 => 0,
+            _ => 1u64 << (i - 1),
+        }
+    }
+
+    fn record(&mut self, value: u64) {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; HISTOGRAM_BUCKETS];
+        }
+        if self.count == 0 {
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
+        self.buckets[Self::bucket_index(value)] += 1;
+    }
+
+    /// Arithmetic mean of the samples (0 when empty).
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+}
+
+/// A histogram with a bounded window of recent samples next to the
+/// cumulative totals: the window keeps the last `cap` raw samples in a
+/// ring so recent latency quantiles stay answerable without unbounded
+/// memory. The window is host-side state (truncation depends on arrival
+/// order), so windowed histograms are never part of deterministic
+/// artifacts.
+#[derive(Clone, Debug)]
+struct WindowedHistogram {
+    ring: Vec<u64>,
+    next: usize,
+    len: usize,
+    /// Cumulative (all-time) histogram over every sample recorded.
+    total: Histogram,
+}
+
+impl WindowedHistogram {
+    /// Creates a windowed histogram retaining at most `cap` recent
+    /// samples (`cap` is clamped to at least 1).
+    fn new(cap: usize) -> WindowedHistogram {
+        WindowedHistogram {
+            ring: vec![0; cap.max(1)],
+            next: 0,
+            len: 0,
+            total: Histogram::default(),
+        }
+    }
+
+    /// Records one sample into both the window and the cumulative total.
+    fn record(&mut self, value: u64) {
+        self.total.record(value);
+        self.ring[self.next] = value;
+        self.next = (self.next + 1) % self.ring.len();
+        self.len = (self.len + 1).min(self.ring.len());
+    }
+
+    /// The `q`-quantile (`0.0..=1.0`) over the windowed samples, or
+    /// `None` when the window is empty. Nearest-rank on the sorted
+    /// window.
+    fn quantile(&self, q: f64) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut sorted: Vec<u64> = self.ring[..self.len].to_vec();
+        sorted.sort_unstable();
+        let q = q.clamp(0.0, 1.0);
+        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
+        Some(sorted[idx])
+    }
+}
+
+/// Renders one histogram as a JSON object (count/sum/min/max/mean plus
+/// the non-empty power-of-two buckets keyed by inclusive lower bound).
+fn histogram_json(h: &Histogram) -> Json {
+    let buckets = Json::Obj(
+        h.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| **n > 0)
+            .map(|(i, n)| (format!("{}", Histogram::bucket_lo(i)), Json::U64(*n)))
+            .collect(),
+    );
+    Json::obj([
+        ("count", Json::U64(h.count)),
+        ("sum", Json::U64(h.sum)),
+        ("min", Json::U64(h.min)),
+        ("max", Json::U64(h.max)),
+        ("mean", Json::F64(h.mean())),
+        ("buckets_pow2", buckets),
+    ])
+}
+
+/// The exposition behind [`AnalysisService::openmetrics`]: `counters`
+/// in the order given, then `histogram` unless it is empty. Metric names
+/// are `[a-z._]`; dots become underscores.
+fn openmetrics_text(counters: &[(&str, u64)], (name, h): (&str, &Histogram)) -> String {
+    let mut out = String::new();
+    for (name, v) in counters {
+        let n = name.replace('.', "_");
+        let _ = writeln!(out, "# TYPE {n} counter");
+        let _ = writeln!(out, "{n}_total {v}");
+    }
+    if h.count > 0 {
+        let n = name.replace('.', "_");
+        let _ = writeln!(out, "# TYPE {n} histogram");
+        let mut cumulative = 0u64;
+        let last = h.buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
+        for (i, b) in h.buckets.iter().enumerate().take(last + 1) {
+            cumulative += b;
+            // Inclusive upper bound of bucket i: 0 for the zero bucket,
+            // 2^i - 1 otherwise.
+            let le = if i == 0 { 0 } else { (1u128 << i) - 1 };
+            let _ = writeln!(out, "{n}_bucket{{le=\"{le}\"}} {cumulative}");
+        }
+        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
+        let _ = writeln!(out, "{n}_sum {}", h.sum);
+        let _ = writeln!(out, "{n}_count {}", h.count);
+    }
+    out.push_str("# EOF\n");
+    out
 }
 
 #[cfg(test)]
@@ -811,6 +965,7 @@ mod tests {
                 transient_write_failures: u64::MAX / 2,
                 crash_after_commits: None,
             },
+            Flight::default(),
         )
         .unwrap();
         let svc = AnalysisService::new(
@@ -860,5 +1015,164 @@ mod tests {
             "gate held: peak {}",
             s.peak_in_flight
         );
+    }
+
+    #[test]
+    fn histogram_bucket_boundaries() {
+        // Bucket 0 is exactly {0}; bucket i covers [2^(i-1), 2^i).
+        assert_eq!(Histogram::bucket_index(0), 0);
+        assert_eq!(Histogram::bucket_index(1), 1);
+        assert_eq!(Histogram::bucket_index(2), 2);
+        assert_eq!(Histogram::bucket_index(3), 2);
+        assert_eq!(Histogram::bucket_index(4), 3);
+        assert_eq!(Histogram::bucket_index(1023), 10);
+        assert_eq!(Histogram::bucket_index(1024), 11);
+        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
+        for i in 1..HISTOGRAM_BUCKETS {
+            // The lower boundary of bucket i maps into bucket i, and the
+            // value just below maps into bucket i-1.
+            let lo = Histogram::bucket_lo(i);
+            assert_eq!(Histogram::bucket_index(lo), i);
+            assert_eq!(Histogram::bucket_index(lo - 1), i - 1);
+        }
+    }
+
+    #[test]
+    fn histogram_stats() {
+        let mut h = Histogram::default();
+        for v in [0, 1, 1, 7, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.count, 5);
+        assert_eq!(h.sum, 1033);
+        assert_eq!(h.min, 0);
+        assert_eq!(h.max, 1024);
+        assert_eq!(h.buckets[0], 1);
+        assert_eq!(h.buckets[1], 2);
+        assert_eq!(h.buckets[3], 1);
+        assert_eq!(h.buckets[11], 1);
+        assert!((h.mean() - 206.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn histogram_edge_values() {
+        // 0, 1 and u64::MAX land in the first, second and last bucket,
+        // and the stats survive the saturating extremes.
+        let mut h = Histogram::default();
+        h.record(0);
+        assert_eq!((h.count, h.min, h.max, h.sum), (1, 0, 0, 0));
+        assert_eq!(h.buckets[0], 1);
+        h.record(1);
+        assert_eq!(h.buckets[1], 1);
+        assert_eq!((h.min, h.max), (0, 1));
+        h.record(u64::MAX);
+        assert_eq!(h.buckets[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(h.max, u64::MAX);
+        // sum saturates rather than wrapping.
+        assert_eq!(h.sum, u64::MAX);
+        h.record(u64::MAX);
+        assert_eq!(h.sum, u64::MAX);
+        assert_eq!(h.count, 4);
+
+        // Exact powers of two sit on bucket lower boundaries.
+        let mut p = Histogram::default();
+        for i in 1..HISTOGRAM_BUCKETS {
+            p.record(Histogram::bucket_lo(i));
+        }
+        for i in 1..HISTOGRAM_BUCKETS {
+            assert_eq!(p.buckets[i], 1, "bucket {i}");
+        }
+        assert_eq!(p.buckets[0], 0);
+    }
+
+    #[test]
+    fn windowed_histogram_ring() {
+        let mut w = WindowedHistogram::new(4);
+        assert_eq!(w.quantile(0.5), None);
+        for v in [10, 20, 30, 40, 50, 60] {
+            w.record(v);
+        }
+        // Total sees all six samples; the window only the last four.
+        assert_eq!(w.total.count, 6);
+        assert_eq!(w.len, 4);
+        assert_eq!(w.quantile(0.0), Some(30));
+        assert_eq!(w.quantile(1.0), Some(60));
+        assert_eq!(w.quantile(0.5), Some(50));
+    }
+
+    /// Golden-file check: the OpenMetrics exposition format is a public
+    /// contract (scrapers parse it line by line).
+    #[test]
+    fn openmetrics_golden() {
+        let mut h = Histogram::default();
+        h.record(0);
+        h.record(5);
+        let text = openmetrics_text(
+            &[("serve.requests", 7), ("serve.store_failures", 2)],
+            ("serve.analyze_units", &h),
+        );
+        let golden = "\
+# TYPE serve_requests counter
+serve_requests_total 7
+# TYPE serve_store_failures counter
+serve_store_failures_total 2
+# TYPE serve_analyze_units histogram
+serve_analyze_units_bucket{le=\"0\"} 1
+serve_analyze_units_bucket{le=\"1\"} 1
+serve_analyze_units_bucket{le=\"3\"} 1
+serve_analyze_units_bucket{le=\"7\"} 2
+serve_analyze_units_bucket{le=\"+Inf\"} 2
+serve_analyze_units_sum 5
+serve_analyze_units_count 2
+# EOF
+";
+        assert_eq!(text, golden);
+        // An empty histogram is left out.
+        let empty = openmetrics_text(&[], ("serve.analyze_units", &Histogram::default()));
+        assert_eq!(empty, "# EOF\n");
+    }
+
+    #[test]
+    fn service_exposition_is_sorted_by_name() {
+        let svc = AnalysisService::new(Arc::new(RuleCache::new()), ServiceOptions::default());
+        svc.request(&toy_image(), &ToyPlugin::new("toy"), true);
+        let text = svc.openmetrics();
+        let names: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(
+            names.len(),
+            12,
+            "11 counters and the analyze-cost histogram"
+        );
+        let counters = &names[..11];
+        assert!(counters.windows(2).all(|w| w[0] < w[1]), "{counters:?}");
+        assert_eq!(names[11], "serve_analyze_units histogram");
+        assert!(text.contains("serve_requests_total 1\n"));
+        assert!(text.ends_with("# EOF\n"));
+    }
+
+    #[test]
+    fn degraded_request_trips_the_services_recorder() {
+        let dir = janitizer_store::scratch_dir("serve-flight");
+        let flight = Flight::armed(Some(dir.clone()));
+        let svc = AnalysisService::new(
+            Arc::new(RuleCache::new()),
+            ServiceOptions {
+                budget_units: 1,
+                flight: flight.clone(),
+                ..ServiceOptions::default()
+            },
+        );
+        let reply = svc.request(&toy_image(), &ToyPlugin::new("toy"), true);
+        assert_eq!(reply.degradation, Some(DegradationReason::AnalysisTimeout));
+        let dump = std::fs::read_to_string(dir.join("flight-serve-degraded.json"))
+            .expect("serve-degraded dump written");
+        for kind in ["serve.admit", "serve.timeout", "serve-degraded"] {
+            assert!(dump.contains(&format!("\"{kind}\"")), "{kind} missing");
+        }
+        assert!(dump.contains("\"s\""), "the trip names the module");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -919,12 +919,7 @@ impl Engine {
         let pending: Vec<ProcessEvent> = proc.events.drain(..).collect();
         for ev in pending {
             let ProcessEvent::ModuleLoaded { id } = ev;
-            janitizer_telemetry::flight::record(
-                "dbt.module_load",
-                janitizer_telemetry::flight::NO_MODULE,
-                id as u64,
-                0,
-            );
+            proc.flight.record("dbt.module_load", None, id as u64, 0);
             tool.on_module_load(proc, id);
         }
     }
@@ -1036,12 +1031,8 @@ impl Engine {
         if !cacheable {
             // Translation-size guard: run it, don't cache it.
             self.stats.oversized_blocks += 1;
-            janitizer_telemetry::flight::record(
-                "dbt.oversized_block",
-                janitizer_telemetry::flight::NO_MODULE,
-                pc,
-                items.len() as u64,
-            );
+            proc.flight
+                .record("dbt.oversized_block", None, pc, items.len() as u64);
         }
         Ok((CachedBlock::new(items), cacheable))
     }
@@ -1106,12 +1097,7 @@ impl Engine {
                 }
                 ProbeResult::Violation(r) => {
                     violated = true;
-                    janitizer_telemetry::flight::record(
-                        "dbt.violation",
-                        janitizer_telemetry::flight::NO_MODULE,
-                        r.pc,
-                        0,
-                    );
+                    proc.flight.record("dbt.violation", None, r.pc, 0);
                     if self.stats.reports.len() < self.opts.max_reports {
                         let ctx = self.capture_context(proc, r.pc);
                         self.stats.contexts.push(ctx);
@@ -1121,9 +1107,9 @@ impl Engine {
                         if self.stats.reports_dropped == 1 {
                             // First drop is the black-box trip:
                             // forensics is now lossy.
-                            janitizer_telemetry::flight::trip(
+                            proc.flight.trip(
                                 "report-overflow",
-                                janitizer_telemetry::flight::NO_MODULE,
+                                None,
                                 r.pc,
                                 self.opts.max_reports as u64,
                             );
@@ -1501,6 +1487,7 @@ mod tests {
             }
         }
         let mut p = proc_from(LOOP_SUM);
+        p.flight = janitizer_telemetry::flight::Flight::armed(None);
         let mut engine = Engine::new(EngineOptions {
             halt_on_violation: false,
             max_reports: 3,
@@ -1514,7 +1501,10 @@ mod tests {
             3,
             "contexts capped with reports"
         );
-        assert!(engine.stats.reports_dropped > 0, "overflow counted");
+        assert!(engine.stats.reports_dropped > 1, "overflow counted");
+        // Only the first drop trips the process's flight recorder.
+        let dump = p.flight.dump_json("test").expect("armed");
+        assert_eq!(dump.matches("\"report-overflow\"").count(), 1, "{dump}");
 
         // The cap does not change guest-visible execution: an uncapped
         // run reaches the same exit with the same cycle count.

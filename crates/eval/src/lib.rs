@@ -20,6 +20,7 @@ use janitizer_jasan::{Jasan, RT_MODULE};
 use janitizer_jcfi::{static_air, CtiKind, Jcfi};
 use janitizer_obj::Image;
 use janitizer_rules::RewriteRule;
+use janitizer_telemetry::flight::Flight;
 use janitizer_vm::{LoadOptions, ModuleStore, Process};
 use janitizer_workloads::{
     build_case, build_world, juliet_suite, BuildOptions, JulietCategory, World,
@@ -347,6 +348,10 @@ pub struct EvalWorld {
     pub cache: Arc<RuleCache>,
     /// The run's inputs.
     pub config: RunConfig,
+    /// Flight recorder every run of this world records into (disarmed
+    /// unless `--flight-recorder`): its loads, engines and serve
+    /// simulation carry clones of this handle.
+    pub flight: Flight,
     /// Tally of degraded module loads, keyed by `(module, reason)`.
     degraded: CellMap<u64>,
     /// Profile sink keyed by `(workload, config-label)`. Each cell merges
@@ -368,6 +373,7 @@ impl EvalWorld {
             world,
             cache: Arc::new(RuleCache::new()),
             config,
+            flight: Flight::default(),
             degraded: Mutex::default(),
             profiles: Mutex::default(),
         }
@@ -509,17 +515,16 @@ pub fn run_config(ew: &EvalWorld, idx: usize, cfg: ToolConfig) -> Option<RunSumm
     let store = &ew.world.store;
     let plain_load = LoadOptions {
         args: args.clone(),
+        flight: ew.flight.clone(),
         ..LoadOptions::default()
     };
     let jasan_load = LoadOptions {
-        args: args.clone(),
         preload: vec![RT_MODULE.into()],
-        ..LoadOptions::default()
+        ..plain_load.clone()
     };
     let memcheck_load = LoadOptions {
-        args: args.clone(),
         preload: vec![MEMCHECK_RT.into()],
-        ..LoadOptions::default()
+        ..plain_load.clone()
     };
 
     let (native_exit, native_proc) = run_native(store, w.name, &plain_load, FUEL).ok()?;
@@ -930,6 +935,7 @@ pub fn fig10_with(
             let opts = HybridOptions {
                 load: LoadOptions {
                     preload: vec![RT_MODULE.into()],
+                    flight: ew.flight.clone(),
                     ..LoadOptions::default()
                 },
                 fuel: 200_000_000,
@@ -944,6 +950,7 @@ pub fn fig10_with(
                 dynamic_only: true,
                 load: LoadOptions {
                     preload: vec![MEMCHECK_RT.into()],
+                    flight: ew.flight.clone(),
                     ..LoadOptions::default()
                 },
                 engine: EngineOptions {
@@ -1030,18 +1037,15 @@ pub fn fig10_with(
 
 /// Runs one Juliet case's *bad* variant under JASan-hybrid with forensics
 /// enabled and returns the assembled violation reports (`None` when the
-/// case id is out of range or the run fails to load). Backs the
-/// `eval report <case>` subcommand.
-pub fn juliet_report(base: &ModuleStore, case_id: usize) -> Option<Vec<ViolationReport>> {
-    let mut base = base.clone();
-    if base.get(MEMCHECK_RT).is_none() {
-        base.add(memcheck_runtime());
-    }
+/// case id is out of range or the run fails to load), linked against
+/// the world's libraries. Backs the `eval report <case>` subcommand.
+pub fn juliet_report(ew: &EvalWorld, case_id: usize) -> Option<Vec<ViolationReport>> {
     let case = juliet_suite().into_iter().find(|c| c.id == case_id)?;
-    let store = build_case(&base, "case", &case.bad);
+    let store = build_case(&ew.world.store, "case", &case.bad);
     let opts = HybridOptions {
         load: LoadOptions {
             preload: vec![RT_MODULE.into()],
+            flight: ew.flight.clone(),
             ..LoadOptions::default()
         },
         fuel: 200_000_000,
@@ -1118,7 +1122,7 @@ pub struct ServeSimRun {
     /// `janitizer.serve-metrics-host/v1` — wall-clock queue/latency
     /// truth, never diffed.
     pub host_metrics_json: String,
-    /// OpenMetrics exposition of the deterministic metrics registry.
+    /// OpenMetrics exposition of the deterministic serve metrics.
     pub openmetrics: String,
 }
 
@@ -1162,6 +1166,7 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
         ServiceOptions {
             budget_units: cfg.budget,
             max_in_flight: ew.config.workers(),
+            flight: ew.flight.clone(),
             ..ServiceOptions::default()
         },
     );
@@ -1298,7 +1303,7 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
         provenance,
         metrics_json: svc.serve_metrics_json(),
         host_metrics_json: svc.host_metrics_json(),
-        openmetrics: janitizer_telemetry::export::to_openmetrics(&svc.metrics_registry()),
+        openmetrics: svc.openmetrics(),
     }
 }
 
@@ -1677,8 +1682,8 @@ fn gauntlet_static_bytes(
 /// a rule override), then with the analyzer. Every module must analyze
 /// soundly or degrade per region — a panic or engine error fails the
 /// cell, and the overlap class's heap overflow must stay detected under
-/// both.
-pub fn hostile_gauntlet() -> GauntletResult {
+/// both. Every run records into `flight`.
+pub fn hostile_gauntlet(flight: &Flight) -> GauntletResult {
     use janitizer_analysis as analysis;
     let mut cells = Vec::new();
     for backend in ["hybrid", "evidence"] {
@@ -1713,6 +1718,7 @@ pub fn hostile_gauntlet() -> GauntletResult {
             let mut opts = HybridOptions {
                 load: LoadOptions {
                     preload: vec![RT_MODULE.into()],
+                    flight: flight.clone(),
                     ..LoadOptions::default()
                 },
                 fuel: 200_000_000,

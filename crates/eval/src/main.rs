@@ -44,7 +44,7 @@
 //! deterministic data.
 
 use janitizer_eval::*;
-use janitizer_telemetry::flight;
+use janitizer_telemetry::flight::Flight;
 
 /// Writes one figure's CSV and JSON under `results/`, propagating I/O
 /// errors instead of swallowing them.
@@ -636,19 +636,23 @@ fn main() {
     let mut failures = 0u32;
     let mut errors = 0u32;
 
-    if flight_flag {
-        // Black-box event ring: always-on once armed, dumps to the
-        // metrics directory (or `--out`) on panic and on degradation
-        // trips. Observation-only — figure bytes are identical with the
-        // recorder on or off (test-enforced).
+    // Black-box event ring: every run of the world records into it, and
+    // it dumps to the metrics directory (or `--out`) on panic and on
+    // degradation trips. Observation-only — figure bytes are identical
+    // with the recorder on or off (test-enforced).
+    let flight = if flight_flag {
         let dump_dir = metrics_out.clone().unwrap_or_else(|| out_dir.clone());
-        flight::arm(flight::DEFAULT_CAPACITY);
-        flight::arm_panic_dump(std::path::Path::new(&dump_dir));
+        let flight = Flight::armed(Some(dump_dir.clone().into()));
+        flight.dump_on_panic();
         eprintln!("flight recorder armed (black box dumps to {dump_dir})");
-    }
+        flight
+    } else {
+        Flight::default()
+    };
 
     eprintln!("building guest world (scale {scale}) ...");
     let mut ew = build_eval_world(scale);
+    ew.flight = flight;
     ew.config.threads = threads_flag;
     ew.config.inject = inject;
     // Persistent rule store: figure and serve runs consult it before
@@ -666,6 +670,7 @@ fn main() {
             dir,
             janitizer_store::RetryPolicy::default(),
             failures,
+            ew.flight.clone(),
         ) {
             Ok(st) => {
                 let st = std::sync::Arc::new(st);
@@ -749,7 +754,7 @@ fn main() {
             .nth(1)
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
-        match juliet_report(&ew.world.store, case_id) {
+        match juliet_report(&ew, case_id) {
             Some(reports) if !reports.is_empty() => {
                 for rep in &reports {
                     print!("{}", rep.render_text());
@@ -802,7 +807,7 @@ fn main() {
         // Hostile-module gauntlet: every hostility class analyzed and run
         // under the analyzer and the no-evidence ablation. A failing cell
         // (a panic, an engine error, or a lost detection) fails the process.
-        let r = hostile_gauntlet();
+        let r = hostile_gauntlet(&ew.flight);
         print!("{}", r.render());
         let write_all = || -> std::io::Result<()> {
             std::fs::create_dir_all("results")?;
@@ -884,8 +889,8 @@ fn main() {
                     failures += 1;
                 }
             }
-            if flight::armed() {
-                match flight::dump_to(std::path::Path::new(dir), "snapshot") {
+            if ew.flight.is_armed() {
+                match ew.flight.dump_to(std::path::Path::new(dir), "snapshot") {
                     Some(p) => eprintln!("flight black box written to {}", p.display()),
                     None => eprintln!("error: failed to write flight black box under {dir}"),
                 }

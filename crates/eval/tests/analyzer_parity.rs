@@ -9,7 +9,7 @@ use janitizer_analysis::{analyze_module, analyze_tiered, DisasmResult, RegionCau
 use janitizer_core::{analyze_statically, rules_from_disasm, run_hybrid, HybridOptions};
 use janitizer_eval::build_eval_world;
 use janitizer_jasan::{Jasan, RT_MODULE};
-use janitizer_telemetry::flight;
+use janitizer_telemetry::flight::Flight;
 use janitizer_vm::LoadOptions;
 
 #[test]
@@ -44,21 +44,21 @@ fn flight_records_one_disasm_degraded_event_per_low_confidence_region() {
         "data-island must degrade at least one region"
     );
 
-    flight::arm(flight::DEFAULT_CAPACITY);
+    let flight = Flight::armed(None);
     let mut store = janitizer_workloads::library_base();
     let module = m.name;
     store.add(m.image);
     let opts = HybridOptions {
         load: LoadOptions {
             preload: vec![RT_MODULE.into()],
+            flight: flight.clone(),
             ..LoadOptions::default()
         },
         ..HybridOptions::default()
     };
     let run = run_hybrid(&store, module, Jasan::hybrid(), &opts).expect("hostile run");
     assert_eq!(run.outcome.code(), Some(0), "data-island must run benignly");
-    let dump = flight::dump_json("test");
-    flight::disarm();
+    let dump = flight.dump_json("test").expect("armed");
 
     let events = dump.matches("\"disasm.degraded\"").count();
     assert_eq!(

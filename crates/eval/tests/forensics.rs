@@ -74,7 +74,7 @@ fn fig10_reports_are_observation_only_and_well_formed() {
 #[test]
 fn juliet_report_carries_full_forensic_context() {
     let ew = build_eval_world(0.05);
-    let reports = juliet_report(&ew.world.store, 0).expect("case 0 exists");
+    let reports = juliet_report(&ew, 0).expect("case 0 exists");
     assert!(!reports.is_empty(), "case 0 bad variant violates");
     let rep = &reports[0];
 

@@ -8,15 +8,14 @@
 //! table row per knob on a clone of the world with a cold rule cache,
 //! asserting that the bytes the row reproduces match the reference.
 //! Rows also check what their knob must produce: profiles that conserve
-//! cycles and match across thread counts.
+//! cycles and match across thread counts, and flight recorders that
+//! hold module loads and the same event total at any thread count.
 //! Last, the serve simulation's snapshots must match at 1, 4 and 4
 //! threads.
 //!
 //! Eval's own knobs (`threads`, `profile`) travel in each world's
-//! [`RunConfig`]. The flight recorder is process-global, so the one
-//! table test arms it around its rows in sequence; the other test in
-//! this binary only reads figure bytes and its own world's profile sink,
-//! which the recorder cannot change.
+//! [`RunConfig`]; a flight row arms its own world's recorder
+//! ([`EvalWorld::flight`]).
 
 use janitizer_core::{analyze_statically, RunProfile};
 use janitizer_eval::{
@@ -24,7 +23,8 @@ use janitizer_eval::{
     FigResult, RunConfig, ServeSimConfig,
 };
 use janitizer_jasan::Jasan;
-use janitizer_telemetry::flight;
+use janitizer_telemetry::flight::Flight;
+use janitizer_telemetry::json::Json;
 use janitizer_workloads::World;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -67,6 +67,24 @@ fn figure_bytes(fig: &FigResult) -> [String; 3] {
     [fig.render(), fig.to_csv(), fig.to_json()]
 }
 
+/// The first line where `got` and `want` differ, for divergence messages.
+fn first_diff(got: &str, want: &str) -> String {
+    let (mut g, mut w) = (got.lines(), want.lines());
+    for n in 1.. {
+        match (g.next(), w.next()) {
+            (Some(a), Some(b)) if a == b => continue,
+            (None, None) => break,
+            (a, b) => return format!("line {n}: got {a:?}, want {b:?}"),
+        }
+    }
+    "no line differs (line endings?)".into()
+}
+
+/// Asserts `got == want`, naming the first differing line on failure.
+fn assert_same_text(got: &str, want: &str, what: &str) {
+    assert!(got == want, "{what} diverged at {}", first_diff(got, want));
+}
+
 type Profiles = BTreeMap<(String, String), RunProfile>;
 
 /// Renders `figs` and returns each one's bytes by name, with the
@@ -100,9 +118,8 @@ fn rule_bytes() -> Vec<(String, Vec<u8>)> {
 }
 
 /// One knob setting: its name, the world's `RunConfig` (`threads`,
-/// `profile`), whether the process-global flight recorder is armed
-/// around the row, the figures it must reproduce, and whether fig10 is
-/// among them.
+/// `profile`), whether the world's flight recorder is armed, the
+/// figures it must reproduce, and whether fig10 is among them.
 type Row = (&'static str, usize, bool, bool, &'static [Figure], bool);
 
 #[rustfmt::skip]
@@ -219,9 +236,9 @@ fn assert_serve_snapshots_match() {
         snapshots.push([run.summary, run.metrics_json, run.openmetrics]);
     }
     for pair in snapshots.windows(2) {
-        assert_eq!(pair[0][0], pair[1][0], "serve summary diverged");
-        assert_eq!(pair[0][1], pair[1][1], "serve-metrics.json diverged");
-        assert_eq!(pair[0][2], pair[1][2], "OpenMetrics exposition diverged");
+        assert_same_text(&pair[1][0], &pair[0][0], "serve summary");
+        assert_same_text(&pair[1][1], &pair[0][1], "serve-metrics.json");
+        assert_same_text(&pair[1][2], &pair[0][2], "OpenMetrics exposition");
     }
 }
 
@@ -237,34 +254,56 @@ fn knobs_change_no_byte() {
     );
 
     let mut first_profiles: Option<ProfileBytes> = None;
+    let mut first_flight_total: Option<u64> = None;
     for &(row, threads, profile, armed, row_figs, with_fig10) in ROWS {
-        let ew = eval_world(RunConfig {
+        let mut ew = eval_world(RunConfig {
             threads,
             profile,
             ..RunConfig::default()
         });
         if armed {
-            flight::arm(flight::DEFAULT_CAPACITY);
+            ew.flight = Flight::armed(None);
         }
         let figs = render(&ew, row_figs);
         let rules = rule_bytes();
         let fig10 = with_fig10.then(|| juliet(&ew));
-        if armed {
-            flight::disarm();
-        }
 
         for (name, ([render, csv, json], _)) in &figs {
             let ([ref_render, ref_csv, ref_json], _) = &ref_figs[name];
-            assert_eq!(render, ref_render, "{row}: {name} render diverged");
-            assert_eq!(csv, ref_csv, "{row}: {name} CSV diverged");
-            assert_eq!(json, ref_json, "{row}: {name} JSON diverged");
+            assert_same_text(render, ref_render, &format!("{row}: {name} render"));
+            assert_same_text(csv, ref_csv, &format!("{row}: {name} CSV"));
+            assert_same_text(json, ref_json, &format!("{row}: {name} JSON"));
         }
         if let Some(fig10) = fig10 {
-            assert_eq!(fig10, ref_fig10, "{row}: fig10 diverged");
+            assert_same_text(&fig10, &ref_fig10, &format!("{row}: fig10"));
         }
         assert_eq!(rules.len(), ref_rules.len(), "{row}: module set changed");
         for ((name, bytes), (_, ref_bytes)) in rules.iter().zip(&ref_rules) {
             assert!(bytes == ref_bytes, "{row}: {name} rule bytes diverged");
+        }
+        if armed {
+            // The recorder saw the rows' runs, and the event total is a
+            // sum over deterministic runs, so it is the same at any
+            // thread count.
+            let dump = ew.flight.dump_json("test").expect("armed row");
+            let dump = Json::parse(&dump).expect("flight dump parses");
+            let loads = dump
+                .get("events")
+                .and_then(Json::as_arr)
+                .expect("events array")
+                .iter()
+                .filter(|e| e.get("kind").and_then(Json::as_str) == Some("vm.module_load"))
+                .count();
+            assert!(loads > 0, "{row}: no vm.module_load recorded");
+            let total = dump
+                .get("total_events")
+                .and_then(Json::as_u64)
+                .expect("total_events");
+            assert_eq!(
+                total,
+                *first_flight_total.get_or_insert(total),
+                "{row}: flight event total depends on the thread count"
+            );
         }
 
         let cells = || {
@@ -297,14 +336,15 @@ fn knobs_change_no_byte() {
                 );
                 for (key, [json, folded, budget]) in &bytes {
                     let [json0, folded0, budget0] = &first[key];
-                    assert_eq!(json, json0, "{row}: {key:?} profile JSON diverged");
-                    assert_eq!(folded, folded0, "{row}: {key:?} folded diverged");
-                    assert_eq!(budget, budget0, "{row}: {key:?} budget diverged");
+                    assert_same_text(json, json0, &format!("{row}: {key:?} profile JSON"));
+                    assert_same_text(folded, folded0, &format!("{row}: {key:?} folded"));
+                    assert_same_text(budget, budget0, &format!("{row}: {key:?} budget"));
                 }
             }
         }
     }
     assert!(first_profiles.is_some(), "the table has a profiling row");
+    assert!(first_flight_total.is_some(), "the table has a flight row");
 
     assert_serve_snapshots_match();
 }

@@ -10,7 +10,8 @@
 use janitizer_core::{analyze_statically, FillSource, RuleCache, SecurityPlugin};
 use janitizer_eval::build_eval_world;
 use janitizer_jasan::Jasan;
-use janitizer_store::{scratch_dir, RuleStore, StoreKey};
+use janitizer_store::{scratch_dir, FailurePlan, RetryPolicy, RuleStore, StoreKey};
+use janitizer_telemetry::flight::Flight;
 use std::sync::Arc;
 
 fn open_store(dir: &std::path::Path) -> Arc<RuleStore> {
@@ -148,8 +149,17 @@ fn golden_byte_parity_across_store_tiers() {
         let bytes = std::fs::read(&path).expect("committed entry");
         std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("tear entry");
     }
+    let flight_dir = scratch_dir("eval-parity-flight");
     {
-        let store = open_store(&dir);
+        let store = Arc::new(
+            RuleStore::open_with(
+                &dir,
+                RetryPolicy::default(),
+                FailurePlan::default(),
+                Flight::armed(Some(flight_dir.clone())),
+            )
+            .expect("open scratch store"),
+        );
         let cache = RuleCache::with_store(Arc::clone(&store));
         let image = ew.world.store.get(&torn_module).expect("listed module");
         let (file, source) = cache.get_or_analyze_traced(&image, &plugin, true);
@@ -172,6 +182,18 @@ fn golden_byte_parity_across_store_tiers() {
             1,
             "torn entry must be counted corrupt"
         );
+        // The quarantine trips the store's flight recorder, which dumps
+        // into its own directory and names the quarantined entry.
+        let dump = std::fs::read_to_string(flight_dir.join("flight-store-quarantine.json"))
+            .expect("store-quarantine dump written");
+        let entry = StoreKey {
+            module: torn_module.clone(),
+            fingerprint: image.fingerprint(),
+            plugin: plugin.cache_key(),
+            noop: true,
+        }
+        .entry_name();
+        assert!(dump.contains(&entry), "dump names {entry}");
 
         // And the repair is durable: the re-analysis re-persisted the
         // entry, so the next open serves it from disk again.
@@ -186,4 +208,5 @@ fn golden_byte_parity_across_store_tiers() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&flight_dir);
 }

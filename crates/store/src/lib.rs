@@ -30,9 +30,10 @@
 //! Every failure path is observable: [`StoreStats`] counts hits,
 //! misses, corrupt entries, recoveries and retries (`janitizer-eval`
 //! prints them on its `store:` line), quarantined bytes are kept for
-//! forensics, and quarantines and recoveries are recorded by the armed
-//! flight recorder.
+//! forensics, and quarantines and recoveries are recorded by the flight
+//! recorder handed to [`RuleStore::open_with`].
 
+use janitizer_telemetry::flight::Flight;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -148,6 +149,8 @@ pub struct RuleStore {
     commits_until_crash: AtomicU64,
     /// Set after the simulated crash: all writes fail, loads miss.
     poisoned: std::sync::atomic::AtomicBool,
+    /// Records recoveries and trips `store-quarantine`.
+    flight: Flight,
 }
 
 impl fmt::Debug for RuleStore {
@@ -171,15 +174,22 @@ impl RuleStore {
     /// Returns [`StoreError::Io`] if the directory layout cannot be
     /// created or recovery I/O fails persistently.
     pub fn open(root: impl Into<PathBuf>) -> Result<RuleStore, StoreError> {
-        RuleStore::open_with(root, RetryPolicy::default(), FailurePlan::default())
+        RuleStore::open_with(
+            root,
+            RetryPolicy::default(),
+            FailurePlan::default(),
+            Flight::default(),
+        )
     }
 
     /// [`RuleStore::open`] with an explicit retry policy and failure
-    /// plan (tests, CI smokes, the `--store-kill-after` evaluation flag).
+    /// plan (tests, CI smokes, the `--store-kill-after` evaluation flag),
+    /// recording recoveries and quarantines into `flight`.
     pub fn open_with(
         root: impl Into<PathBuf>,
         retry: RetryPolicy,
         failures: FailurePlan,
+        flight: Flight,
     ) -> Result<RuleStore, StoreError> {
         let root = root.into();
         let store = RuleStore {
@@ -190,6 +200,7 @@ impl RuleStore {
             transient_left: AtomicU64::new(failures.transient_write_failures),
             commits_until_crash: AtomicU64::new(failures.crash_after_commits.unwrap_or(u64::MAX)),
             poisoned: std::sync::atomic::AtomicBool::new(false),
+            flight,
         };
         store.io_op("create-layout", || {
             std::fs::create_dir_all(store.entries_dir())?;
@@ -441,10 +452,7 @@ impl RuleStore {
     /// diagnosable after the fact instead of silently destroyed.
     fn quarantine(&self, name: &str) {
         self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-        if janitizer_telemetry::flight::armed() {
-            let id = janitizer_telemetry::flight::intern_module(name);
-            janitizer_telemetry::flight::trip("store-quarantine", id, 0, 0);
-        }
+        self.flight.trip("store-quarantine", Some(name), 0, 0);
         let src = self.entries_dir().join(name);
         for n in 0u32.. {
             let dst = self.quarantine_dir().join(format!("{name}.{n}"));
@@ -498,12 +506,7 @@ impl RuleStore {
                     }
                 }
                 self.stats.recovered.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::flight::record(
-                    "store.recovered",
-                    janitizer_telemetry::flight::NO_MODULE,
-                    0,
-                    0,
-                );
+                self.flight.record("store.recovered", None, 0, 0);
             }
             Err(_) => {
                 // Torn journal: the in-flight entry name is unknown, so
@@ -521,12 +524,7 @@ impl RuleStore {
                     }
                 }
                 self.stats.recovered.fetch_add(1, Ordering::Relaxed);
-                janitizer_telemetry::flight::record(
-                    "store.recovered",
-                    janitizer_telemetry::flight::NO_MODULE,
-                    1,
-                    0,
-                );
+                self.flight.record("store.recovered", None, 1, 0);
             }
         }
         self.io_op("clear-journal", || {
@@ -799,6 +797,7 @@ mod tests {
                 transient_write_failures: 2,
                 crash_after_commits: None,
             },
+            Flight::default(),
         )
         .unwrap();
         let k = key(7);
@@ -818,6 +817,7 @@ mod tests {
                 transient_write_failures: 100,
                 crash_after_commits: None,
             },
+            Flight::default(),
         )
         .unwrap();
         let err = store.save(&key(8), b"never").unwrap_err();
@@ -845,6 +845,7 @@ mod tests {
                     transient_write_failures: 0,
                     crash_after_commits: Some(1),
                 },
+                Flight::default(),
             )
             .unwrap();
             store.save(&k1, b"first").unwrap();

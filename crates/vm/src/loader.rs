@@ -10,6 +10,7 @@ use crate::process::{
 use janitizer_isa::{Instr, Reg};
 use janitizer_link::RESOLVER_SYMBOL;
 use janitizer_obj::{DynTarget, Image, SectionKind};
+use janitizer_telemetry::flight::Flight;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -71,6 +72,9 @@ pub struct LoadOptions {
     pub args: Vec<u64>,
     /// Seed for the process RNG and the stack-canary cookie.
     pub seed: u64,
+    /// Flight recorder the process records into (disarmed by default);
+    /// becomes [`Process::flight`].
+    pub flight: Flight,
 }
 
 impl Default for LoadOptions {
@@ -80,6 +84,7 @@ impl Default for LoadOptions {
             lazy_binding: true,
             args: Vec::new(),
             seed: 0x4a41_4e49_5449_5a45, // "JANITIZE"
+            flight: Flight::default(),
         }
     }
 }
@@ -142,6 +147,7 @@ pub fn load_process(
 ) -> Result<Process, LoadError> {
     let mut p = Process::empty(store.clone(), opts.lazy_binding, opts.seed);
     p.args = opts.args.clone();
+    p.flight = opts.flight.clone();
 
     // Stack.
     p.mem
@@ -313,9 +319,9 @@ fn map_module(p: &mut Process, image: Arc<Image>) -> Result<usize, LoadError> {
         id,
         dlopened: false,
     });
-    janitizer_telemetry::flight::record_for(
+    p.flight.record(
         "vm.module_load",
-        p.modules[id].image.name.as_str(),
+        Some(p.modules[id].image.name.as_str()),
         id as u64,
         base,
     );

@@ -6,6 +6,7 @@ use crate::loader;
 use crate::mem::{Memory, Perm};
 use janitizer_isa::{decode, Instr, PcMap, TLS_BLOCK_SIZE, TLS_CANARY_OFFSET};
 use janitizer_obj::Image;
+use janitizer_telemetry::flight::Flight;
 use std::sync::Arc;
 
 /// Address of the host-synthesized bootstrap code that runs module
@@ -130,6 +131,10 @@ pub struct Process {
     /// Generic notification counter bumped by the `note` syscall (see
     /// `syscall::SYS_NOTE`); host tools use it as a change epoch.
     pub note_counter: u64,
+    /// Flight recorder for module loads and faults (from
+    /// [`LoadOptions::flight`](crate::LoadOptions::flight)); the DBT
+    /// records into it too.
+    pub flight: Flight,
     /// Module store used to satisfy `dlopen`.
     pub(crate) store: loader::ModuleStore,
     /// Whether PLT GOT slots are bound lazily.
@@ -169,6 +174,7 @@ impl Process {
             events: Vec::new(),
             lazy_fixups: 0,
             note_counter: 0,
+            flight: Flight::default(),
             store,
             lazy_binding,
             brk: HEAP_BASE,

@@ -50,12 +50,7 @@ pub fn dispatch(p: &mut Process) -> Step {
     let num = p.cpu.reg(Reg::R0);
     let step = dispatch_inner(p, num);
     if let Step::Fault(_) = &step {
-        janitizer_telemetry::flight::record(
-            "vm.fault",
-            janitizer_telemetry::flight::NO_MODULE,
-            p.cpu.pc,
-            num,
-        );
+        p.flight.record("vm.fault", None, p.cpu.pc, num);
     }
     step
 }
