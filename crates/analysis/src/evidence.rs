@@ -124,25 +124,6 @@ impl DisasmResult {
             backend: "hybrid",
         }
     }
-
-    /// The confidence tier of the byte at `addr`.
-    pub fn tier_at(&self, addr: u64) -> ConfidenceTier {
-        if self
-            .data_regions
-            .iter()
-            .any(|&(s, l)| addr >= s && addr < s + l)
-        {
-            return ConfidenceTier::Data;
-        }
-        match self.cfg.block_containing(addr) {
-            Some(b) => self
-                .tiers
-                .get(&b.start)
-                .copied()
-                .unwrap_or(ConfidenceTier::Proven),
-            None => ConfidenceTier::Unknown,
-        }
-    }
 }
 
 /// Fact weights (Datalog-Disassembly-style, scaled to small integers).

@@ -401,10 +401,20 @@ fn landing_pad_anchor_proves_an_otherwise_unreachable_helper() {
         res.cfg.blocks.contains_key(&helper),
         "anchor seeds recovery"
     );
+    // Blocks absent from the tier map are `Proven`.
     assert_eq!(
-        res.tier_at(helper),
+        res.tiers
+            .get(&helper)
+            .copied()
+            .unwrap_or(ConfidenceTier::Proven),
         ConfidenceTier::Proven,
         "anchors are ground truth"
+    );
+    assert!(
+        !res.data_regions
+            .iter()
+            .any(|&(s, l)| (s..s + l).contains(&helper)),
+        "the helper is code"
     );
     assert!(res.degraded.is_empty());
 }

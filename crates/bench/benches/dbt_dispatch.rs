@@ -19,11 +19,7 @@ impl Tool for Passthrough {
         "passthrough"
     }
     fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
-        block
-            .insns
-            .iter()
-            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-            .collect()
+        block.passthrough()
     }
 }
 

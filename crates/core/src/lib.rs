@@ -851,11 +851,7 @@ impl<P: SecurityPlugin> Tool for JanitizerTool<P> {
         if (janitizer_vm::BOOTSTRAP_BASE..janitizer_vm::BOOTSTRAP_BASE + 0x1000)
             .contains(&block.start)
         {
-            return block
-                .insns
-                .iter()
-                .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-                .collect();
+            return block.passthrough();
         }
         // The classifier (Figure 4): a hit in the owning module's hash
         // table means the block was statically seen.
@@ -867,8 +863,8 @@ impl<P: SecurityPlugin> Tool for JanitizerTool<P> {
             // Pre-group per-instruction rules once across the (possibly
             // merged) translation-time block, handing the plugin borrowed
             // slices into the rule tables — no per-instruction cloning.
-            let mut entries: Vec<(u64, &[RewriteRule])> = Vec::with_capacity(block.insns.len());
-            for &(pc, _, _) in &block.insns {
+            let mut entries: Vec<(u64, &[RewriteRule])> = Vec::with_capacity(block.ops.len());
+            for pc in block.ops.iter().map(|op| op.pc) {
                 let rules = Self::table_for_addr(&self.tables, proc, pc)
                     .map(|t| t.lookup_instr(pc))
                     .unwrap_or(&[]);
@@ -1220,8 +1216,8 @@ mod tests {
             rules: &BlockRules<'_>,
         ) -> Vec<TbItem> {
             let mut items = Vec::new();
-            for &(pc, insn, next) in &block.insns {
-                for r in rules.rules_for(pc) {
+            for &op in &block.ops {
+                for r in rules.rules_for(op.pc) {
                     assert_eq!(r.id, MEM_RULE);
                     let hits = self.hits.clone();
                     items.push(TbItem::Probe(Probe::new(
@@ -1232,15 +1228,15 @@ mod tests {
                         }),
                     )));
                 }
-                items.push(TbItem::Guest(pc, insn, next));
+                items.push(TbItem::Guest(op));
             }
             items
         }
 
         fn instrument_dynamic(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
             let mut items = Vec::new();
-            for &(pc, insn, next) in &block.insns {
-                if insn.mem_access().is_some() {
+            for &op in &block.ops {
+                if op.insn.mem_access().is_some() {
                     let hits = self.dyn_hits.clone();
                     items.push(TbItem::Probe(Probe::new(
                         6,
@@ -1250,7 +1246,7 @@ mod tests {
                         }),
                     )));
                 }
-                items.push(TbItem::Guest(pc, insn, next));
+                items.push(TbItem::Guest(op));
             }
             items
         }
@@ -1557,22 +1553,14 @@ mod tests {
                 block: &DecodedBlock,
                 _r: &BlockRules<'_>,
             ) -> Vec<TbItem> {
-                block
-                    .insns
-                    .iter()
-                    .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-                    .collect()
+                block.passthrough()
             }
             fn instrument_dynamic(
                 &mut self,
                 _p: &mut Process,
                 block: &DecodedBlock,
             ) -> Vec<TbItem> {
-                block
-                    .insns
-                    .iter()
-                    .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-                    .collect()
+                block.passthrough()
             }
         }
         let store = test_store(MEM_LOOP);

@@ -98,6 +98,12 @@ pub struct ServeStats {
     pub store_failures: u64,
     /// High-water mark of concurrently running analyses.
     pub peak_in_flight: u64,
+    /// Replies served from the in-memory cache.
+    pub memory: u64,
+    /// Replies served from the persistent store.
+    pub store: u64,
+    /// Replies that ran a fresh supervised analysis.
+    pub analyzed: u64,
 }
 
 /// Request-lifecycle metrics, split by determinism class.
@@ -409,6 +415,9 @@ impl AnalysisService {
             retries: self.retries.load(Ordering::Relaxed),
             store_failures: self.store_failures.load(Ordering::Relaxed),
             peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
+            memory: self.metrics.src_memory.load(Ordering::Relaxed),
+            store: self.metrics.src_store.load(Ordering::Relaxed),
+            analyzed: self.metrics.src_analyzed.load(Ordering::Relaxed),
         }
     }
 

@@ -3,7 +3,7 @@
 use janitizer_asm::{assemble, AsmOptions};
 use janitizer_dbt::*;
 use janitizer_link::{link, LinkOptions};
-use janitizer_vm::{load_process, LoadOptions, ModuleStore, Process};
+use janitizer_vm::{load_process, LoadOptions, ModuleStore, Process, MAX_BLOCK};
 
 fn proc_from(src: &str) -> Process {
     let o = assemble("t.s", src, &AsmOptions::default()).unwrap();
@@ -86,24 +86,26 @@ fn indirect_transfers_pay_dispatch_every_time() {
 
 #[test]
 fn max_block_splits_long_runs() {
-    // 300 straight-line instructions with a tiny max_block.
-    let mut src = String::from(".section text\n.global _start\n_start:\n");
-    for _ in 0..300 {
-        src.push_str(" nop\n");
-    }
-    src.push_str(" mov r0, 3\n ret\n");
-    let mut p = proc_from(&src);
-    let mut engine = Engine::new(EngineOptions {
-        max_block: 16,
-        ..EngineOptions::default()
-    });
-    let out = engine.run(&mut p, &mut NullTool, 100_000_000);
-    assert_eq!(out.code(), Some(3));
-    assert!(
-        engine.stats.blocks_translated >= 300 / 16,
-        "{} blocks",
+    // A straight-line run of `len` instructions (nops, then `mov`, `ret`)
+    // translates as ceil(len / MAX_BLOCK) blocks, on top of the ones the
+    // two-instruction program needs.
+    let blocks = |len: usize| {
+        let mut src = String::from(".section text\n.global _start\n_start:\n");
+        for _ in 0..len - 2 {
+            src.push_str(" nop\n");
+        }
+        src.push_str(" mov r0, 3\n ret\n");
+        let mut p = proc_from(&src);
+        let mut engine = Engine::new(EngineOptions::default());
+        let out = engine.run(&mut p, &mut NullTool, 100_000_000);
+        assert_eq!(out.code(), Some(3));
         engine.stats.blocks_translated
-    );
+    };
+    let base = blocks(2);
+    assert_eq!(blocks(MAX_BLOCK), base);
+    assert_eq!(blocks(MAX_BLOCK + 1), base + 1);
+    assert_eq!(blocks(3 * MAX_BLOCK), base + 2);
+    assert_eq!(blocks(3 * MAX_BLOCK + 1), base + 3);
 }
 
 #[test]

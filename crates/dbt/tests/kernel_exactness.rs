@@ -28,12 +28,12 @@ impl Tool for ProbeEach {
 
     fn instrument_block(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
         let mut items = Vec::new();
-        for &(pc, insn, next) in &block.insns {
+        for &op in &block.ops {
             items.push(TbItem::Probe(Probe::new(
                 PROBE_COST,
                 Box::new(|_| ProbeResult::Ok),
             )));
-            items.push(TbItem::Guest(pc, insn, next));
+            items.push(TbItem::Guest(op));
         }
         items
     }

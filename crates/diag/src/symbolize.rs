@@ -27,13 +27,6 @@ pub struct Frame {
     pub offset: u64,
 }
 
-impl Frame {
-    /// Whether the address resolved all the way to `module!symbol`.
-    pub fn is_resolved(&self) -> bool {
-        self.module.is_some() && self.symbol.is_some()
-    }
-}
-
 impl fmt::Display for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match (&self.module, &self.symbol) {

@@ -69,7 +69,6 @@ fn non_pic_symbol_resolves_at_bias_zero() {
     assert_eq!(f.module.as_deref(), Some("t"));
     assert_eq!(f.symbol.as_deref(), Some("helper"));
     assert_eq!(f.offset, 0);
-    assert!(f.is_resolved());
     assert_eq!(f.to_string(), format!("{addr:#010x} in t!helper+0x0"));
 }
 

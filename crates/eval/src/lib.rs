@@ -27,7 +27,7 @@ use janitizer_workloads::{
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[cfg(test)]
@@ -217,18 +217,10 @@ impl SecurityPlugin for NullPlugin {
         block: &DecodedBlock,
         _rules: &janitizer_core::BlockRules<'_>,
     ) -> Vec<TbItem> {
-        block
-            .insns
-            .iter()
-            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-            .collect()
+        block.passthrough()
     }
     fn instrument_dynamic(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
-        block
-            .insns
-            .iter()
-            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-            .collect()
+        block.passthrough()
     }
 }
 
@@ -1088,34 +1080,16 @@ pub struct ServeSimConfig {
     pub budget: u64,
 }
 
-/// Per-reply provenance tally of one serve simulation: how many replies
-/// each fill tier served. *Which client* lands on which tier depends on
-/// scheduling, but the per-tier totals do not: the `RuleCache` analyzes
-/// each `(module, plugin)` key exactly once (the slot lock is held
-/// across the analysis), so for a fixed request set exactly one reply
-/// per key is `Analyzed`/`Store` and the rest are `Memory` — at any
-/// thread count. The serve-metrics parity test enforces this.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ServeProvenance {
-    /// Replies served from the in-memory cache.
-    pub memory: u64,
-    /// Replies served from the persistent store.
-    pub store: u64,
-    /// Replies that ran a fresh supervised analysis.
-    pub analyzed: u64,
-}
-
 /// Everything one serve simulation produced: the byte-stable summary,
-/// the supervision counters, per-tier provenance, and the service
-/// metrics snapshots (deterministic + host + OpenMetrics text).
+/// the supervision and provenance counters, and the service metrics
+/// snapshots (deterministic + host + OpenMetrics text).
 pub struct ServeSimRun {
     /// Deterministic human-readable summary (print to stdout).
     pub summary: String,
-    /// Supervision counter snapshot (scheduling-dependent fields like
-    /// `peak_in_flight` included — print to stderr).
+    /// Supervision and per-tier provenance counter snapshot
+    /// (scheduling-dependent fields like `peak_in_flight` included —
+    /// print to stderr).
     pub stats: janitizer_core::ServeStats,
-    /// Per-tier reply provenance totals.
-    pub provenance: ServeProvenance,
     /// `janitizer.serve-metrics/v1` — deterministic, byte-identical at
     /// any `--threads`.
     pub metrics_json: String,
@@ -1151,7 +1125,7 @@ impl Default for ServeSimConfig {
 /// scheduling-dependent counters (peak in-flight — print them to
 /// stderr); the metrics snapshots come straight from the service.
 pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
-    use janitizer_core::{AnalysisService, FillSource, ServiceOptions, SplitMix64};
+    use janitizer_core::{AnalysisService, ServiceOptions, SplitMix64};
 
     let modules = ew.world.store.names();
     // Named plugin factories: plugins are not `Send`, so each client
@@ -1175,16 +1149,12 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
     type Tally = BTreeMap<(String, String), (u64, Option<Vec<u8>>, Vec<String>)>;
     let merged: Mutex<Tally> = Mutex::new(BTreeMap::new());
     let mismatches = AtomicUsize::new(0);
-    let (from_memory, from_store, from_analysis) =
-        (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|scope| {
         for c in 0..cfg.clients {
             let svc = &svc;
             let modules = &modules;
             let merged = &merged;
             let mismatches = &mismatches;
-            let (from_memory, from_store, from_analysis) =
-                (&from_memory, &from_store, &from_analysis);
             scope.spawn(move || {
                 // Plugins are built per client thread (they are not Send).
                 let built: Vec<(&str, Box<dyn SecurityPlugin>)> =
@@ -1196,14 +1166,6 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
                     let p = (rng.next_u64() as usize) % built.len();
                     let image = ew.world.store.get(modules[m]).expect("listed module");
                     let reply = svc.request(&image, built[p].1.as_ref(), true);
-                    match reply.source {
-                        Some(FillSource::Memory) => from_memory.fetch_add(1, Ordering::Relaxed),
-                        Some(FillSource::Store) => from_store.fetch_add(1, Ordering::Relaxed),
-                        Some(FillSource::Analyzed { .. }) => {
-                            from_analysis.fetch_add(1, Ordering::Relaxed)
-                        }
-                        None => 0,
-                    };
                     let slot = local
                         .entry((modules[m].to_string(), built[p].0.to_string()))
                         .or_insert((0, None, Vec::new()));
@@ -1292,15 +1254,9 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
         "parity: {parity_ok} ok, {parity_bad} mismatched, {} cross-reply mismatches",
         mismatches.load(Ordering::Relaxed)
     );
-    let provenance = ServeProvenance {
-        memory: from_memory.load(Ordering::Relaxed),
-        store: from_store.load(Ordering::Relaxed),
-        analyzed: from_analysis.load(Ordering::Relaxed),
-    };
     ServeSimRun {
         summary: out,
         stats,
-        provenance,
         metrics_json: svc.serve_metrics_json(),
         host_metrics_json: svc.host_metrics_json(),
         openmetrics: svc.openmetrics(),
@@ -1311,11 +1267,15 @@ pub fn serve_sim(ew: &EvalWorld, cfg: &ServeSimConfig) -> ServeSimRun {
 /// per-reply [`FillSource`](janitizer_core::FillSource) provenance
 /// counts, and the supervision counters
 /// (`serve.{retries,timeouts,panics_isolated}`), so daemon behavior is
-/// observable without reading logs.
+/// observable without reading logs. Every field is fixed by the world
+/// and the config: *which client* lands on which fill tier depends on
+/// scheduling, but the per-tier totals do not, because the `RuleCache`
+/// analyzes each `(module, plugin)` key exactly once. The
+/// scheduling-dependent `peak_in_flight` stays on the stderr `serve:`
+/// line, so the file is byte-identical at any `--threads`.
 pub fn serve_summary_json(
     cfg: &ServeSimConfig,
     stats: &janitizer_core::ServeStats,
-    prov: &ServeProvenance,
     parity_mismatch: bool,
 ) -> String {
     use janitizer_telemetry::json::Json;
@@ -1328,9 +1288,9 @@ pub fn serve_summary_json(
         (
             "provenance",
             Json::obj([
-                ("memory", Json::U64(prov.memory)),
-                ("store", Json::U64(prov.store)),
-                ("analyzed", Json::U64(prov.analyzed)),
+                ("memory", Json::U64(stats.memory)),
+                ("store", Json::U64(stats.store)),
+                ("analyzed", Json::U64(stats.analyzed)),
             ]),
         ),
         (
@@ -1342,7 +1302,6 @@ pub fn serve_summary_json(
                 ("timeouts", Json::U64(stats.timeouts)),
                 ("panics_isolated", Json::U64(stats.panics_isolated)),
                 ("store_failures", Json::U64(stats.store_failures)),
-                ("peak_in_flight", Json::U64(stats.peak_in_flight)),
             ]),
         ),
     ])

@@ -836,7 +836,7 @@ fn main() {
         // scheduling-dependent supervision counters go to stderr.
         let run = serve_sim(&ew, &serve_cfg);
         print!("{}", run.summary);
-        let (stats, prov) = (run.stats, run.provenance);
+        let stats = run.stats;
         eprintln!(
             "serve: served={} degraded={} timeouts={} panics_isolated={} retries={} \
              store_failures={} peak_in_flight={} from_memory={} from_store={} from_analysis={}",
@@ -847,12 +847,12 @@ fn main() {
             stats.retries,
             stats.store_failures,
             stats.peak_in_flight,
-            prov.memory,
-            prov.store,
-            prov.analyzed
+            stats.memory,
+            stats.store,
+            stats.analyzed
         );
         let parity_bad = run.summary.contains("MISMATCH");
-        let json = serve_summary_json(&serve_cfg, &stats, &prov, parity_bad);
+        let json = serve_summary_json(&serve_cfg, &stats, parity_bad);
         let path = format!("{out_dir}/serve-summary.json");
         match std::fs::create_dir_all(&out_dir).and_then(|()| write_atomic(&path, json.as_bytes()))
         {

@@ -19,8 +19,8 @@
 
 use janitizer_core::{analyze_statically, RunProfile};
 use janitizer_eval::{
-    build_eval_world, fig10, fig11, fig12, fig13, fig14, fig7, fig8, fig9, serve_sim, EvalWorld,
-    FigResult, RunConfig, ServeSimConfig,
+    build_eval_world, fig10, fig11, fig12, fig13, fig14, fig7, fig8, fig9, serve_sim,
+    serve_summary_json, EvalWorld, FigResult, RunConfig, ServeSimConfig,
 };
 use janitizer_jasan::Jasan;
 use janitizer_telemetry::flight::Flight;
@@ -204,12 +204,12 @@ fn assert_profiles_conserve_cycles<'a>(
     }
 }
 
-/// Serve-simulation snapshots (summary, serve-metrics JSON, OpenMetrics)
-/// must match at 1, 4 and 4 threads: client scheduling may reorder work
-/// but never the totals.
+/// Serve-simulation snapshots (summary, `serve-summary.json`,
+/// serve-metrics JSON, OpenMetrics) must match at 1, 4 and 4 threads:
+/// client scheduling may reorder work but never the totals.
 fn assert_serve_snapshots_match() {
     let cfg = ServeSimConfig::default();
-    let mut snapshots: Vec<[String; 3]> = Vec::new();
+    let mut snapshots: Vec<[String; 4]> = Vec::new();
     for threads in [1usize, 4, 4] {
         let ew = eval_world(RunConfig {
             threads,
@@ -231,14 +231,16 @@ fn assert_serve_snapshots_match() {
         );
         // Provenance totals are deterministic (exactly-once analysis per
         // key) and must account for every request.
-        let total = run.provenance.memory + run.provenance.store + run.provenance.analyzed;
+        let total = run.stats.memory + run.stats.store + run.stats.analyzed;
         assert_eq!(total, (cfg.clients * cfg.requests) as u64);
-        snapshots.push([run.summary, run.metrics_json, run.openmetrics]);
+        let summary_json = serve_summary_json(&cfg, &run.stats, run.summary.contains("MISMATCH"));
+        snapshots.push([run.summary, summary_json, run.metrics_json, run.openmetrics]);
     }
     for pair in snapshots.windows(2) {
         assert_same_text(&pair[1][0], &pair[0][0], "serve summary");
-        assert_same_text(&pair[1][1], &pair[0][1], "serve-metrics.json");
-        assert_same_text(&pair[1][2], &pair[0][2], "OpenMetrics exposition");
+        assert_same_text(&pair[1][1], &pair[0][1], "serve-summary.json");
+        assert_same_text(&pair[1][2], &pair[0][2], "serve-metrics.json");
+        assert_same_text(&pair[1][3], &pair[0][3], "OpenMetrics exposition");
     }
 }
 

@@ -60,7 +60,7 @@ fn cold_store_warmed_by_many_threads_analyzes_exactly_once() {
 
     // Exactly one entry was committed, and a fresh cache over the same
     // directory is served from disk, not by re-analysis.
-    assert_eq!(janitizer_store::list_entries(&store).len(), 1);
+    assert_eq!(store.entry_count(), 1);
     let store2 = open_store(&dir);
     let cache2 = RuleCache::with_store(Arc::clone(&store2));
     let plugin = Jasan::hybrid();

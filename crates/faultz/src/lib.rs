@@ -104,19 +104,11 @@ impl SecurityPlugin for MarkerPlugin {
         block: &DecodedBlock,
         _rules: &BlockRules<'_>,
     ) -> Vec<TbItem> {
-        block
-            .insns
-            .iter()
-            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-            .collect()
+        block.passthrough()
     }
 
     fn instrument_dynamic(&mut self, _proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
-        block
-            .insns
-            .iter()
-            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-            .collect()
+        block.passthrough()
     }
 }
 

@@ -35,7 +35,7 @@ pub use shadow::{
 use janitizer_core::{Probe, ProbeResult, ProbeRun, Report, RuleId, SecurityPlugin, StaticContext};
 use janitizer_dbt::{
     CheckMode, DecodedBlock, JasanContext, ProbeClass, ProbeSite, ShadowCheck, ShadowReporter,
-    ShadowViolation, SiteOrigin, TbItem, ToolContext, DEFAULT_MAX_REPORTS,
+    ShadowViolation, SiteOrigin, TbItem, ToolContext, MAX_REPORTS,
 };
 use janitizer_isa::{Instr, MemSize, Reg, TLS_CANARY_OFFSET};
 use janitizer_obj::Image;
@@ -127,7 +127,7 @@ impl ShadowReporter for Captures {
         // only, bounded the same way the engine bounds its report vector
         // so indexes stay aligned.
         let mut caps = self.0.borrow_mut();
-        if caps.len() < DEFAULT_MAX_REPORTS {
+        if caps.len() < MAX_REPORTS {
             caps.push(ToolContext::Jasan(JasanContext {
                 access_addr: v.addr,
                 access_size: v.size,
@@ -195,14 +195,6 @@ impl Jasan {
         self.rt_range
             .map(|(lo, hi)| addr >= lo && addr < hi)
             .unwrap_or(false)
-    }
-
-    fn passthrough(block: &DecodedBlock) -> Vec<TbItem> {
-        block
-            .insns
-            .iter()
-            .map(|&(pc, i, n)| TbItem::Guest(pc, i, n))
-            .collect()
     }
 
     /// Scratch selection: two registers, lowest dead first; missing
@@ -436,10 +428,11 @@ impl SecurityPlugin for Jasan {
         rules: &janitizer_core::BlockRules<'_>,
     ) -> Vec<TbItem> {
         if self.in_rt(block.start) {
-            return Self::passthrough(block);
+            return block.passthrough();
         }
         let mut items = Vec::new();
-        for &(pc, insn, next) in &block.insns {
+        for &op in &block.ops {
+            let (pc, insn) = (op.pc, op.insn);
             let mut checked = false;
             for rule in rules.rules_for(pc) {
                 match rule.id {
@@ -498,19 +491,19 @@ impl SecurityPlugin for Jasan {
                     origin: SiteOrigin::Static,
                 }));
             }
-            items.push(TbItem::Guest(pc, insn, next));
+            items.push(TbItem::Guest(op));
         }
         items
     }
 
     fn instrument_dynamic(&mut self, proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
         if self.in_rt(block.start) {
-            return Self::passthrough(block);
+            return block.passthrough();
         }
         // The fallback performs its per-block analysis at translation
         // time; charge that one-time work (paper 3.4.3: "simpler and
         // lightweight run-time analysis").
-        proc.cycles += 20 * block.insns.len() as u64;
+        proc.cycles += 20 * block.ops.len() as u64;
         // Per-block canary detection (the fallback sees one block at a
         // time): prologue store -> poison after it; epilogue re-check ->
         // unpoison before its load and exempt that load.
@@ -518,9 +511,8 @@ impl SecurityPlugin for Jasan {
         let mut unpoison_before: Option<(usize, i32)> = None;
         let mut exempt_idx: Option<usize> = None;
         if self.opts.poison_canaries {
-            for i in 0..block.insns.len().saturating_sub(1) {
-                let (_, a, _) = block.insns[i];
-                let (_, b, _) = block.insns[i + 1];
+            for (i, w) in block.ops.windows(2).enumerate() {
+                let (a, b) = (w[0].insn, w[1].insn);
                 if let (
                     Instr::RdTls { rd, off },
                     Instr::St {
@@ -555,7 +547,8 @@ impl SecurityPlugin for Jasan {
             }
         }
         let mut items = Vec::new();
-        for (i, &(pc, insn, next)) in block.insns.iter().enumerate() {
+        for (i, &op) in block.ops.iter().enumerate() {
+            let (pc, insn) = (op.pc, op.insn);
             if let Some((at, disp)) = unpoison_before {
                 if i == at {
                     items.push(self.make_canary_probe(pc, disp, false, SiteOrigin::Dynamic));
@@ -573,7 +566,7 @@ impl SecurityPlugin for Jasan {
                     fallback: true,
                 }));
             }
-            items.push(TbItem::Guest(pc, insn, next));
+            items.push(TbItem::Guest(op));
             if let Some((after, disp)) = poison_after {
                 if i == after {
                     items.push(self.make_canary_probe(pc, disp, true, SiteOrigin::Dynamic));

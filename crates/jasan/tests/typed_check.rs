@@ -12,7 +12,7 @@ use janitizer_jasan::{
     check_access, map_shadow, shadow_addr, Jasan, JasanOptions, RULE_MEM_ACCESS, SHADOW_BASE,
 };
 use janitizer_rules::RewriteRule;
-use janitizer_vm::{load_process, LoadOptions, ModuleStore, Perm, Process};
+use janitizer_vm::{load_process, LoadOptions, ModuleStore, Op, Perm, Process};
 use proptest::prelude::*;
 
 /// Application region whose shadow is mapped.
@@ -156,7 +156,7 @@ impl Site {
     fn build(&self, jasan: &mut Jasan, p: &mut Process) -> (ShadowCheck, u64) {
         let block = DecodedBlock {
             start: PC,
-            insns: vec![(PC, self.insn(), PC + 8)],
+            ops: vec![Op::new(PC, self.insn(), PC + 8)],
         };
         let items = if self.dynamic {
             jasan.instrument_dynamic(p, &block)

@@ -27,7 +27,7 @@ pub use info::CfiModuleInfo;
 use janitizer_core::{Probe, ProbeResult, ProbeRun, Report, RuleId, SecurityPlugin, StaticContext};
 use janitizer_dbt::{
     DecodedBlock, JcfiContext, ProbeClass, ProbeSite, SiteOrigin, TbItem, ToolContext,
-    ViolationKind, DEFAULT_MAX_REPORTS,
+    ViolationKind, MAX_REPORTS,
 };
 use janitizer_isa::Instr;
 use janitizer_obj::Image;
@@ -216,7 +216,7 @@ impl CfiState {
     /// Records a violation context for forensics, bounded the same way
     /// the engine bounds its report vector so indexes stay aligned.
     fn record_capture(&mut self, ctx: JcfiContext) {
-        if self.captures.len() < DEFAULT_MAX_REPORTS {
+        if self.captures.len() < MAX_REPORTS {
             self.captures.push(ToolContext::Jcfi(ctx));
         }
     }
@@ -569,12 +569,13 @@ impl Jcfi {
         decide: impl Fn(u64, &Instr) -> Vec<(RuleId, [u64; 4])>,
     ) -> Vec<TbItem> {
         let mut items = Vec::new();
-        for &(pc, insn, next) in &block.insns {
+        for &op in &block.ops {
+            let (pc, insn) = (op.pc, op.insn);
             for (id, data) in decide(pc, &insn) {
                 let before = items.len();
                 match id {
                     RULE_SHADOW_PUSH if self.opts.backward => {
-                        items.push(self.push_probe(pc, next, conservative));
+                        items.push(self.push_probe(pc, op.next, conservative));
                     }
                     RULE_RET_CHECK if self.opts.backward => {
                         items.push(self.ret_probe(pc, conservative));
@@ -622,7 +623,7 @@ impl Jcfi {
                     items.push(TbItem::Note(site(kind_of(id), pc, conservative)));
                 }
             }
-            items.push(TbItem::Guest(pc, insn, next));
+            items.push(TbItem::Guest(op));
         }
         items
     }
@@ -769,15 +770,14 @@ impl SecurityPlugin for Jcfi {
     fn instrument_dynamic(&mut self, proc: &mut Process, block: &DecodedBlock) -> Vec<TbItem> {
         // One-time per-block fallback analysis cost (scanning the block
         // for indirect CTIs and the resolver idiom).
-        proc.cycles += 12 * block.insns.len() as u64;
+        proc.cycles += 12 * block.ops.len() as u64;
         // The fallback sees one block at a time; decisions come from the
         // module metadata built at load time (or a permissive default for
         // JIT code). The resolver special case is still recognizable
         // within the block: `st8 [sp], rX` immediately before `ret`.
         let mut resolver_rets: Vec<u64> = Vec::new();
-        for w in block.insns.windows(2) {
-            let (_, a, _) = w[0];
-            let (rpc, b, _) = w[1];
+        for w in block.ops.windows(2) {
+            let (a, b, rpc) = (w[0].insn, w[1].insn, w[1].pc);
             if matches!(
                 a,
                 Instr::St {

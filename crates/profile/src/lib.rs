@@ -753,12 +753,7 @@ mod tests {
                     origin: janitizer_dbt::SiteOrigin::Static,
                 }),
             })];
-            items.extend(
-                block
-                    .insns
-                    .iter()
-                    .map(|&(pc, i, n)| TbItem::Guest(pc, i, n)),
-            );
+            items.extend(block.passthrough());
             items
         }
     }

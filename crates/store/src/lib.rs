@@ -34,7 +34,6 @@
 //! recorder handed to [`RuleStore::open_with`].
 
 use janitizer_telemetry::flight::Flight;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -583,21 +582,6 @@ pub fn stats_line(stats: &StoreStats) -> String {
         "store: hits={} misses={} corrupt={} recovered={} retries={}",
         stats.hits, stats.misses, stats.corrupt, stats.recovered, stats.retries
     )
-}
-
-/// Deterministically sorted `(entry name, byte length)` listing of the
-/// committed entries — used by tests and the serve summary.
-pub fn list_entries(store: &RuleStore) -> BTreeMap<String, u64> {
-    std::fs::read_dir(store.entries_dir())
-        .map(|it| {
-            it.filter_map(Result::ok)
-                .filter_map(|e| {
-                    let len = e.metadata().ok()?.len();
-                    Some((e.file_name().to_string_lossy().into_owned(), len))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
